@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet fmt-check test race check alloc-gate bench bench-quick bench-fabric bench-deliver bench-collectives bench-msgrate bench-autotune bench-rendezvous bench-latency bench-serve bench-inline bench-gate fuzz examples experiments clean
+.PHONY: all build vet fmt-check test race check alloc-gate bench bench-quick bench-fabric bench-deliver bench-collectives bench-msgrate bench-rendezvous bench-latency bench-serve bench-inline bench-gate benchmark fuzz examples experiments clean
 
 all: build vet test
 
@@ -19,7 +19,6 @@ check: build vet fmt-check test race alloc-gate bench-collectives bench-serve be
 alloc-gate:
 	$(GO) test ./internal/core/ -run 'TestDeliverBundleZeroAllocs|TestDeliverInlineBundleZeroAllocs|TestCollBoxFastPathZeroAlloc' -count=1
 	$(GO) test ./internal/serialization/ -run TestDecodeIntoSteadyStateAllocs -count=1
-	$(GO) test ./internal/tune/ -run TestSteadyStatePathsZeroAlloc -count=1
 	$(GO) test ./internal/lci/ -run TestChunkedZeroAllocSteadyState -count=1
 	$(GO) test ./internal/serve/ -run 'TestServeCachedGetZeroAllocs|TestTokenBucketZeroAllocs' -count=1
 
@@ -109,17 +108,16 @@ bench-serve:
 bench-inline:
 	$(GO) run ./cmd/experiments -scale quick -out results inline
 
-# Adaptive-vs-static acceptance sweep: the self-tuning runtime must match or
-# beat every hand-tuned static config on every workload (within the noise
-# band). Emits results/BENCH_autotune.json and fails on any lost verdict.
-bench-autotune:
-	$(GO) run ./cmd/experiments -scale quick -out results autotune
-
 # Re-measure the gated rows (message rate, rendezvous, latency, serve) and
 # compare against the committed baselines; fails on step regressions and on
 # broken structural claims.
 bench-gate:
 	$(GO) run ./cmd/experiments -scale quick bench-gate
+
+# The repo's one repeatable before/after benchmark (BENCHMARK.json; see
+# benchmark/README.md).
+benchmark:
+	sh benchmark/run.sh
 
 # Quick A/B of the 64 B message-rate benchmark with the sender-side
 # aggregation layer off and on.
@@ -127,10 +125,12 @@ bench-quick:
 	$(GO) run ./cmd/msgrate -config lci -size 64 -total 20000
 	$(GO) run ./cmd/msgrate -config lci -size 64 -total 20000 -agg
 
+# Every fuzz target in the tree (grep -rn '^func Fuzz' --include=*_test.go .).
 fuzz:
 	$(GO) test ./internal/serialization/ -fuzz FuzzDecode -fuzztime 30s
 	$(GO) test ./internal/serialization/ -fuzz FuzzParseTransmissionSizes -fuzztime 15s
 	$(GO) test ./internal/parcelport/ -fuzz FuzzDecodeHeader -fuzztime 15s
+	$(GO) test ./internal/lci/ -fuzz FuzzChunkedReassembly -fuzztime 15s
 
 examples:
 	$(GO) test . -run TestExamplesRun -v

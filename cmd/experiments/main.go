@@ -36,7 +36,7 @@ func main() {
 	format := flag.String("format", "text", "figure output format: text or csv")
 	flag.Usage = func() {
 		fmt.Fprintf(os.Stderr, "usage: experiments [-scale full|quick] [-out dir] <target>...\n")
-		fmt.Fprintf(os.Stderr, "targets: table1 table2 table3 fig1..fig11 ablation-mpi ablation-multidev profile check latency-tails reliability collectives autotune msgrate-bench rendezvous-bench latency-bench serve inline fabric-bench deliver-bench bench-gate all\n")
+		fmt.Fprintf(os.Stderr, "targets: table1 table2 table3 fig1..fig11 ablation-mpi ablation-multidev profile check latency-tails reliability collectives msgrate-bench rendezvous-bench latency-bench serve inline fabric-bench deliver-bench bench-gate all\n")
 	}
 	flag.Parse()
 	if flag.NArg() == 0 {
@@ -76,8 +76,6 @@ func main() {
 		switch target {
 		case "collectives":
 			text, extra, err = runCollectives(sc, *scale, *format == "csv")
-		case "autotune":
-			text, extra, err = runAutotune(sc, *scale)
 		case "msgrate-bench":
 			text, extra, err = runMsgRateBench(sc, *scale)
 		case "rendezvous-bench":
@@ -136,26 +134,6 @@ func runCollectives(sc bench.Scale, scaleName string, csv bool) (string, map[str
 		return "", nil, err
 	}
 	return text, map[string][]byte{"BENCH_collectives.json": js}, nil
-}
-
-// runAutotune runs the adaptive-vs-static acceptance sweep; alongside the
-// text table it emits BENCH_autotune.json. The target fails if the adaptive
-// runtime loses to any hand-tuned static configuration beyond the noise
-// band.
-func runAutotune(sc bench.Scale, scaleName string) (string, map[string][]byte, error) {
-	rep, err := bench.AutotuneSweep(sc, scaleName)
-	if err != nil {
-		return "", nil, err
-	}
-	text := rep.Text()
-	js, err := rep.JSON()
-	if err != nil {
-		return "", nil, err
-	}
-	if err := rep.Err(); err != nil {
-		return "", nil, fmt.Errorf("%w\n%s", err, text)
-	}
-	return text, map[string][]byte{"BENCH_autotune.json": js}, nil
 }
 
 // runMsgRateBench measures the gated message-rate rows and emits

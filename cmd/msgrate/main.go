@@ -52,8 +52,7 @@ func main() {
 	blob := flag.Bool("blob", false, "use the monolithic single-blob long path (baseline; with -large)")
 	agg := flag.Bool("agg", false, "enable the sender-side aggregation layer")
 	inline := flag.Bool("inline", true, "run small non-blocking actions inline on the draining goroutine")
-	inlinebudget := flag.Int("inlinebudget", 0, "inline-lane per-drain budget seed (0 = default; ignored with -inline=false)")
-	autotune := flag.Bool("autotune", false, "enable the adaptive control layer (per-peer knobs replace the static ones)")
+	inlinebudget := flag.Int("inlinebudget", 0, "inline-lane per-drain budget (0 = default; ignored with -inline=false)")
 	aggsize := flag.Int("aggsize", 0, "aggregation flush size threshold in bytes (0 = default)")
 	aggdelay := flag.Duration("aggdelay", 0, "aggregation flush age deadline (0 = default)")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
@@ -113,7 +112,7 @@ func main() {
 	params := bench.MsgRateParams{
 		Size: *size, Batch: *batch, Total: *total, Rate: *rate,
 		Workers: *workers, Fabric: bench.Expanse.Fabric(2),
-		Agg: *agg, AggSize: *aggsize, AggDelay: *aggdelay, Autotune: *autotune,
+		Agg: *agg, AggSize: *aggsize, AggDelay: *aggdelay,
 		InlineOff: !*inline, InlineBudget: *inlinebudget,
 	}
 	params.Fabric.Reliability = *reliable

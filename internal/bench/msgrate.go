@@ -31,13 +31,6 @@ type MsgRateParams struct {
 	AggSize int
 	// AggDelay overrides the aggregation flush age deadline.
 	AggDelay time.Duration
-	// Sizes, when non-empty, round-robins the payload size across the run
-	// (mixed-size workloads); Size is ignored then.
-	Sizes []int
-	// Autotune enables the adaptive control layer (core.Config.Autotune):
-	// the aggregation knobs and zero-copy threshold become per-destination
-	// feedback-controlled values.
-	Autotune bool
 	// InlineOff disables the receiver's inline-execution lane (spawn-always,
 	// the pre-inline behavior); the default runs small sink actions to
 	// completion on the draining goroutine.
@@ -91,7 +84,6 @@ func MessageRate(ppName string, p MsgRateParams) (MsgRateResult, error) {
 		Aggregation:        p.Agg,
 		AggFlushBytes:      p.AggSize,
 		AggFlushDelay:      p.AggDelay,
-		Autotune:           p.Autotune,
 		InlineBudget:       inlineBudget,
 	})
 	if err != nil {
@@ -121,18 +113,11 @@ func MessageRate(ppName string, p MsgRateParams) (MsgRateResult, error) {
 	}
 
 	sender := rt.Locality(0)
-	sizes := p.Sizes
-	if len(sizes) == 0 {
-		sizes = []int{p.Size}
+	payload := make([]byte, p.Size)
+	for i := range payload {
+		payload[i] = byte(i)
 	}
-	payloadArgs := make([][][]byte, len(sizes))
-	for k, sz := range sizes {
-		payload := make([]byte, sz)
-		for i := range payload {
-			payload[i] = byte(i)
-		}
-		payloadArgs[k] = [][]byte{payload}
-	}
+	args := [][]byte{payload}
 
 	var injected atomic.Int64
 	var lastInjectAt atomic.Int64
@@ -156,10 +141,9 @@ func MessageRate(ppName string, p MsgRateParams) (MsgRateResult, error) {
 				runtime.Gosched()
 			}
 		}
-		base := tIdx * p.Batch
 		sender.Spawn(func() {
 			for b := 0; b < p.Batch; b++ {
-				_ = sender.ApplyID(1, sinkID, payloadArgs[(base+b)%len(payloadArgs)])
+				_ = sender.ApplyID(1, sinkID, args)
 			}
 			if injected.Add(int64(p.Batch)) == int64(total) {
 				lastInjectAt.Store(int64(time.Since(start)))

@@ -31,7 +31,6 @@ import (
 	"hpxgo/internal/parcelport/tcppp"
 	"hpxgo/internal/serialization"
 	"hpxgo/internal/trace"
-	"hpxgo/internal/tune"
 )
 
 // continuationAction is the reserved action id that completes Call futures.
@@ -78,25 +77,17 @@ type Config struct {
 	// run to completion directly on the draining goroutine (the inline
 	// lane) before the remainder spills to spawned tasks. Only actions
 	// registered with an inline hint (RegisterInlineAction/MarkActionInline)
-	// are eligible. Zero selects tune.DefaultInlineBudget; negative disables
-	// inline execution entirely (every parcel spawns). Under Autotune this
-	// value seeds the per-source adaptive budget.
+	// are eligible. Zero selects defaultInlineBudget (32); negative disables
+	// inline execution entirely (every parcel spawns).
 	InlineBudget int
 	// DrainBatch is the completion-drain budget: how many completion
 	// records one parcelport background pass consumes, shared round-robin
 	// across all of the port's completion queues. The LCI progress engine
 	// derives its per-pass fabric-event batch as 2×DrainBatch (preserving
-	// the hand-tuned 32/64 seed ratio), and the MPI parcelport bounds its
+	// the hand-tuned 32/64 ratio), and the MPI parcelport bounds its
 	// pending-connection sweep with the same value. Zero selects the
 	// transport defaults (lcipp.DefaultDrainBatch / lci.DefaultProgressBatch).
 	DrainBatch int
-	// Autotune enables the adaptive control layer (internal/tune): the
-	// static aggregation knobs and the zero-copy threshold become per-peer
-	// feedback-controlled values actuated from observed ack RTT, egress
-	// queue depth and packet-pool pressure, and the LCI parcelport scales
-	// its dedicated progress goroutines under load watermarks (pin mode).
-	// The static values above seed the controllers and bound actuation.
-	Autotune bool
 	// Fabric configures the simulated interconnect (Nodes is overwritten
 	// with Localities). Zero value selects fabric.DefaultConfig.
 	Fabric fabric.Config
@@ -114,6 +105,27 @@ type Config struct {
 	// deadline; continuations to peers the fabric declares HealthDown are
 	// reaped regardless whenever the fabric's reliability layer is active.
 	DeliveryTimeout time.Duration
+}
+
+// validate rejects negative knobs instead of silently replacing them: zero
+// selects the documented default, and InlineBudget is the one knob whose
+// negative means something (lane off).
+func (c *Config) validate() error {
+	for _, k := range []struct {
+		name string
+		v    int64
+	}{
+		{"AggFlushBytes", int64(c.AggFlushBytes)},
+		{"AggFlushDelay", int64(c.AggFlushDelay)},
+		{"AggMaxQueued", int64(c.AggMaxQueued)},
+		{"ZeroCopyThreshold", int64(c.ZeroCopyThreshold)},
+		{"DrainBatch", int64(c.DrainBatch)},
+	} {
+		if k.v < 0 {
+			return fmt.Errorf("core: Config.%s must be non-negative, got %d", k.name, k.v)
+		}
+	}
+	return nil
 }
 
 func (c *Config) fillDefaults() {
@@ -141,6 +153,9 @@ func (c *Config) fillDefaults() {
 		if c.Fabric.PacketOverheadBytes == 0 {
 			c.Fabric.PacketOverheadBytes = def.PacketOverheadBytes
 		}
+	}
+	if c.InlineBudget == 0 {
+		c.InlineBudget = defaultInlineBudget
 	}
 	if c.LCIDevices <= 0 {
 		c.LCIDevices = 1
@@ -175,10 +190,15 @@ type Runtime struct {
 	// actionTab. The receive path consults it per parcel, lock-free.
 	inlineTab atomic.Pointer[[]bool]
 	// actionSvc is the per-action inline service-time EWMA in ns (α = 1/4),
-	// sized to the sealed registry at Start. An action whose EWMA crosses
-	// the heavy threshold loses inline eligibility until it lightens —
-	// the safety escape that keeps a mis-hinted action from stalling the
-	// completion drain indefinitely.
+	// sized to the sealed registry at Start. An action whose EWMA reaches
+	// inlineHeavyNs loses inline eligibility — the safety escape that keeps
+	// a mis-hinted action from stalling the completion drain. The latch is
+	// one-way: the EWMA is written only by runInlineBatch, and deliver
+	// gates admission to that batch on it, so a demoted action is never
+	// sampled again and stays demoted for the life of the runtime. From a
+	// light history one run of ≥80µs (4×20µs — a preemption is enough) does
+	// it, as does a first run of ≥20µs; PR 11's benchmark measured the
+	// consequence (CHANGES.md, flood_64b_agg core.inline_frac).
 	actionSvc []atomic.Int64
 
 	// Collectives subsystem (see collectives.go): reserved relay-action ids,
@@ -192,6 +212,9 @@ type Runtime struct {
 // NewRuntime builds (but does not start) a runtime. Register actions, then
 // call Start.
 func NewRuntime(cfg Config) (*Runtime, error) {
+	if err := cfg.validate(); err != nil {
+		return nil, err
+	}
 	cfg.fillDefaults()
 	ppCfg, err := parcelport.ParseConfig(cfg.Parcelport)
 	if err != nil {
@@ -203,6 +226,11 @@ func NewRuntime(cfg Config) (*Runtime, error) {
 	net, err := fabric.NewNetwork(cfg.Fabric)
 	if err != nil {
 		return nil, err
+	}
+	// Checked here rather than in validate: the fabric owns the rail default,
+	// and only the LCI transport reads the value.
+	if rails := net.Config().Rails; ppCfg.Transport == parcelport.TransportLCI && cfg.LCI.StripeWidth > rails {
+		return nil, fmt.Errorf("core: Config.LCI.StripeWidth %d exceeds Fabric.Rails %d", cfg.LCI.StripeWidth, rails)
 	}
 	rt := &Runtime{cfg: cfg, ppCfg: ppCfg, net: net, byName: make(map[string]uint32), tracer: trace.New(0)}
 	net.SetTrace(rt.tracer.Emit)
@@ -246,6 +274,9 @@ func NewRuntime(cfg Config) (*Runtime, error) {
 // buildLocality wires scheduler, parcelport and parcel layer for node i.
 func (rt *Runtime) buildLocality(i int) (*Locality, error) {
 	loc := &Locality{rt: rt, id: i, conts: make(map[uint64]contEntry), collBoxes: make(map[uint64]*collBox)}
+	if rt.cfg.InlineBudget > 0 {
+		loc.inlineBudget = rt.cfg.InlineBudget
+	}
 	loc.sched = amt.New(amt.Config{
 		Workers:   rt.cfg.WorkersPerLocality,
 		Name:      fmt.Sprintf("locality-%d", i),
@@ -263,7 +294,7 @@ func (rt *Runtime) buildLocality(i int) (*Locality, error) {
 		if rt.cfg.DrainBatch > 0 && lciCfg.ProgressBatch <= 0 {
 			// One drain knob, two engines: the progress engine's fabric-event
 			// batch tracks 2× the completion-drain budget, preserving the
-			// hand-tuned 64:32 seed ratio.
+			// hand-tuned 64:32 ratio.
 			lciCfg.ProgressBatch = 2 * rt.cfg.DrainBatch
 		}
 		devs := make([]*lci.Device, rt.cfg.LCIDevices)
@@ -275,7 +306,6 @@ func (rt *Runtime) buildLocality(i int) (*Locality, error) {
 			Protocol:          rt.ppCfg.Protocol,
 			Completion:        rt.ppCfg.Completion,
 			Progress:          rt.ppCfg.Progress,
-			AdaptiveProgress:  rt.cfg.Autotune,
 			DrainBatch:        rt.cfg.DrainBatch,
 		})
 		if err != nil {
@@ -283,7 +313,6 @@ func (rt *Runtime) buildLocality(i int) (*Locality, error) {
 		}
 		loc.pp = pp
 		loc.lciDev = devs[0]
-		loc.lciDevs = devs
 	case parcelport.TransportTCP:
 		loc.pp = rt.tcpg.Parcelport(i)
 	}
@@ -311,27 +340,7 @@ func (rt *Runtime) buildLocality(i int) (*Locality, error) {
 		// buffer instead of through a per-message scratch.
 		loc.layer.SetParcelSender(agg.SendParcel)
 	}
-	if rt.cfg.Autotune {
-		rt.wireAutotune(loc, i)
-	}
 	bg := loc.pp.BackgroundWork
-	if loc.tuner != nil {
-		if _, ok := loc.pp.(*parcelport.Aggregator); !ok {
-			// Without the aggregation layer nothing else drives the
-			// controllers' clock, so fold the rate-gated Tick into
-			// background work (it self-limits to one pass per TickNs).
-			inner := bg
-			start := time.Now()
-			ctl := loc.tuner
-			bg = func(workerID int) bool {
-				did := inner(workerID)
-				if ctl.Tick(int64(time.Since(start))) {
-					did = true
-				}
-				return did
-			}
-		}
-	}
 	if rt.cfg.DeliveryTimeout > 0 || rt.net.Config().Reliability {
 		// Fold the continuation reaper into background work so delivery
 		// timeouts and dead peers are noticed without a dedicated thread.
@@ -346,50 +355,6 @@ func (rt *Runtime) buildLocality(i int) (*Locality, error) {
 		loc.sched.SetBackground(bg)
 	}
 	return loc, nil
-}
-
-// wireAutotune builds locality i's adaptive controller and hooks it into
-// the aggregation and parcel layers. The fabric device behind the transport
-// supplies the RTT and queue-depth signals; the LCI device supplies pool
-// pressure. TCP has no fabric device, so its controllers hold every knob at
-// the static value (the laws only act on live signals).
-func (rt *Runtime) wireAutotune(loc *Locality, i int) {
-	var sig tune.Signals
-	switch rt.ppCfg.Transport {
-	case parcelport.TransportLCI, parcelport.TransportMPI:
-		fdev := rt.net.DeviceN(i, 0)
-		sig.RTTNs = fdev.LinkRTTNs
-		sig.QueueDepth = fdev.EgressQueueDepth
-	}
-	if dev := loc.lciDev; dev != nil {
-		sig.PoolRetries = func() uint64 { return dev.Stats().Retries }
-	}
-	sig.PendingTasks = loc.sched.Pending
-	rails := 1
-	if rt.net != nil {
-		rails = rt.net.Config().Rails
-	}
-	ctl := tune.NewController(tune.Config{
-		Dests:          rt.cfg.Localities,
-		FlushBytes:     rt.cfg.AggFlushBytes,
-		FlushDelayNs:   rt.cfg.AggFlushDelay.Nanoseconds(),
-		ZCThreshold:    rt.cfg.ZeroCopyThreshold,
-		StripeWidth:    rt.cfg.LCI.StripeWidth,
-		MaxStripeWidth: rails,
-		InlineBudget:   rt.cfg.InlineBudget,
-		DrainBatch:     rt.cfg.DrainBatch,
-	}, sig)
-	loc.tuner = ctl
-	if agg, ok := loc.pp.(*parcelport.Aggregator); ok {
-		agg.SetTuner(ctl)
-	}
-	loc.layer.SetTuner(ctl)
-	// Rendezvous stripe width: every LCI device of the locality reads its
-	// per-destination width from the controller (devices are replicated
-	// lanes to the same peers, so they share the law's verdict).
-	for _, dev := range loc.lciDevs {
-		dev.SetStripeTuner(ctl.StripeWidth)
-	}
 }
 
 // RegisterAction registers fn under name on every locality. Must be called
@@ -424,8 +389,9 @@ func (rt *Runtime) MustRegisterAction(name string, fn ActionFunc) uint32 {
 // promises to be small and non-blocking (no future waits, no long compute,
 // no unbounded locks), so the receive path may run it to completion on the
 // draining goroutine instead of spawning a task. A hinted action that
-// nonetheless runs long is demoted by the service-time escape (see
-// actionSvc); one that *blocks* stalls its drain goroutine until the
+// nonetheless runs long is demoted to spawning by the service-time escape,
+// permanently — one slow run can do it and nothing re-admits the action
+// (see actionSvc); one that *blocks* stalls its drain goroutine until the
 // scheduler's other workers pick up the slack — the hint is a promise, not
 // a sandbox.
 func (rt *Runtime) RegisterInlineAction(name string, fn ActionFunc) (uint32, error) {
@@ -559,9 +525,6 @@ func (rt *Runtime) MPIComm(loc int) *mpisim.Comm {
 // runtime does not use the LCI transport.
 func (l *Locality) LCIDevice() *lci.Device { return l.lciDev }
 
-// Tuner exposes the adaptive controller (nil unless Config.Autotune).
-func (l *Locality) Tuner() *tune.Controller { return l.tuner }
-
 // Barrier synchronizes all localities: locality 0 calls a no-op on everyone
 // and waits. Returns false on timeout.
 func (rt *Runtime) Barrier(timeout time.Duration) bool {
@@ -614,14 +577,15 @@ type contEntry struct {
 // Locality is one simulated compute node: scheduler, parcelport, parcel
 // layer and continuation table.
 type Locality struct {
-	rt      *Runtime
-	id      int
-	sched   *amt.Scheduler
-	pp      parcelport.Parcelport
-	layer   *parcel.Layer
-	lciDev  *lci.Device      // LCI transport only (stats)
-	lciDevs []*lci.Device    // all replicated LCI devices (stripe-tuner wiring)
-	tuner   *tune.Controller // Autotune only (adaptive knobs)
+	rt     *Runtime
+	id     int
+	sched  *amt.Scheduler
+	pp     parcelport.Parcelport
+	layer  *parcel.Layer
+	lciDev *lci.Device // LCI transport only (stats)
+	// inlineBudget is the inline-lane count budget per delivered message,
+	// resolved from Config.InlineBudget at construction (0 = lane off).
+	inlineBudget int
 
 	contMu   sync.Mutex
 	conts    map[uint64]contEntry
@@ -935,10 +899,14 @@ func (d *delivery) unref() {
 // dispatch → spawn → execute path without a wire in between.
 func (l *Locality) Deliver(m *serialization.Message) { l.deliver(m) }
 
-// Inline-lane bounds. The count budget comes from Config.InlineBudget (or
-// the per-source adaptive budget under Autotune); these cap the other two
-// axes of the drain budget.
+// Inline-lane bounds. The count budget comes from Config.InlineBudget; the
+// rest cap the other two axes of the drain budget.
 const (
+	// defaultInlineBudget is the Config.InlineBudget default: the common
+	// bundle size at full aggregation, so one typical bundle of small
+	// parcels runs entirely inline and anything beyond it spills to spawned
+	// tasks.
+	defaultInlineBudget = 32
 	// inlineMaxArgBytes is the per-parcel eligibility cutoff: a parcel
 	// whose summed arg bytes exceed it is not "small" and always spawns.
 	inlineMaxArgBytes = 1024
@@ -949,10 +917,10 @@ const (
 	// occupy the draining goroutine; the remainder demotes to SpawnBatch.
 	// Sized so a full default budget of light (<~2µs) actions fits.
 	inlineTimeBudget = 100 * time.Microsecond
-	// defaultInlineHeavyNs mirrors tune.Config.InlineHeavyNs for runtimes
-	// without Autotune: the per-action service EWMA above which an action
-	// loses inline eligibility.
-	defaultInlineHeavyNs = 20_000
+	// inlineHeavyNs is the per-action service EWMA above which an action
+	// loses inline eligibility (one inline run stalls the drain by its full
+	// service time).
+	inlineHeavyNs = 20_000
 )
 
 // profilingLabels gates the per-delivery pprof label swap on the inline
@@ -965,31 +933,6 @@ var profilingLabels atomic.Bool
 // delivery lane ("lane=inline-deliver"). Costs one allocation per delivered
 // message while enabled.
 func EnableProfilingLabels(on bool) { profilingLabels.Store(on) }
-
-// inlineBudget returns the inline-lane count budget for parcels arriving
-// from src: the adaptive per-source value under Autotune, the static config
-// otherwise, zero when disabled.
-func (l *Locality) inlineBudget(src int) int {
-	if l.rt.cfg.InlineBudget < 0 {
-		return 0
-	}
-	if l.tuner != nil {
-		return l.tuner.InlineBudget(src)
-	}
-	if b := l.rt.cfg.InlineBudget; b > 0 {
-		return b
-	}
-	return tune.DefaultInlineBudget
-}
-
-// inlineHeavyNs returns the service-time EWMA ceiling for inline
-// eligibility.
-func (l *Locality) inlineHeavyNs() int64 {
-	if l.tuner != nil {
-		return l.tuner.InlineHeavyNs()
-	}
-	return defaultInlineHeavyNs
-}
 
 // deliver is the parcelport's delivery callback: decode the HPX message
 // into a pooled parcel slab, run the small inline-hinted parcels to
@@ -1027,15 +970,9 @@ func (l *Locality) deliver(m *serialization.Message) {
 	runs := d.runs[:0]
 	inl := d.inline[:0]
 	var hints []bool
-	budget := 0
-	if tab := l.rt.inlineTab.Load(); tab != nil && len(parcels) > 0 {
-		if budget = l.inlineBudget(parcels[0].Source); budget > 0 {
-			hints = *tab
-		}
-	}
-	heavyNs := int64(0)
-	if hints != nil {
-		heavyNs = l.inlineHeavyNs()
+	budget := l.inlineBudget
+	if tab := l.rt.inlineTab.Load(); tab != nil && budget > 0 {
+		hints = *tab
 	}
 	inlBytes := 0
 	n := 0
@@ -1049,7 +986,7 @@ func (l *Locality) deliver(m *serialization.Message) {
 		t.d, t.p, t.fn = d, p, fn
 		n++
 		if len(inl) < budget && int(p.Action) < len(hints) && hints[p.Action] &&
-			l.rt.actionSvc[p.Action].Load() < heavyNs {
+			l.rt.actionSvc[p.Action].Load() < inlineHeavyNs {
 			ab := 0
 			for _, a := range p.Args {
 				ab += len(a)
@@ -1093,10 +1030,9 @@ func (l *Locality) deliver(m *serialization.Message) {
 // runInlineBatch executes d.inline on the calling (draining) goroutine
 // under the per-message time cap, demoting the remainder to spawned tasks
 // when the cap expires. Each run's service time feeds the per-action EWMA
-// (the heavy escape) and, under Autotune, the per-source budget law.
+// (the heavy escape).
 func (l *Locality) runInlineBatch(d *delivery) {
 	inl := d.inline
-	src := inl[0].p.Source
 	t0 := time.Now()
 	deadline := t0.Add(inlineTimeBudget)
 	for i, t := range inl {
@@ -1107,11 +1043,7 @@ func (l *Locality) runInlineBatch(d *delivery) {
 			}
 			d.runs = rest
 			l.sched.SpawnBatch(rest)
-			spilled := len(inl) - i
-			l.inlineSpilled.Add(uint64(spilled))
-			if l.tuner != nil {
-				l.tuner.ObserveInlineSpill(src, spilled)
-			}
+			l.inlineSpilled.Add(uint64(len(inl) - i))
 			return
 		}
 		aid := t.p.Action
@@ -1127,9 +1059,6 @@ func (l *Locality) runInlineBatch(d *delivery) {
 			} else {
 				sv.Store(old + (svc-old)/4)
 			}
-		}
-		if l.tuner != nil {
-			l.tuner.ObserveInline(src, svc)
 		}
 	}
 }

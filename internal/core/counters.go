@@ -53,7 +53,8 @@ func (rt *Runtime) StatsText() string {
 				ps.MessagesSent, ps.BytesSent, ps.MessagesRecvd, ps.BytesRecvd)
 		}
 		if rt.ppCfg.Transport != parcelport.TransportTCP {
-			fs := rt.net.Device(i).Stats()
+			fdev := rt.net.Device(i)
+			fs := fdev.Stats()
 			fmt.Fprintf(&b, "  fabric: injected %d pkts / %d B, delivered %d pkts / %d B, backpressured %d\n",
 				fs.InjectedPackets, fs.InjectedBytes, fs.DeliveredPackets, fs.DeliveredBytes, fs.Backpressured)
 			if rt.net.Config().Reliability {
@@ -63,14 +64,26 @@ func (rt *Runtime) StatsText() string {
 					fmt.Fprintf(&b, "  fabric faults: %d dropped, %d duplicated, %d corrupted, %d latency spikes\n",
 						fs.FaultDropped, fs.FaultDuplicated, fs.FaultCorrupted, fs.LatencySpikes)
 				}
-				peers := make([]string, 0, rt.Localities()-1)
-				for j := 0; j < rt.Localities(); j++ {
-					if j != i {
-						peers = append(peers, fmt.Sprintf("%d:%s", j, rt.net.PeerHealth(i, j)))
-					}
-				}
-				fmt.Fprintf(&b, "  peer health: %s\n", strings.Join(peers, " "))
 			}
+			// Which peer is unhealthy, slow to ack, or falling behind on its
+			// polling, over all of this node's devices like PeerHealth: worst
+			// rtt, summed depth. Health and rtt_ns stay healthy/0 without
+			// reliability.
+			peers := make([]string, 0, rt.Localities()-1)
+			for j := 0; j < rt.Localities(); j++ {
+				if j == i {
+					continue
+				}
+				var rtt int64
+				depth := 0
+				for d := 0; d < rt.net.Config().DevicesPerNode; d++ {
+					dev := rt.net.DeviceN(i, d)
+					rtt = max(rtt, dev.LinkRTTNs(j))
+					depth += dev.EgressQueueDepth(j)
+				}
+				peers = append(peers, fmt.Sprintf("%d:%s/%d/%d", j, rt.net.PeerHealth(i, j), rtt, depth))
+			}
+			fmt.Fprintf(&b, "  peers (health/rtt_ns/egress_depth): %s\n", strings.Join(peers, " "))
 		}
 	}
 	return b.String()

@@ -483,8 +483,8 @@ func (d *Device) LinkRTTNs(dst int) int64 {
 
 // EgressQueueDepth reports the packets this device has queued toward dst
 // that the destination has not yet drained (ring + overflow, all rails).
-// A sustained non-zero depth means the peer's poller is falling behind —
-// the backpressure signal the adaptive tuning layer reads.
+// A sustained non-zero depth means the peer's poller is falling behind
+// (reported per peer by core.Runtime.StatsText).
 func (d *Device) EgressQueueDepth(dst int) int {
 	if dst < 0 || dst >= len(d.net.devices) {
 		return 0

@@ -319,3 +319,16 @@ func FuzzChunkedReassembly(f *testing.F) {
 		}
 	})
 }
+
+// TestChunkPlanStripe: chunkPlan hands the datapath exactly the configured
+// stripe width; zero and an over-wide value resolve to the rail count once,
+// in NewDevice.
+func TestChunkPlanStripe(t *testing.T) {
+	const rails, chunk = 4, 16 << 10
+	for stripe, want := range map[int]int{0: rails, 1: 1, 2: 2, 3: 3, 4: rails, 9: rails} {
+		a, _ := pair(t, chunkFabric(rails), Config{ChunkSize: chunk, StripeWidth: stripe})
+		if cs, sw := a.chunkPlan(8 * chunk); cs != chunk || sw != want {
+			t.Errorf("StripeWidth %d: chunkPlan = (%d, %d), want (%d, %d)", stripe, cs, sw, chunk, want)
+		}
+	}
+}

@@ -80,27 +80,11 @@ type aggDest struct {
 	mu      sync.Mutex
 	buf     []byte // nil when empty; otherwise a growing wire bundle
 	count   int    // frames in buf
-	limit   int    // flush size captured when buf was created (adaptive)
 	firstNs int64  // when the oldest buffered frame arrived
 	lastNs  int64  // when this destination last saw traffic
 	// pending mirrors count != 0 so FlushStale can skip idle destinations
 	// without taking their locks.
 	pending atomic.Bool
-}
-
-// Tuner adapts the per-destination aggregation policy at runtime (see
-// internal/tune). Knob reads and observation ingests sit on the per-message
-// path, so implementations must be lock-free and allocation-free there.
-type Tuner interface {
-	// AggKnobs returns dst's effective policy: flush size, flush age, cold
-	// idle gap, and whether to bypass bundling entirely (send-immediate).
-	AggKnobs(dst int) (flushBytes int, flushDelayNs, coldIdleNs int64, bypass bool)
-	// ObserveSend records one bundleable message toward dst.
-	ObserveSend(dst, size int, nowNs int64)
-	// ObserveFlush records one flushed bundle (size policy vs age policy).
-	ObserveFlush(dst, bytes, frames int, ageNs int64, bySize bool)
-	// Tick runs one rate-gated control pass.
-	Tick(nowNs int64) bool
 }
 
 // Aggregator is the sender-side parcel aggregation layer: a Parcelport
@@ -120,7 +104,6 @@ type Aggregator struct {
 	start   time.Time
 	deliver DeliverFunc
 	dests   []*aggDest
-	tuner   Tuner // nil = static knobs from cfg
 
 	stats struct {
 		bundled, bundles, direct, cold                  atomic.Uint64
@@ -142,27 +125,6 @@ func NewAggregator(inner Parcelport, numDest int, cfg AggConfig) *Aggregator {
 
 // Inner exposes the wrapped parcelport (stats reporting).
 func (a *Aggregator) Inner() Parcelport { return a.inner }
-
-// SetTuner installs the adaptive per-destination policy source. Must be
-// called before traffic flows; nil keeps the static AggConfig knobs.
-func (a *Aggregator) SetTuner(t Tuner) { a.tuner = t }
-
-// knobs returns dst's effective policy: the tuner's when installed, the
-// static config otherwise.
-func (a *Aggregator) knobs(dst int) (flushBytes int, flushDelayNs, coldIdleNs int64, bypass bool) {
-	if t := a.tuner; t != nil {
-		return t.AggKnobs(dst)
-	}
-	return a.cfg.FlushBytes, int64(a.cfg.FlushDelay), int64(a.cfg.ColdIdle), false
-}
-
-// observeFlushLocked feeds one flush to the tuner. Caller holds d.mu and
-// calls this before takeLocked resets the buffer state.
-func (a *Aggregator) observeFlushLocked(dst int, d *aggDest, now int64, bySize bool) {
-	if t := a.tuner; t != nil {
-		t.ObserveFlush(dst, len(d.buf), d.count, now-d.firstNs, bySize)
-	}
-}
 
 // Name renders the inner parcelport's name with the aggregation suffix.
 func (a *Aggregator) Name() string { return a.inner.Name() + "_agg" }
@@ -206,7 +168,7 @@ func (a *Aggregator) Start(deliver DeliverFunc) error {
 // Stop flushes every destination buffer and stops the inner parcelport.
 // Shutdown drains credit StopFlushes, not AgeFlushes: the buffers never
 // reached FlushDelay, and folding them into the age counter would pollute
-// the expiry statistics the flush-policy tuning reads.
+// the expiry statistics.
 func (a *Aggregator) Stop() {
 	for dst := range a.dests {
 		a.flushDest(dst, &a.stats.stopFl)
@@ -223,7 +185,7 @@ func (a *Aggregator) bundleable(m *serialization.Message) bool {
 }
 
 // Send coalesces m into dst's buffer or passes it through, flushing per the
-// adaptive policy (size, backpressure cap, cold destination).
+// AggConfig policy (size, backpressure cap, cold destination).
 func (a *Aggregator) Send(dst int, m *serialization.Message) {
 	if dst < 0 || dst >= len(a.dests) {
 		a.inner.Send(dst, m)
@@ -239,15 +201,11 @@ func (a *Aggregator) Send(dst int, m *serialization.Message) {
 	}
 	d := a.dests[dst]
 	now := a.nowNs()
-	flushBytes, _, coldIdleNs, bypass := a.knobs(dst)
-	if t := a.tuner; t != nil {
-		t.ObserveSend(dst, len(m.NonZeroCopy), now)
-	}
 	d.mu.Lock()
-	if d.count == 0 && (bypass || now-d.lastNs > coldIdleNs) {
-		// Cold destination (or the tuner marked the peer send-immediate):
-		// nothing buffered and no batching partner in sight — send
-		// immediately rather than paying the flush delay for nothing.
+	if d.count == 0 && now-d.lastNs > int64(a.cfg.ColdIdle) {
+		// Cold destination: nothing buffered and no batching partner in
+		// sight — send immediately rather than paying the flush delay for
+		// nothing.
 		d.lastNs = now
 		d.mu.Unlock()
 		a.stats.direct.Add(1)
@@ -255,9 +213,9 @@ func (a *Aggregator) Send(dst int, m *serialization.Message) {
 		a.inner.Send(dst, m)
 		return
 	}
-	a.ensureBufLocked(d, flushBytes)
+	a.ensureBufLocked(d)
 	d.buf = wire.AppendFrame(d.buf, m.NonZeroCopy)
-	out, counter := a.noteAppendLocked(dst, d, now)
+	out, counter := a.noteAppendLocked(d, now)
 	d.mu.Unlock()
 	a.stats.bundled.Add(1)
 	// The payload was copied into the bundle: the sub-message is locally
@@ -287,18 +245,14 @@ func (a *Aggregator) SendParcel(dst int, p serialization.Parcel) bool {
 	}
 	d := a.dests[dst]
 	now := a.nowNs()
-	flushBytes, _, coldIdleNs, bypass := a.knobs(dst)
-	if t := a.tuner; t != nil {
-		t.ObserveSend(dst, need, now)
-	}
 	d.mu.Lock()
-	if d.count == 0 && (bypass || now-d.lastNs > coldIdleNs) {
+	if d.count == 0 && now-d.lastNs > int64(a.cfg.ColdIdle) {
 		d.mu.Unlock()
 		return false
 	}
-	a.ensureBufLocked(d, flushBytes)
+	a.ensureBufLocked(d)
 	d.buf = serialization.AppendEncodeInline(wire.AppendFrameHeader(d.buf, need), &p)
-	out, counter := a.noteAppendLocked(dst, d, now)
+	out, counter := a.noteAppendLocked(d, now)
 	d.mu.Unlock()
 	a.stats.bundled.Add(1)
 	if out != nil {
@@ -308,17 +262,13 @@ func (a *Aggregator) SendParcel(dst int, p serialization.Parcel) bool {
 	return true
 }
 
-// ensureBufLocked lazily allocates dst's bundle buffer, capturing the
-// effective flush size for this bundle's lifetime: the limit is fixed at
-// creation so the pooled slice is sized once and appends never outgrow it,
-// even while the tuner moves the knob. Caller holds d.mu.
-func (a *Aggregator) ensureBufLocked(d *aggDest, flushBytes int) {
+// ensureBufLocked lazily allocates dst's bundle buffer. Caller holds d.mu.
+func (a *Aggregator) ensureBufLocked(d *aggDest) {
 	if d.buf == nil {
-		d.limit = flushBytes
 		// Size the buffer so appends never outgrow the pooled slice: the
-		// last frame lands when len < limit and adds at most MaxSub
+		// last frame lands when len < FlushBytes and adds at most MaxSub
 		// payload plus its header.
-		need := d.limit + a.cfg.MaxSub + wire.FrameHeaderSize + wire.BundleHeaderSize
+		need := a.cfg.FlushBytes + a.cfg.MaxSub + wire.FrameHeaderSize + wire.BundleHeaderSize
 		d.buf = wire.BeginBundle(wire.GetBuf(need)[:0])
 	}
 }
@@ -327,7 +277,7 @@ func (a *Aggregator) ensureBufLocked(d *aggDest, flushBytes int) {
 // backpressure-cap flush policy, returning the detached bundle (if any)
 // with the counter to credit. Caller holds d.mu and sends the bundle after
 // unlocking.
-func (a *Aggregator) noteAppendLocked(dst int, d *aggDest, now int64) (*serialization.Message, *atomic.Uint64) {
+func (a *Aggregator) noteAppendLocked(d *aggDest, now int64) (*serialization.Message, *atomic.Uint64) {
 	d.count++
 	if d.count == 1 {
 		d.firstNs = now
@@ -335,11 +285,9 @@ func (a *Aggregator) noteAppendLocked(dst int, d *aggDest, now int64) (*serializ
 	}
 	d.lastNs = now
 	switch {
-	case len(d.buf) >= d.limit:
-		a.observeFlushLocked(dst, d, now, true)
+	case len(d.buf) >= a.cfg.FlushBytes:
 		return d.takeLocked(), &a.stats.sizeFl
 	case d.count >= a.cfg.MaxQueued:
-		a.observeFlushLocked(dst, d, now, true)
 		return d.takeLocked(), &a.stats.capFl
 	}
 	return nil, nil
@@ -388,21 +336,13 @@ func (a *Aggregator) sendBundle(dst int, out *serialization.Message) {
 func (a *Aggregator) FlushStale() bool {
 	now := a.nowNs()
 	did := false
-	if t := a.tuner; t != nil && t.Tick(now) {
-		// The flush sweep doubles as the controllers' clock: it runs from
-		// background work and the dedicated progress thread, exactly the
-		// cadence the rate-gated control pass wants.
-		did = true
-	}
 	for dst, d := range a.dests {
 		if !d.pending.Load() {
 			continue
 		}
-		_, flushDelayNs, _, _ := a.knobs(dst)
 		d.mu.Lock()
 		var out *serialization.Message
-		if d.count > 0 && now-d.firstNs >= flushDelayNs {
-			a.observeFlushLocked(dst, d, now, false)
+		if d.count > 0 && now-d.firstNs >= int64(a.cfg.FlushDelay) {
 			out = d.takeLocked()
 			d.lastNs = now
 		}

@@ -36,7 +36,6 @@ import (
 	"hpxgo/internal/lci"
 	"hpxgo/internal/parcelport"
 	"hpxgo/internal/serialization"
-	"hpxgo/internal/tune"
 )
 
 // headerMsgTag is the tag of header messages in the sendrecv protocol.
@@ -54,26 +53,17 @@ type Config struct {
 	Completion        parcelport.Completion
 	Progress          parcelport.ProgressMode
 
-	// AdaptiveProgress scales the dedicated progress goroutines (pin mode
-	// only) between load watermarks: a device whose base progress worker
-	// finds work on most passes gains extra dedicated workers, and parks
-	// them again once passes run mostly empty. No effect in mt mode.
-	AdaptiveProgress bool
-	// MaxProgressWorkers caps dedicated progress goroutines per device when
-	// AdaptiveProgress is on (default 3).
-	MaxProgressWorkers int
-
 	// DrainBatch is the shared completion budget of one background drain
 	// pass: at most this many completion records are popped and dispatched
 	// across ALL completion queues (every device's put CQ plus the shared
 	// op CQ), round-robin interleaved so a hot put stream cannot starve
 	// operation completions. Default DefaultDrainBatch. Surfaced through
-	// core.Config.DrainBatch (autotune-visible seed).
+	// core.Config.DrainBatch.
 	DrainBatch int
 }
 
-// DefaultDrainBatch is the Config.DrainBatch seed: the per-pass completion
-// budget the historical fixed cqBatch constant provided.
+// DefaultDrainBatch is the Config.DrainBatch default: the per-pass
+// completion budget the historical fixed cqBatch constant provided.
 const DefaultDrainBatch = 32
 
 // headerCtx marks completions of the per-device wildcard header receive.
@@ -130,11 +120,6 @@ type Parcelport struct {
 	// layer's age-based flush, which must not starve while every worker is
 	// busy with tasks).
 	progressHook func() bool
-
-	// scalers (one per device) own the adaptive progress workers; the count
-	// of live dedicated progress goroutines is mirrored in progressWorkers.
-	scalers         []*progScaler
-	progressWorkers atomic.Int64
 
 	stopProgress func()
 	stopped      atomic.Bool
@@ -286,95 +271,16 @@ func (pp *Parcelport) Start(deliver parcelport.DeliverFunc) error {
 					return did
 				}
 			}
-			if pp.cfg.AdaptiveProgress {
-				max := pp.cfg.MaxProgressWorkers
-				if max <= 0 {
-					max = defaultMaxProgressWorkers
-				}
-				ps := &progScaler{pp: pp, dev: i, work: d.Progress, max: max}
-				ps.extra = make([]func(), 0, max-1)
-				pp.scalers = append(pp.scalers, ps)
-				base := work
-				work = func() bool {
-					did := base()
-					ps.observe(did)
-					return did
-				}
-			}
 			stops[i] = pp.sched.StartDedicated(fmt.Sprintf("lci-progress-%d", i), false, work)
-			pp.progressWorkers.Add(1)
 		}
 		pp.stopProgress = func() {
-			// Base workers first: each scaler's extras list is owned by its
-			// base worker's goroutine, so it must quiesce before the extras
-			// are stopped here.
 			for _, stop := range stops {
 				stop()
-				pp.progressWorkers.Add(-1)
-			}
-			for _, ps := range pp.scalers {
-				ps.stopExtras()
 			}
 		}
 	}
 	return nil
 }
-
-// defaultMaxProgressWorkers caps adaptive progress goroutines per device.
-const defaultMaxProgressWorkers = 3
-
-// progScaler scales one device's dedicated progress goroutines between 1
-// and max under a load watermark: sustained utilization of the base worker
-// starts an extra dedicated worker driving the bare device progress engine;
-// sustained idleness parks the newest extra again. All mutable state is
-// owned by the base worker's goroutine (observe runs inside its loop);
-// Stop joins base workers before reaping the surviving extras.
-type progScaler struct {
-	pp    *Parcelport
-	dev   int
-	work  func() bool // bare device progress, what extra workers run
-	load  tune.LoadWatermark
-	max   int
-	extra []func() // stop functions of running extra workers
-}
-
-// observe feeds one base-worker progress pass into the watermark window and
-// actuates at window boundaries. Scaling events are rare (once per Window
-// passes at most), so the start/stop cost stays off the steady-state path.
-func (ps *progScaler) observe(did bool) {
-	if !ps.load.Observe(did) {
-		return
-	}
-	switch ps.load.Decide() {
-	case 1:
-		if len(ps.extra) < ps.max-1 {
-			name := fmt.Sprintf("lci-progress-%d.%d", ps.dev, len(ps.extra)+1)
-			ps.extra = append(ps.extra, ps.pp.sched.StartDedicated(name, false, ps.work))
-			ps.pp.progressWorkers.Add(1)
-		}
-	case -1:
-		if n := len(ps.extra); n > 0 {
-			stop := ps.extra[n-1]
-			ps.extra = ps.extra[:n-1]
-			stop() // joins promptly: the loop re-checks stop between passes
-			ps.pp.progressWorkers.Add(-1)
-		}
-	}
-}
-
-// stopExtras reaps any extra workers still running. Only called after the
-// base worker has been joined (no concurrent observe).
-func (ps *progScaler) stopExtras() {
-	for _, stop := range ps.extra {
-		stop()
-		ps.pp.progressWorkers.Add(-1)
-	}
-	ps.extra = ps.extra[:0]
-}
-
-// ProgressWorkers reports the dedicated progress goroutines currently
-// running across all devices (pin mode; 0 in mt mode or before Start).
-func (pp *Parcelport) ProgressWorkers() int { return int(pp.progressWorkers.Load()) }
 
 // Stop shuts the parcelport down (progress thread joined, no new work).
 func (pp *Parcelport) Stop() {

@@ -10,9 +10,9 @@ import (
 const HistBuckets = 32
 
 // Hist is a fixed-bucket log2 histogram with atomic counters: Observe is
-// lock-free and allocation-free, so it can sit on per-message hot paths
-// (the adaptive tuning layer feeds one per destination). Values bucket by
-// bit length: bucket 0 holds 0, bucket k holds [2^(k-1), 2^k).
+// lock-free and allocation-free, so it can sit on per-message hot paths.
+// Values bucket by bit length: bucket 0 holds 0, bucket k holds
+// [2^(k-1), 2^k).
 type Hist struct {
 	counts [HistBuckets]atomic.Uint64
 }
@@ -41,25 +41,6 @@ func (h *Hist) Total() uint64 {
 		t += h.counts[i].Load()
 	}
 	return t
-}
-
-// FractionAtLeast returns the fraction of observations whose bucket holds
-// values >= cut (bucket granularity: the cut rounds down to its bucket's
-// lower bound). Returns 0 when the histogram is empty.
-func (h *Hist) FractionAtLeast(cut int) float64 {
-	var total, above uint64
-	b := histBucket(cut)
-	for i := range h.counts {
-		c := h.counts[i].Load()
-		total += c
-		if i >= b {
-			above += c
-		}
-	}
-	if total == 0 {
-		return 0
-	}
-	return float64(above) / float64(total)
 }
 
 // Percentile returns a log2-bucket estimate of the p-th percentile
@@ -123,7 +104,7 @@ func bucketBounds(k int) (lo, hi float64) {
 	return lo, lo * 2
 }
 
-// Reset zeroes every bucket (window-based controllers call this per epoch).
+// Reset zeroes every bucket.
 func (h *Hist) Reset() {
 	for i := range h.counts {
 		h.counts[i].Store(0)

@@ -2,9 +2,9 @@ package stats
 
 import "testing"
 
-func TestHistBucketsAndFractions(t *testing.T) {
+func TestHistBuckets(t *testing.T) {
 	var h Hist
-	if h.Total() != 0 || h.FractionAtLeast(1) != 0 {
+	if h.Total() != 0 {
 		t.Fatal("empty histogram not empty")
 	}
 	for i := 0; i < 90; i++ {
@@ -15,16 +15,6 @@ func TestHistBucketsAndFractions(t *testing.T) {
 	}
 	if got := h.Total(); got != 100 {
 		t.Fatalf("Total = %d, want 100", got)
-	}
-	if f := h.FractionAtLeast(4096); f != 0.10 {
-		t.Fatalf("FractionAtLeast(4096) = %v, want 0.10", f)
-	}
-	if f := h.FractionAtLeast(1); f != 1.0 {
-		t.Fatalf("FractionAtLeast(1) = %v, want 1.0", f)
-	}
-	// Same-bucket cuts round down to the bucket's lower bound.
-	if f := h.FractionAtLeast(8192); f != 0.10 {
-		t.Fatalf("FractionAtLeast(8192) = %v, want 0.10", f)
 	}
 	h.Reset()
 	if h.Total() != 0 {
@@ -37,7 +27,7 @@ func TestHistBucketsAndFractions(t *testing.T) {
 	if h.Total() != 3 {
 		t.Fatalf("Total = %d, want 3", h.Total())
 	}
-	if a := testing.AllocsPerRun(100, func() { h.Observe(512); h.FractionAtLeast(64) }); a != 0 {
+	if a := testing.AllocsPerRun(100, func() { h.Observe(512) }); a != 0 {
 		t.Fatalf("hist path allocates %.1f/op, want 0", a)
 	}
 }
