@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet fmt-check test race check alloc-gate bench bench-quick bench-fabric bench-deliver bench-collectives bench-msgrate bench-rendezvous bench-latency bench-serve bench-inline bench-gate benchmark fuzz examples experiments clean
+.PHONY: all build vet fmt-check test race check alloc-gate bench bench-quick bench-all bench-gate microbench-fabric microbench-deliver benchmark fuzz examples experiments clean
 
 all: build vet test
 
@@ -38,79 +38,46 @@ test:
 	$(GO) test ./... -timeout 900s
 
 race:
-	$(GO) test -race ./internal/lci/... ./internal/mpisim/... ./internal/fabric/... ./internal/parcelport/... ./internal/amt/... ./internal/core/... ./internal/serve/... -timeout 1800s
+	$(GO) test -race ./internal/ring/... ./internal/lci/... ./internal/mpisim/... ./internal/fabric/... ./internal/parcelport/... ./internal/amt/... ./internal/core/... ./internal/serve/... -timeout 1800s
 
 bench:
 	$(GO) test -bench=. -benchmem ./... -timeout 3600s
 
-# Fabric datapath microbenchmarks: per-packet inject/poll cost, allocation
-# counts, and the poll-cost-vs-cluster-size scaling the ready index flattens
-# (results/fabric-datapath.txt has the prose before/after; BENCH_fabric.json
-# is the machine-readable artifact, claims-checked on regeneration).
-bench-fabric:
+# The eight BENCH_*.json artifacts (bench.Artifacts; `experiments -h` lists
+# the targets, DESIGN.md "Artifacts: one schema, one gate" the columns, gate
+# rules and claims). bench-<artifact> regenerates one into results/ — table,
+# JSON, claims checked — pinned to quick scale, the scale bench-gate runs at,
+# so the committed rows stay comparable (run `experiments -scale full -out
+# results collectives` for the recorded 256-locality numbers). The names
+# `experiments` knows them by carry a -bench suffix except for three.
+ARTIFACTS := collectives msgrate rendezvous latency serve inline fabric deliver
+experiments-target = $(if $(filter $(1),collectives serve inline),$(1),$(1)-bench)
+
+.PHONY: $(ARTIFACTS:%=bench-%)
+$(ARTIFACTS:%=bench-%): bench-%:
+	$(GO) run ./cmd/experiments -scale quick -out results $(call experiments-target,$*)
+
+# All eight in one invocation, so every artifact carries the same commit.
+bench-all:
+	$(GO) run ./cmd/experiments -scale quick -out results $(foreach a,$(ARTIFACTS),$(call experiments-target,$(a)))
+
+# The testing.B siblings of the two datapath artifacts print first
+# (results/fabric-datapath.txt and results/receiver-datapath.txt have the
+# prose before/after): per-packet inject/poll cost and poll-cost-vs-cluster-
+# size scaling; bundled delivery and batched task spawn.
+bench-fabric: microbench-fabric
+bench-deliver: microbench-deliver
+
+microbench-fabric:
 	$(GO) test -bench 'BenchmarkInjectPoll|BenchmarkPoll' -benchmem ./internal/fabric/ -timeout 1800s
-	$(GO) run ./cmd/experiments -scale quick -out results fabric-bench
 
-# Flat-vs-tree collectives latency sweep, emitting the machine-readable
-# BENCH_collectives.json (op, impl, nodes, ns/op, allocs/op, commit) next to
-# the text figure — the perf-trajectory artifact tracked across PRs. Quick
-# scale here keeps `make check` fast; run with -scale full to regenerate the
-# recorded results/ numbers (256 localities).
-bench-collectives:
-	$(GO) run ./cmd/experiments -scale quick -out results collectives
-
-# Receiver datapath microbenchmarks: bundled-message delivery (decode +
-# dispatch + spawn + execute) and batched task spawn
-# (results/receiver-datapath.txt has the prose before/after;
-# BENCH_deliver.json is the machine-readable artifact, claims-checked on
-# regeneration).
-bench-deliver:
+microbench-deliver:
 	$(GO) test -bench BenchmarkDeliverBundle -benchmem ./internal/core/ -timeout 1800s
 	$(GO) test -bench BenchmarkSpawnBatch -benchmem ./internal/amt/ -timeout 1800s
-	$(GO) run ./cmd/experiments -scale quick -out results deliver-bench
 
-# Regenerate the committed message-rate regression baseline
-# (results/BENCH_msgrate.json). Pinned to quick scale — the same scale
-# bench-gate runs at — so the committed rows stay comparable.
-bench-msgrate:
-	$(GO) run ./cmd/experiments -scale quick -out results msgrate-bench
-
-# Regenerate the committed large-message rendezvous bandwidth baseline
-# (results/BENCH_rendezvous.json): chunked multi-rail striping vs the
-# monolithic single-blob path. Pinned to quick scale — the same scale
-# bench-gate runs at — so the committed rows stay comparable.
-bench-rendezvous:
-	$(GO) run ./cmd/experiments -scale quick -out results rendezvous-bench
-
-# Regenerate the committed small/medium latency snapshot
-# (results/BENCH_latency.json): one-way 8 B and 16 KiB latency at 1 and 8
-# workers. Gated by bench-gate with noise-band-derived factors (2x mean/p50,
-# 3x p99 — see EXPERIMENTS.md); pinned to quick scale, the same scale
-# bench-gate runs at.
-bench-latency:
-	$(GO) run ./cmd/experiments -scale quick -out results latency-bench
-
-# Regenerate the committed serving-tier SLO baseline
-# (results/BENCH_serve.json): KV throughput and tail latency with the
-# hot-key cache, single-flight coalescing, and admission control toggled
-# per row. Claims-checked on every run (cache >= 2x cache-off on the Zipf
-# mix; admission bounds the overload tail). Pinned to quick scale — the
-# same scale bench-gate runs at.
-bench-serve:
-	$(GO) run ./cmd/experiments -scale quick -out results serve
-
-# Regenerate the committed inline-lane baseline (results/BENCH_inline.json):
-# 64 B aggregated message rate with run-to-completion delivery on vs forced
-# spawn-always, plus the serving-tier Zipf capacity with the lane on.
-# Claims-checked on every run (inline >= 1.3x spawn-always; serve capacity
-# comparable to the committed serving-tier row). Pinned to quick scale — the
-# same scale bench-gate runs at.
-bench-inline:
-	$(GO) run ./cmd/experiments -scale quick -out results inline
-
-# Re-measure the gated rows (message rate, rendezvous, latency, serve) and
-# compare against the committed baselines; fails on step regressions and on
-# broken structural claims.
+# Re-measure the gated artifacts (message rate, rendezvous, latency, serve,
+# inline) and compare against the committed baselines; fails on step
+# regressions and on broken structural claims.
 bench-gate:
 	$(GO) run ./cmd/experiments -scale quick bench-gate
 

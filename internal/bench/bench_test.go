@@ -3,6 +3,8 @@ package bench
 import (
 	"strings"
 	"testing"
+
+	"hpxgo/internal/core"
 )
 
 func TestMessageRateBasic(t *testing.T) {
@@ -62,28 +64,37 @@ func TestMessageRateValidation(t *testing.T) {
 	}
 }
 
+// TestReliabilityOverhead checks the invariants behind the reliability
+// comparison, not its timing (`experiments reliability` prints the rates; a
+// wall-clock ratio on 5000 messages is noise on a shared host): with the ARQ
+// on and no faults the run completes on the lossless fast path — every
+// message arrives and nothing is retransmitted; under the 1% fault profile
+// the ARQ does retransmit and delivery is still exactly-once.
 func TestReliabilityOverhead(t *testing.T) {
 	if testing.Short() {
-		t.Skip("overhead comparison in -short mode")
+		t.Skip("5000-message runs in -short mode")
 	}
-	res, err := ReliabilityOverhead("lci", MsgRateParams{Size: 8, Batch: 50, Total: 5000, Workers: 2})
-	if err != nil {
-		t.Fatal(err)
+	const total = 5000
+	_, rel, lossy := reliabilityModes(MsgRateParams{Size: 8, Batch: 50, Total: total, Workers: 2})
+	run := func(p MsgRateParams) (retransmits, delivered uint64) {
+		t.Helper()
+		p.Inspect = func(rt *core.Runtime) {
+			for i := 0; i < rt.Localities(); i++ {
+				retransmits += rt.Network().Device(i).Stats().Retransmits
+			}
+			delivered = rt.Locality(1).ParcelsExecuted()
+		}
+		if _, err := MessageRate("lci", p); err != nil { // returns once all `total` arrived
+			t.Fatal(err)
+		}
+		return retransmits, delivered
 	}
-	if res.Baseline.MsgRate <= 0 || res.Reliable.MsgRate <= 0 || res.Lossy.MsgRate <= 0 {
-		t.Fatalf("non-positive rates: %+v", res)
+	if retx, got := run(rel); retx != 0 || got != total {
+		t.Fatalf("fault-free ARQ: %d retransmits (want 0, the lossless fast path), %d parcels delivered (want %d)", retx, got, total)
 	}
-	// With faults disabled the ARQ takes the lossless fast path (no
-	// retransmission buffer, lock-free sender state), so the overhead is
-	// ~0% — but this CI host is a single shared CPU with ±10-20%
-	// run-to-run noise even under best-of-3, so assert a floor wide enough
-	// not to flake. Measured numbers are recorded in EXPERIMENTS.md.
-	if res.Reliable.MsgRate < 0.75*res.Baseline.MsgRate {
-		t.Fatalf("fault-free reliability too costly: baseline %.0f vs reliable %.0f msg/s (%.1f%%)",
-			res.Baseline.MsgRate, res.Reliable.MsgRate, res.OverheadPct)
+	if retx, got := run(lossy); retx == 0 || got != total {
+		t.Fatalf("1%%-lossy ARQ: %d retransmits (want > 0), %d parcels delivered (want exactly %d)", retx, got, total)
 	}
-	t.Logf("baseline %.0f, reliable %.0f (overhead %.1f%%), 1%%-lossy %.0f msg/s",
-		res.Baseline.MsgRate, res.Reliable.MsgRate, res.OverheadPct, res.Lossy.MsgRate)
 }
 
 func TestLatencyBasic(t *testing.T) {
@@ -310,21 +321,17 @@ func TestPlatformFabric(t *testing.T) {
 	if f.Nodes != 4 || f.GbitsPerSec != 56 || f.Rails != 2 {
 		t.Fatalf("Rostam fabric %+v", f)
 	}
-	if len(Platforms()) != 2 {
-		t.Fatal("expected two platforms")
-	}
 }
 
-func TestInjectionRateLists(t *testing.T) {
-	r8 := InjectionRates8B()
-	if r8[0] != 100e3 || r8[len(r8)-1] != 0 {
+func TestFullScaleSweepLists(t *testing.T) {
+	sc := FullScale()
+	if r8 := sc.Rates8B; r8[0] != 100e3 || r8[len(r8)-1] != 0 {
 		t.Fatalf("8B rates %v", r8)
 	}
-	r16 := InjectionRates16K()
-	if r16[0] != 10e3 || r16[len(r16)-1] != 0 {
+	if r16 := sc.Rates16K; r16[0] != 10e3 || r16[len(r16)-1] != 0 {
 		t.Fatalf("16K rates %v", r16)
 	}
-	if len(MessageSizes7()) < 5 || len(WindowSizes()) < 5 {
+	if len(sc.Sizes7) < 5 || len(sc.Windows) < 5 {
 		t.Fatal("sweep lists too short")
 	}
 }

@@ -5,209 +5,127 @@ import (
 	"strings"
 )
 
-// Claim is one qualitative statement from the paper's evaluation, checked
+// PaperClaim is one qualitative statement from the paper's evaluation, checked
 // against freshly measured numbers.
-type Claim struct {
+type PaperClaim struct {
 	ID     string
 	Text   string // the paper's statement
 	Holds  bool
 	Detail string // measured evidence
 }
 
-// CheckClaims measures the paper's key qualitative claims at the given
+// sampler takes repeated measurements and keeps the first error, so the
+// claims below read as arithmetic over measured means; after an error every
+// further measurement is skipped.
+type sampler struct {
+	reps int
+	err  error
+}
+
+// mean is the mean of reps runs of f, or 0 once a measurement has failed.
+func (s *sampler) mean(f func() (float64, error)) float64 {
+	if s.err != nil {
+		return 0
+	}
+	sum, err := Repeat(s.reps, f)
+	s.err = err
+	return sum.Mean
+}
+
+// PaperClaims measures the paper's key qualitative claims at the given
 // scale and reports which hold in this reproduction. It is the automated
 // "did the shape reproduce?" checker behind `cmd/experiments check`.
-func CheckClaims(sc Scale) ([]Claim, error) {
-	var claims []Claim
-
-	rate := func(cfg string, size, batch, total int, inj float64) (MsgRateResult, error) {
-		return MessageRate(cfg, MsgRateParams{
-			Size: size, Batch: batch, Total: total, Rate: inj,
-			Workers: Expanse.WorkersPerLocality, Fabric: Expanse.Fabric(2),
+func PaperClaims(sc Scale) ([]PaperClaim, error) {
+	m := &sampler{reps: sc.Reps}
+	rate := func(cfg string, size, batch, total int, inj float64) float64 {
+		return m.mean(func() (float64, error) {
+			return expanseRate(cfg, MsgRateParams{Size: size, Batch: batch, Total: total, Rate: inj})
 		})
 	}
-	avgRate := func(cfg string, size, batch, total int, inj float64) (float64, error) {
-		sum, err := Repeat(sc.Reps, func() (float64, error) {
-			r, err := rate(cfg, size, batch, total, inj)
-			if err != nil {
-				return 0, err
-			}
-			return r.MsgRate, nil
-		})
-		return sum.Mean, err
-	}
-
-	// Claim 1: the LCI parcelport beats the MPI parcelport on 16KiB message
-	// rate (paper: up to 30x).
-	lci16, err := avgRate("lci", 16*1024, sc.Batch16K, sc.Total16K, 0)
-	if err != nil {
-		return nil, err
-	}
-	mpi16, err := avgRate("mpi_i", 16*1024, sc.Batch16K, sc.Total16K, 0)
-	if err != nil {
-		return nil, err
-	}
-	claims = append(claims, Claim{
-		ID:     "rate-16k",
-		Text:   "LCI parcelport achieves a higher 16KiB message rate than the MPI parcelport",
-		Holds:  lci16 > mpi16,
-		Detail: fmt.Sprintf("lci %.0f msg/s vs mpi_i %.0f msg/s (%.2fx)", lci16, mpi16, lci16/mpi16),
-	})
-
-	// Claim 2: MPI's achieved 16KiB rate decreases as injection pressure
-	// grows (paper Fig 4).
-	lowRate := sc.Rates16K[0]
-	mpiLow, err := avgRate("mpi_i", 16*1024, sc.Batch16K, sc.Total16K, lowRate*2)
-	if err != nil {
-		return nil, err
-	}
-	claims = append(claims, Claim{
-		ID:     "mpi-decline",
-		Text:   "MPI's achieved 16KiB rate declines under unlimited injection pressure",
-		Holds:  mpi16 < mpiLow,
-		Detail: fmt.Sprintf("paced %.0f msg/s vs unlimited %.0f msg/s", mpiLow, mpi16),
-	})
-
-	// Claim 3: LCI beats MPI on the 8B message rate (paper Fig 3).
-	lci8, err := avgRate("lci", 8, sc.Batch8B, sc.Total8B, 0)
-	if err != nil {
-		return nil, err
-	}
-	mpi8, err := avgRate("mpi_i", 8, sc.Batch8B, sc.Total8B, 0)
-	if err != nil {
-		return nil, err
-	}
-	claims = append(claims, Claim{
-		ID:     "rate-8b",
-		Text:   "LCI parcelport achieves a higher 8B message rate than the MPI parcelport",
-		Holds:  lci8 > mpi8,
-		Detail: fmt.Sprintf("lci %.0f msg/s vs mpi_i %.0f msg/s (%.2fx)", lci8, mpi8, lci8/mpi8),
-	})
-
-	// Claim 4: one-sided put headers beat two-sided send/recv headers for
-	// the 8B rate (paper: psr up to 3.5x sr).
-	sr8, err := avgRate("lci_sr_cq_pin_i", 8, sc.Batch8B, sc.Total8B, 0)
-	if err != nil {
-		return nil, err
-	}
-	claims = append(claims, Claim{
-		ID:     "psr-vs-sr",
-		Text:   "putsendrecv beats sendrecv for the 8B message rate",
-		Holds:  lci8 > sr8,
-		Detail: fmt.Sprintf("psr %.0f msg/s vs sr %.0f msg/s (%.2fx)", lci8, sr8, lci8/sr8),
-	})
-
-	// Claim 5: the MPI–LCI latency gap moves in LCI's favour as the window
-	// grows (paper Figs 8-9: from mpi_i 2x better to 9.6x worse).
-	lat := func(cfg string, size, window int) (float64, error) {
-		sum, err := Repeat(sc.Reps, func() (float64, error) {
+	lat := func(cfg string, window int) float64 {
+		return m.mean(func() (float64, error) {
 			return Latency(cfg, LatencyParams{
-				Size: size, Window: window, Steps: sc.LatencySteps,
+				Size: 16 * 1024, Window: window, Steps: sc.LatencySteps,
 				Workers: Expanse.WorkersPerLocality, Fabric: Expanse.Fabric(2),
 			})
 		})
-		return sum.Mean, err
 	}
-	lciW1, err := lat("lci", 16*1024, 1)
-	if err != nil {
-		return nil, err
+	octo := func(cfg string, nodes int) float64 {
+		return m.mean(func() (float64, error) { return expanseOcto(cfg, sc, nodes) })
 	}
-	mpiW1, err := lat("mpi_i", 16*1024, 1)
-	if err != nil {
-		return nil, err
-	}
-	bigW := sc.Windows[len(sc.Windows)-1]
-	lciWN, err := lat("lci", 16*1024, bigW)
-	if err != nil {
-		return nil, err
-	}
-	mpiWN, err := lat("mpi_i", 16*1024, bigW)
-	if err != nil {
-		return nil, err
-	}
-	gapW1 := mpiW1 / lciW1
-	gapWN := mpiWN / lciWN
-	claims = append(claims, Claim{
-		ID:   "window-gap",
-		Text: "the MPI/LCI 16KiB latency ratio grows with the window size",
-		// The ratio must move in LCI's favour from window 1 to the largest.
-		Holds: gapWN > gapW1,
-		Detail: fmt.Sprintf("mpi_i/lci ratio %.2fx at w=1 vs %.2fx at w=%d",
-			gapW1, gapWN, bigW),
-	})
 
-	// Claim 6: the §3.1 improvements speed up the MPI parcelport (~20% at
-	// the application level). Measured at a node count where inter-locality
+	lci16 := rate("lci", 16*1024, sc.Batch16K, sc.Total16K, 0)
+	mpi16 := rate("mpi_i", 16*1024, sc.Batch16K, sc.Total16K, 0)
+	mpiLow := rate("mpi_i", 16*1024, sc.Batch16K, sc.Total16K, sc.Rates16K[0]*2)
+	lci8 := rate("lci", 8, sc.Batch8B, sc.Total8B, 0)
+	mpi8 := rate("mpi_i", 8, sc.Batch8B, sc.Total8B, 0)
+	sr8 := rate("lci_sr_cq_pin_i", 8, sc.Batch8B, sc.Total8B, 0)
+
+	bigW := sc.Windows[len(sc.Windows)-1]
+	gapW1 := lat("mpi_i", 1) / lat("lci", 1)
+	gapWN := lat("mpi_i", bigW) / lat("lci", bigW)
+
+	// The §3.1 ablation runs at a node count where inter-locality
 	// communication carries weight (2-node runs are compute-bound).
 	ablNodes := sc.OctoNodes[min(1, len(sc.OctoNodes)-1)]
-	impr, err := Repeat(sc.Reps, func() (float64, error) {
-		return OctoTiger("mpi", OctoParams{
-			Platform: Expanse, Nodes: ablNodes, Level: sc.OctoLevelExp, Steps: sc.OctoSteps,
-			Subgrid: sc.OctoSubgrid, Fields: sc.OctoFields,
-		})
-	})
-	if err != nil {
-		return nil, err
+	impr, orig := octo("mpi", ablNodes), octo("mpi_orig", ablNodes)
+	nodesSmall, nodesBig := sc.OctoNodes[0], sc.OctoNodes[len(sc.OctoNodes)-1]
+	speedS := octo("lci", nodesSmall) / octo("mpi", nodesSmall)
+	speedB := octo("lci", nodesBig) / octo("mpi", nodesBig)
+	if m.err != nil {
+		return nil, m.err
 	}
-	orig, err := Repeat(sc.Reps, func() (float64, error) {
-		return OctoTiger("mpi_orig", OctoParams{
-			Platform: Expanse, Nodes: ablNodes, Level: sc.OctoLevelExp, Steps: sc.OctoSteps,
-			Subgrid: sc.OctoSubgrid, Fields: sc.OctoFields,
-		})
-	})
-	if err != nil {
-		return nil, err
-	}
-	claims = append(claims, Claim{
-		ID:     "mpi-ablation",
-		Text:   "the improved MPI parcelport beats the original (§3.1, ~20% on Octo-Tiger)",
-		Holds:  impr.Mean > orig.Mean,
-		Detail: fmt.Sprintf("improved %.2f steps/s vs original %.2f steps/s (%.2fx)", impr.Mean, orig.Mean, impr.Mean/orig.Mean),
-	})
 
-	// Claim 7: LCI's Octo-Tiger advantage grows with node count (paper
-	// Figs 10-11).
-	nodesSmall := sc.OctoNodes[0]
-	nodesBig := sc.OctoNodes[len(sc.OctoNodes)-1]
-	octo := func(cfg string, nodes int) (float64, error) {
-		sum, err := Repeat(sc.Reps, func() (float64, error) {
-			return OctoTiger(cfg, OctoParams{
-				Platform: Expanse, Nodes: nodes, Level: sc.OctoLevelExp, Steps: sc.OctoSteps,
-				Subgrid: sc.OctoSubgrid, Fields: sc.OctoFields,
-			})
-		})
-		return sum.Mean, err
-	}
-	lciS, err := octo("lci", nodesSmall)
-	if err != nil {
-		return nil, err
-	}
-	mpiS, err := octo("mpi", nodesSmall)
-	if err != nil {
-		return nil, err
-	}
-	lciB, err := octo("lci", nodesBig)
-	if err != nil {
-		return nil, err
-	}
-	mpiB, err := octo("mpi", nodesBig)
-	if err != nil {
-		return nil, err
-	}
-	claims = append(claims, Claim{
-		ID:    "octo-scaling",
-		Text:  "LCI's Octo-Tiger speedup over MPI grows with node count",
-		Holds: lciB/mpiB > lciS/mpiS,
-		Detail: fmt.Sprintf("lci/mpi %.3fx at %d nodes vs %.3fx at %d nodes",
-			lciS/mpiS, nodesSmall, lciB/mpiB, nodesBig),
-	})
-
-	return claims, nil
+	return []PaperClaim{
+		{ // paper: up to 30x
+			ID:     "rate-16k",
+			Text:   "LCI parcelport achieves a higher 16KiB message rate than the MPI parcelport",
+			Holds:  lci16 > mpi16,
+			Detail: fmt.Sprintf("lci %.0f msg/s vs mpi_i %.0f msg/s (%.2fx)", lci16, mpi16, lci16/mpi16),
+		},
+		{ // paper Fig 4
+			ID:     "mpi-decline",
+			Text:   "MPI's achieved 16KiB rate declines under unlimited injection pressure",
+			Holds:  mpi16 < mpiLow,
+			Detail: fmt.Sprintf("paced %.0f msg/s vs unlimited %.0f msg/s", mpiLow, mpi16),
+		},
+		{ // paper Fig 3
+			ID:     "rate-8b",
+			Text:   "LCI parcelport achieves a higher 8B message rate than the MPI parcelport",
+			Holds:  lci8 > mpi8,
+			Detail: fmt.Sprintf("lci %.0f msg/s vs mpi_i %.0f msg/s (%.2fx)", lci8, mpi8, lci8/mpi8),
+		},
+		{ // one-sided put headers vs two-sided send/recv headers; paper: psr up to 3.5x sr
+			ID:     "psr-vs-sr",
+			Text:   "putsendrecv beats sendrecv for the 8B message rate",
+			Holds:  lci8 > sr8,
+			Detail: fmt.Sprintf("psr %.0f msg/s vs sr %.0f msg/s (%.2fx)", lci8, sr8, lci8/sr8),
+		},
+		{ // paper Figs 8-9: from mpi_i 2x better to 9.6x worse; the ratio
+			// must move in LCI's favour from window 1 to the largest.
+			ID:     "window-gap",
+			Text:   "the MPI/LCI 16KiB latency ratio grows with the window size",
+			Holds:  gapWN > gapW1,
+			Detail: fmt.Sprintf("mpi_i/lci ratio %.2fx at w=1 vs %.2fx at w=%d", gapW1, gapWN, bigW),
+		},
+		{
+			ID:     "mpi-ablation",
+			Text:   "the improved MPI parcelport beats the original (§3.1, ~20% on Octo-Tiger)",
+			Holds:  impr > orig,
+			Detail: fmt.Sprintf("improved %.2f steps/s vs original %.2f steps/s (%.2fx)", impr, orig, impr/orig),
+		},
+		{ // paper Figs 10-11
+			ID:     "octo-scaling",
+			Text:   "LCI's Octo-Tiger speedup over MPI grows with node count",
+			Holds:  speedB > speedS,
+			Detail: fmt.Sprintf("lci/mpi %.3fx at %d nodes vs %.3fx at %d nodes", speedS, nodesSmall, speedB, nodesBig),
+		},
+	}, nil
 }
 
-// ClaimsText runs CheckClaims and renders a report.
+// ClaimsText runs PaperClaims and renders a report.
 func ClaimsText(sc Scale) (string, error) {
-	claims, err := CheckClaims(sc)
+	claims, err := PaperClaims(sc)
 	if err != nil {
 		return "", err
 	}

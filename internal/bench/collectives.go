@@ -1,11 +1,8 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
-	"os/exec"
 	"runtime"
-	"strings"
 	"time"
 
 	"hpxgo/internal/core"
@@ -18,38 +15,8 @@ import (
 // across simulated cluster sizes. This is the experiment behind the PR that
 // replaced the flat implementations — the flat references are kept alive in
 // core precisely so this comparison stays reproducible — and the source of
-// BENCH_collectives.json, the first machine-readable perf-trajectory
-// artifact (ROADMAP item 5a).
-
-// CollRecord is one (operation, implementation, cluster size) measurement.
-type CollRecord struct {
-	Op       string  `json:"op"`    // broadcast | reduce | allreduce
-	Impl     string  `json:"impl"`  // tree | flat
-	Nodes    int     `json:"nodes"` // simulated localities
-	NsOp     float64 `json:"ns_op"` // mean wall time per collective
-	NsOpErr  float64 `json:"ns_op_err"`
-	AllocsOp float64 `json:"allocs_op"` // process-wide mallocs per collective
-	Reps     int     `json:"reps"`
-}
-
-// CollReport is the full sweep plus provenance, renderable as a text figure
-// or as BENCH_collectives.json.
-type CollReport struct {
-	Commit    string       `json:"commit"`
-	Generated string       `json:"generated"`
-	Scale     string       `json:"scale"`
-	Records   []CollRecord `json:"records"`
-}
-
-// gitCommit resolves the working tree's short commit hash, or "unknown"
-// outside a git checkout.
-func gitCommit() string {
-	out, err := exec.Command("git", "rev-parse", "--short", "HEAD").Output()
-	if err != nil {
-		return "unknown"
-	}
-	return strings.TrimSpace(string(out))
-}
+// BENCH_collectives.json (op, impl, nodes, mean ns/op with its stddev over
+// reps, allocs/op, reps).
 
 // collOp runs one collective once (the unit the sweep times).
 type collOp struct {
@@ -133,18 +100,14 @@ func collRuntime(n int) (*core.Runtime, error) {
 	return rt, nil
 }
 
-// CollectivesSweep measures every operation at every cluster size. For each
-// (op, nodes) pair it runs one warmup collective, then sc.Reps timed
+// measureCollectives measures every operation at every cluster size. For
+// each (op, nodes) pair it runs one warmup collective, then sc.Reps timed
 // repetitions of sc.CollIters collectives each; the mean and stddev over
 // repetitions land in the record. Allocation counts are process-wide malloc
 // deltas (the whole simulated cluster lives in this process, so they bound
 // the collective's true footprint from above).
-func CollectivesSweep(sc Scale, scaleName string) (*CollReport, error) {
-	rep := &CollReport{
-		Commit:    gitCommit(),
-		Generated: time.Now().Format(time.RFC3339),
-		Scale:     scaleName,
-	}
+func measureCollectives(sc Scale) ([]Record, error) {
+	var recs []Record
 	for _, n := range sc.CollNodes {
 		rt, err := collRuntime(n)
 		if err != nil {
@@ -173,104 +136,11 @@ func CollectivesSweep(sc Scale, scaleName string) (*CollReport, error) {
 				allocs += ms1.Mallocs - ms0.Mallocs
 			}
 			sum := stats.Summarize(nsPerRep)
-			rep.Records = append(rep.Records, CollRecord{
-				Op:       op.op,
-				Impl:     op.impl,
-				Nodes:    n,
-				NsOp:     sum.Mean,
-				NsOpErr:  sum.Stddev,
-				AllocsOp: float64(allocs) / float64(sc.Reps*sc.CollIters),
-				Reps:     sc.Reps,
-			})
+			recs = append(recs, row(op.op, "impl", op.impl, "nodes", n,
+				"ns_op", sum.Mean, "ns_op_err", sum.Stddev,
+				"allocs_op", float64(allocs)/float64(sc.Reps*sc.CollIters), "reps", sc.Reps))
 		}
 		rt.Shutdown()
 	}
-	return rep, nil
-}
-
-// Figure renders the sweep as the standard latency-scaling figure: one
-// series per (op, impl), x = localities, y = mean latency per collective.
-// Tree series should grow ~log N; flat series ~linearly (the root's
-// injection queue serializes them).
-func (r *CollReport) Figure() *stats.Figure {
-	fig := &stats.Figure{
-		Title:  "Collective latency scaling: flat O(N) fan-out vs tree",
-		XLabel: "localities",
-		YLabel: "latency per collective (us)",
-	}
-	series := map[string]*stats.Series{}
-	for _, rec := range r.Records {
-		key := rec.Op + "/" + rec.Impl
-		s := series[key]
-		if s == nil {
-			s = fig.AddSeries(key)
-			series[key] = s
-		}
-		s.Add(float64(rec.Nodes), rec.NsOp/1e3, rec.NsOpErr/1e3)
-	}
-	return fig
-}
-
-// JSON renders the report as the BENCH_collectives.json artifact.
-func (r *CollReport) JSON() ([]byte, error) {
-	b, err := json.MarshalIndent(r, "", "  ")
-	if err != nil {
-		return nil, err
-	}
-	return append(b, '\n'), nil
-}
-
-// Summary appends the headline ratios the acceptance criteria ask about:
-// flat-to-tree latency ratio per op at the largest measured size, plus the
-// tree's growth factor across the sweep (log-N-like ≪ the N growth factor).
-func (r *CollReport) Summary() string {
-	if len(r.Records) == 0 {
-		return ""
-	}
-	maxN := 0
-	minN := 1 << 30
-	for _, rec := range r.Records {
-		if rec.Nodes > maxN {
-			maxN = rec.Nodes
-		}
-		if rec.Nodes < minN {
-			minN = rec.Nodes
-		}
-	}
-	at := func(op, impl string, n int) float64 {
-		for _, rec := range r.Records {
-			if rec.Op == op && rec.Impl == impl && rec.Nodes == n {
-				return rec.NsOp
-			}
-		}
-		return 0
-	}
-	var b strings.Builder
-	fmt.Fprintf(&b, "\n# summary at %d localities (commit %s)\n", maxN, r.Commit)
-	for _, op := range []string{"broadcast", "reduce", "allreduce"} {
-		tree, flat := at(op, "tree", maxN), at(op, "flat", maxN)
-		if tree <= 0 || flat <= 0 {
-			continue
-		}
-		treeGrow := at(op, "tree", maxN) / at(op, "tree", minN)
-		flatGrow := at(op, "flat", maxN) / at(op, "flat", minN)
-		fmt.Fprintf(&b, "# %-9s flat/tree latency ratio %5.1fx; growth %dx->%dx localities: tree %4.1fx, flat %5.1fx\n",
-			op, flat/tree, minN, maxN, treeGrow, flatGrow)
-	}
-	return b.String()
-}
-
-// CollectivesText runs the sweep and renders figure + summary (the
-// cmd/experiments "collectives" target); the report is returned for the
-// JSON artifact.
-func CollectivesText(sc Scale, scaleName string, csv bool) (string, *CollReport, error) {
-	rep, err := CollectivesSweep(sc, scaleName)
-	if err != nil {
-		return "", nil, err
-	}
-	fig := rep.Figure()
-	if csv {
-		return fig.RenderCSV(), rep, nil
-	}
-	return fig.Render() + rep.Summary(), rep, nil
+	return recs, nil
 }

@@ -1,10 +1,9 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
 	"runtime"
-	"strings"
+	"sync/atomic"
 	"time"
 
 	"hpxgo/internal/amt"
@@ -22,37 +21,7 @@ import (
 // zero-allocation steady state, batching amortization — are validated on
 // every regeneration.
 
-// DatapathRecord is one measured row of either artifact.
-type DatapathRecord struct {
-	Op       string  `json:"op"`        // e.g. "fabric/poll1/n64"
-	NsOp     float64 `json:"ns_op"`     // wall ns per operation
-	AllocsOp float64 `json:"allocs_op"` // process-wide mallocs per operation
-}
-
-// DatapathReport is the artifact: rows plus provenance.
-type DatapathReport struct {
-	Commit    string           `json:"commit"`
-	Generated string           `json:"generated"`
-	Scale     string           `json:"scale"`
-	Records   []DatapathRecord `json:"records"`
-}
-
-// Structural claims, from the prose "reading" sections they replace.
-const (
-	// dpFlatFactor: per-poll cost at 64 nodes must stay within this factor
-	// of the 2-node cost — the ready index makes poll depend on traffic,
-	// not cluster size (prose: 234 ns flat across 2/16/64; was 3.7x).
-	dpFlatFactor = 2.0
-	// dpAllocsMax: every steady-state datapath row must not allocate.
-	dpAllocsMax = 0.5
-	// dpAmortFactor: delivering a 32-parcel bundle must cost at most this
-	// multiple of delivering a 1-parcel message — per-parcel cost at least
-	// halves under batching (prose: 10685 vs 1430 ns, i.e. 7.5x for 32x
-	// the work).
-	dpAmortFactor = 16.0
-)
-
-// Row names the claims reference.
+// Row names the datapath claims reference.
 const (
 	dpPoll1N2      = "fabric/poll1/n2"
 	dpPoll1N64     = "fabric/poll1/n64"
@@ -63,30 +32,29 @@ const (
 )
 
 // measureOp times iters runs of f (which performs exactly one operation)
-// with a GC-settled MemStats bracket around the whole batch.
-func measureOp(iters int, f func() error) (DatapathRecord, error) {
+// with a GC-settled MemStats bracket around the whole batch, and returns the
+// row (wall ns and process-wide mallocs per operation) for the caller to name.
+func measureOp(iters int, f func() error) (Record, error) {
 	runtime.GC()
 	var ms0, ms1 runtime.MemStats
 	runtime.ReadMemStats(&ms0)
 	t0 := time.Now()
 	for i := 0; i < iters; i++ {
 		if err := f(); err != nil {
-			return DatapathRecord{}, err
+			return Record{}, err
 		}
 	}
 	el := time.Since(t0)
 	runtime.ReadMemStats(&ms1)
-	return DatapathRecord{
-		NsOp:     float64(el.Nanoseconds()) / float64(iters),
-		AllocsOp: float64(ms1.Mallocs-ms0.Mallocs) / float64(iters),
-	}, nil
+	return row("", "ns_op", float64(el.Nanoseconds())/float64(iters),
+		"allocs_op", float64(ms1.Mallocs-ms0.Mallocs)/float64(iters)), nil
 }
 
 // fabricInjectPoll measures one eager inject → poll → release cycle.
-func fabricInjectPoll(nodes, payloadBytes, iters int) (DatapathRecord, error) {
+func fabricInjectPoll(nodes, payloadBytes, iters int) (Record, error) {
 	n, err := fabric.NewNetwork(fabric.Config{Nodes: nodes})
 	if err != nil {
-		return DatapathRecord{}, err
+		return Record{}, err
 	}
 	src, dst := n.Device(1), n.Device(0)
 	payload := make([]byte, payloadBytes)
@@ -104,17 +72,17 @@ func fabricInjectPoll(nodes, payloadBytes, iters int) (DatapathRecord, error) {
 	// Warm the packet pool so the timed region is steady state.
 	for i := 0; i < 64; i++ {
 		if err := cycle(); err != nil {
-			return DatapathRecord{}, err
+			return Record{}, err
 		}
 	}
 	return measureOp(iters, cycle)
 }
 
 // fabricPollEmpty measures the quiescent poll of a device with no traffic.
-func fabricPollEmpty(nodes, iters int) (DatapathRecord, error) {
+func fabricPollEmpty(nodes, iters int) (Record, error) {
 	n, err := fabric.NewNetwork(fabric.Config{Nodes: nodes})
 	if err != nil {
-		return DatapathRecord{}, err
+		return Record{}, err
 	}
 	dst := n.Device(0)
 	return measureOp(iters, func() error {
@@ -125,90 +93,61 @@ func fabricPollEmpty(nodes, iters int) (DatapathRecord, error) {
 	})
 }
 
-// FabricBench measures the fabric datapath rows and checks the claims.
-func FabricBench(sc Scale, scaleName string) (*DatapathReport, error) {
-	rep := &DatapathReport{
-		Commit:    gitCommit(),
-		Generated: time.Now().Format(time.RFC3339),
-		Scale:     scaleName,
-	}
-	iters := sc.FabricIters
-	add := func(op string, rec DatapathRecord, err error) error {
-		if err != nil {
-			return fmt.Errorf("fabric bench %s: %w", op, err)
-		}
-		rec.Op = op
-		rep.Records = append(rep.Records, rec)
-		return nil
-	}
-	rec, err := fabricInjectPoll(2, 8, iters)
-	if err := add("fabric/injectpoll/8B", rec, err); err != nil {
-		return nil, err
-	}
-	rec, err = fabricInjectPoll(2, 16384, iters)
-	if err := add("fabric/injectpoll/16KiB", rec, err); err != nil {
-		return nil, err
-	}
-	for _, nodes := range []int{2, 16, 64} {
-		rec, err = fabricInjectPoll(nodes, 64, iters)
-		if err := add(fmt.Sprintf("fabric/poll1/n%d", nodes), rec, err); err != nil {
-			return nil, err
-		}
-	}
-	for _, nodes := range []int{2, 16, 64} {
-		rec, err = fabricPollEmpty(nodes, iters)
-		if err := add(fmt.Sprintf("fabric/pollempty/n%d", nodes), rec, err); err != nil {
-			return nil, err
-		}
-	}
-	if err := FabricClaims(rep); err != nil {
-		return rep, err
-	}
-	return rep, nil
+// dpRow is one datapath artifact row: its name and the harness that
+// measures it for a given iteration count.
+type dpRow struct {
+	op  string
+	run func(iters int) (Record, error)
 }
 
-// FabricClaims validates poll-cost flatness in cluster size and the
-// zero-allocation steady state.
-func FabricClaims(r *DatapathReport) error {
-	byOp := map[string]DatapathRecord{}
-	for _, rec := range r.Records {
-		byOp[rec.Op] = rec
-	}
-	var failures []string
-	for _, pair := range [][2]string{{dpPoll1N2, dpPoll1N64}, {dpPollEmptyN2, dpPollEmptyN64}} {
-		small, big := byOp[pair[0]], byOp[pair[1]]
-		if small.NsOp > 0 && big.NsOp > small.NsOp*dpFlatFactor {
-			failures = append(failures, fmt.Sprintf("%s %.0f ns/op > %.1fx %s %.0f ns/op (poll cost must be flat in cluster size)",
-				pair[1], big.NsOp, dpFlatFactor, pair[0], small.NsOp))
+// measureRows runs every row and names its record.
+func measureRows(rows []dpRow, iters int) ([]Record, error) {
+	recs := make([]Record, 0, len(rows))
+	for _, r := range rows {
+		rec, err := r.run(iters)
+		if err != nil {
+			return nil, fmt.Errorf("%s: %w", r.op, err)
 		}
+		rec.Op = r.op
+		recs = append(recs, rec)
 	}
-	for _, rec := range r.Records {
-		if rec.AllocsOp > dpAllocsMax {
-			failures = append(failures, fmt.Sprintf("%s: %.2f allocs/op (datapath steady state must not allocate)",
-				rec.Op, rec.AllocsOp))
-		}
+	return recs, nil
+}
+
+// measureFabric measures the fabric datapath rows: eager inject/poll at two
+// payload sizes, then one-packet and quiescent polls across cluster sizes.
+func measureFabric(sc Scale) ([]Record, error) {
+	rows := []dpRow{
+		{"fabric/injectpoll/8B", func(n int) (Record, error) { return fabricInjectPoll(2, 8, n) }},
+		{"fabric/injectpoll/16KiB", func(n int) (Record, error) { return fabricInjectPoll(2, 16384, n) }},
 	}
-	if len(failures) > 0 {
-		return fmt.Errorf("bench: fabric claims failed:\n  %s", strings.Join(failures, "\n  "))
+	for _, nodes := range []int{2, 16, 64} {
+		rows = append(rows, dpRow{fmt.Sprintf("fabric/poll1/n%d", nodes),
+			func(n int) (Record, error) { return fabricInjectPoll(nodes, 64, n) }})
 	}
-	return nil
+	for _, nodes := range []int{2, 16, 64} {
+		rows = append(rows, dpRow{fmt.Sprintf("fabric/pollempty/n%d", nodes),
+			func(n int) (Record, error) { return fabricPollEmpty(nodes, n) }})
+	}
+	return measureRows(rows, sc.FabricIters)
 }
 
 // deliverBundleRow measures the receiver datapath — decode, dispatch,
 // batch-spawn, execute — for one bundled message of `bundle` 64 B parcels,
 // injected through core.Locality.Deliver exactly as the parcelport would.
-func deliverBundleRow(bundle, iters int) (DatapathRecord, error) {
+func deliverBundleRow(bundle, iters int) (Record, error) {
 	rt, err := core.NewRuntime(core.Config{Localities: 2, WorkersPerLocality: 2, Parcelport: "lci"})
 	if err != nil {
-		return DatapathRecord{}, err
+		return Record{}, err
 	}
-	var ran, want uint64
+	var ran atomic.Uint64 // bumped by whichever worker runs the action
+	var want uint64
 	noop := rt.MustRegisterAction("bench_dp_noop", func(*core.Locality, [][]byte) [][]byte {
-		ran++
+		ran.Add(1)
 		return nil
 	})
 	if err := rt.Start(); err != nil {
-		return DatapathRecord{}, err
+		return Record{}, err
 	}
 	defer rt.Shutdown()
 	l := rt.Locality(0)
@@ -221,28 +160,29 @@ func deliverBundleRow(bundle, iters int) (DatapathRecord, error) {
 	cycle := func() error {
 		l.Deliver(m)
 		want += uint64(bundle)
-		for ran < want { // single worker: Gosched lets the tasks run
+		for ran.Load() < want { // Gosched lets the tasks run on a 1-CPU host
 			runtime.Gosched()
 		}
 		return nil
 	}
 	for i := 0; i < 16; i++ { // warm the runner cache and pooled state
 		if err := cycle(); err != nil {
-			return DatapathRecord{}, err
+			return Record{}, err
 		}
 	}
 	return measureOp(iters, cycle)
 }
 
 // spawnBatchRow measures amt.Scheduler.SpawnBatch for a bundle-sized burst.
-func spawnBatchRow(batch, iters int) (DatapathRecord, error) {
+func spawnBatchRow(batch, iters int) (Record, error) {
 	s := amt.New(amt.Config{Workers: 1})
 	if err := s.Start(); err != nil {
-		return DatapathRecord{}, err
+		return Record{}, err
 	}
 	defer s.Stop()
-	var ran, want uint64
-	task := func() { ran++ }
+	var ran atomic.Uint64 // runners are concurrent goroutines even with one worker
+	var want uint64
+	task := func() { ran.Add(1) }
 	tasks := make([]func(), batch)
 	for i := range tasks {
 		tasks[i] = task
@@ -250,99 +190,30 @@ func spawnBatchRow(batch, iters int) (DatapathRecord, error) {
 	cycle := func() error {
 		s.SpawnBatch(tasks)
 		want += uint64(batch)
-		for ran < want {
+		for ran.Load() < want {
 			runtime.Gosched()
 		}
 		return nil
 	}
 	for i := 0; i < 16; i++ {
 		if err := cycle(); err != nil {
-			return DatapathRecord{}, err
+			return Record{}, err
 		}
 	}
 	return measureOp(iters, cycle)
 }
 
-// DeliverBench measures the receiver-datapath rows and checks the claims.
-func DeliverBench(sc Scale, scaleName string) (*DatapathReport, error) {
-	rep := &DatapathReport{
-		Commit:    gitCommit(),
-		Generated: time.Now().Format(time.RFC3339),
-		Scale:     scaleName,
-	}
+// measureDeliver measures the receiver-datapath rows: bundled delivery at
+// three bundle sizes, then the batched spawn alone.
+func measureDeliver(sc Scale) ([]Record, error) {
+	var rows []dpRow
 	for _, bundle := range []int{1, 8, 32} {
-		rec, err := deliverBundleRow(bundle, sc.DeliverIters)
-		if err != nil {
-			return nil, fmt.Errorf("deliver bench bundle=%d: %w", bundle, err)
-		}
-		rec.Op = fmt.Sprintf("deliver/bundle%d", bundle)
-		rep.Records = append(rep.Records, rec)
+		rows = append(rows, dpRow{fmt.Sprintf("deliver/bundle%d", bundle),
+			func(n int) (Record, error) { return deliverBundleRow(bundle, n) }})
 	}
 	for _, batch := range []int{8, 32} {
-		rec, err := spawnBatchRow(batch, sc.DeliverIters)
-		if err != nil {
-			return nil, fmt.Errorf("deliver bench batch=%d: %w", batch, err)
-		}
-		rec.Op = fmt.Sprintf("spawn/batch%d", batch)
-		rep.Records = append(rep.Records, rec)
+		rows = append(rows, dpRow{fmt.Sprintf("spawn/batch%d", batch),
+			func(n int) (Record, error) { return spawnBatchRow(batch, n) }})
 	}
-	if err := DeliverClaims(rep); err != nil {
-		return rep, err
-	}
-	return rep, nil
-}
-
-// DeliverClaims validates the zero-allocation delivery path and the
-// batching amortization (32 parcels must cost well under 32x one).
-func DeliverClaims(r *DatapathReport) error {
-	byOp := map[string]DatapathRecord{}
-	for _, rec := range r.Records {
-		byOp[rec.Op] = rec
-	}
-	var failures []string
-	b1, b32 := byOp[dpDeliverB1], byOp[dpDeliverB32]
-	if b1.NsOp > 0 && b32.NsOp > b1.NsOp*dpAmortFactor {
-		failures = append(failures, fmt.Sprintf("deliver/bundle32 %.0f ns/op > %.0fx bundle1 %.0f ns/op (bundling must amortize per-parcel cost)",
-			b32.NsOp, dpAmortFactor, b1.NsOp))
-	}
-	for _, rec := range r.Records {
-		if rec.AllocsOp > dpAllocsMax {
-			failures = append(failures, fmt.Sprintf("%s: %.2f allocs/op (delivery steady state must not allocate)",
-				rec.Op, rec.AllocsOp))
-		}
-	}
-	if len(failures) > 0 {
-		return fmt.Errorf("bench: deliver claims failed:\n  %s", strings.Join(failures, "\n  "))
-	}
-	return nil
-}
-
-// JSON renders the report as a BENCH_*.json artifact.
-func (r *DatapathReport) JSON() ([]byte, error) {
-	b, err := json.MarshalIndent(r, "", "  ")
-	if err != nil {
-		return nil, err
-	}
-	return append(b, '\n'), nil
-}
-
-// Text renders the rows for the experiments output.
-func (r *DatapathReport) Text() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "# datapath rows (commit %s)\n", r.Commit)
-	fmt.Fprintf(&b, "%-26s %12s %10s\n", "op", "ns/op", "allocs/op")
-	for _, rec := range r.Records {
-		fmt.Fprintf(&b, "%-26s %12.1f %10.2f\n", rec.Op, rec.NsOp, rec.AllocsOp)
-	}
-	return b.String()
-}
-
-// ParseDatapathReport decodes a committed BENCH_fabric.json or
-// BENCH_deliver.json.
-func ParseDatapathReport(data []byte) (*DatapathReport, error) {
-	var r DatapathReport
-	if err := json.Unmarshal(data, &r); err != nil {
-		return nil, fmt.Errorf("bench: bad datapath artifact: %w", err)
-	}
-	return &r, nil
+	return measureRows(rows, sc.DeliverIters)
 }

@@ -24,6 +24,22 @@ func Repeat(n int, f func() (float64, error)) (stats.Summary, error) {
 	return stats.Summarize(xs), nil
 }
 
+// expanseRate is the achieved message rate of one run on the Expanse
+// profile (its worker count and a 2-node fabric).
+func expanseRate(cfg string, p MsgRateParams) (float64, error) {
+	p.Workers, p.Fabric = Expanse.WorkersPerLocality, Expanse.Fabric(2)
+	res, err := MessageRate(cfg, p)
+	return res.MsgRate, err
+}
+
+// expanseOcto is one Octo-Tiger run at the scale's Expanse settings.
+func expanseOcto(cfg string, sc Scale, nodes int) (float64, error) {
+	return OctoTiger(cfg, OctoParams{
+		Platform: Expanse, Nodes: nodes, Level: sc.OctoLevelExp, Steps: sc.OctoSteps,
+		Subgrid: sc.OctoSubgrid, Fields: sc.OctoFields,
+	})
+}
+
 // fig1Configs are the four configurations of Fig 1 / Fig 4.
 func fig1Configs() []string {
 	return []string{"lci_psr_cq_pin", "lci_psr_cq_pin_i", "mpi", "mpi_i"}
@@ -141,48 +157,40 @@ func Fig6(sc Scale) (*stats.Figure, error) {
 		16*1024, sc.Batch16K, sc.Total16K, sc.Rates16K, sc.Reps)
 }
 
-// Fig7 — single-message ping-pong latency vs message size (window 1).
-func Fig7(sc Scale) (*stats.Figure, error) {
-	fig := &stats.Figure{Title: "Fig 7: Latency vs Message Size", XLabel: "Message Size (byte)", YLabel: "Latency (us)"}
+// latencyFigure builds Figs 7-9: one series per configuration, one point per
+// x, where params maps x to the point's (size, window).
+func latencyFigure(title, xLabel string, sc Scale, xs []int, params func(x int) (size, window int)) (*stats.Figure, error) {
+	fig := &stats.Figure{Title: title, XLabel: xLabel, YLabel: "Latency (us)"}
 	for _, cfg := range allConfigs() {
 		s := &stats.Series{Label: cfg}
-		for _, size := range sc.Sizes7 {
+		for _, x := range xs {
+			size, window := params(x)
 			sum, err := Repeat(sc.Reps, func() (float64, error) {
 				return Latency(cfg, LatencyParams{
-					Size: size, Window: 1, Steps: sc.LatencySteps,
+					Size: size, Window: window, Steps: sc.LatencySteps,
 					Workers: Expanse.WorkersPerLocality, Fabric: Expanse.Fabric(2),
 				})
 			})
 			if err != nil {
-				return nil, fmt.Errorf("%s size %d: %w", cfg, size, err)
+				return nil, fmt.Errorf("%s size %d window %d: %w", cfg, size, window, err)
 			}
-			s.Add(float64(size), sum.Mean, sum.Stddev)
+			s.Add(float64(x), sum.Mean, sum.Stddev)
 		}
 		fig.Series = append(fig.Series, s)
 	}
 	return fig, nil
 }
 
+// Fig7 — single-message ping-pong latency vs message size (window 1).
+func Fig7(sc Scale) (*stats.Figure, error) {
+	return latencyFigure("Fig 7: Latency vs Message Size", "Message Size (byte)", sc, sc.Sizes7,
+		func(size int) (int, int) { return size, 1 })
+}
+
 // latencyWindowFigure builds Figs 8-9.
 func latencyWindowFigure(title string, size int, sc Scale) (*stats.Figure, error) {
-	fig := &stats.Figure{Title: title, XLabel: "Window Size", YLabel: "Latency (us)"}
-	for _, cfg := range allConfigs() {
-		s := &stats.Series{Label: cfg}
-		for _, w := range sc.Windows {
-			sum, err := Repeat(sc.Reps, func() (float64, error) {
-				return Latency(cfg, LatencyParams{
-					Size: size, Window: w, Steps: sc.LatencySteps,
-					Workers: Expanse.WorkersPerLocality, Fabric: Expanse.Fabric(2),
-				})
-			})
-			if err != nil {
-				return nil, fmt.Errorf("%s window %d: %w", cfg, w, err)
-			}
-			s.Add(float64(w), sum.Mean, sum.Stddev)
-		}
-		fig.Series = append(fig.Series, s)
-	}
-	return fig, nil
+	return latencyFigure(title, "Window Size", sc, sc.Windows,
+		func(w int) (int, int) { return size, w })
 }
 
 // Fig8 — 8B message latency vs window size.
@@ -258,33 +266,17 @@ func AblationMPI(sc Scale) (*stats.Figure, error) {
 	for _, cfg := range []string{"mpi", "mpi_orig", "mpi_i", "mpi_orig_i"} {
 		cfg := cfg
 		s := &stats.Series{Label: cfg}
+		kRate := func(p MsgRateParams) func() (float64, error) {
+			return func() (float64, error) {
+				rate, err := expanseRate(cfg, p)
+				return rate / 1e3, err
+			}
+		}
 		for i, workload := range []func() (float64, error){
+			kRate(MsgRateParams{Size: 8, Batch: sc.Batch8B, Total: sc.Total8B}),
+			kRate(MsgRateParams{Size: 16 * 1024, Batch: sc.Batch16K, Total: sc.Total16K}),
 			func() (float64, error) {
-				res, err := MessageRate(cfg, MsgRateParams{
-					Size: 8, Batch: sc.Batch8B, Total: sc.Total8B,
-					Workers: Expanse.WorkersPerLocality, Fabric: Expanse.Fabric(2),
-				})
-				if err != nil {
-					return 0, err
-				}
-				return res.MsgRate / 1e3, nil
-			},
-			func() (float64, error) {
-				res, err := MessageRate(cfg, MsgRateParams{
-					Size: 16 * 1024, Batch: sc.Batch16K, Total: sc.Total16K,
-					Workers: Expanse.WorkersPerLocality, Fabric: Expanse.Fabric(2),
-				})
-				if err != nil {
-					return 0, err
-				}
-				return res.MsgRate / 1e3, nil
-			},
-			func() (float64, error) {
-				nodes := sc.OctoNodesR[min(1, len(sc.OctoNodesR)-1)]
-				return OctoTiger(cfg, OctoParams{
-					Platform: Expanse, Nodes: nodes, Level: sc.OctoLevelExp, Steps: sc.OctoSteps,
-					Subgrid: sc.OctoSubgrid, Fields: sc.OctoFields,
-				})
+				return expanseOcto(cfg, sc, sc.OctoNodesR[min(1, len(sc.OctoNodesR)-1)])
 			},
 		} {
 			sum, err := Repeat(sc.Reps, workload)
@@ -342,15 +334,7 @@ func AblationMultiDevice(sc Scale) (*stats.Figure, error) {
 	s := fig.AddSeries("lci_psr_cq_pin_i")
 	for _, devs := range []int{1, 2, 4} {
 		sum, err := Repeat(sc.Reps, func() (float64, error) {
-			res, err := MessageRate("lci", MsgRateParams{
-				Size: 8, Batch: sc.Batch8B, Total: sc.Total8B,
-				Workers: Expanse.WorkersPerLocality, Fabric: Expanse.Fabric(2),
-				LCIDevices: devs,
-			})
-			if err != nil {
-				return 0, err
-			}
-			return res.MsgRate, nil
+			return expanseRate("lci", MsgRateParams{Size: 8, Batch: sc.Batch8B, Total: sc.Total8B, LCIDevices: devs})
 		})
 		if err != nil {
 			return nil, fmt.Errorf("devices=%d: %w", devs, err)

@@ -1,13 +1,6 @@
 package bench
 
-import (
-	"encoding/json"
-	"fmt"
-	"strings"
-	"time"
-
-	"hpxgo/internal/core"
-)
+import "fmt"
 
 // Inline-lane benchmark: the run-to-completion delivery artifact behind
 // DESIGN.md §14. Two kinds of rows, committed as results/BENCH_inline.json
@@ -16,261 +9,47 @@ import (
 //   - the 64 B aggregated message-rate A/B with the inline lane on (default)
 //     and forced off (spawn-always, the pre-inline datapath), measured over
 //     the same wire and workload — the headline claim is the on/off ratio;
-//   - the serving-tier Zipf capacity row with the inline lane on, which must
-//     stay no worse than the committed serving-tier baseline (the inline
-//     lane must not regress a workload whose actions were already cheap).
+//   - the serving-tier Zipf capacity row with the inline lane on, gated
+//     against its own committed row like every other (the inline lane must
+//     not regress a workload whose actions were already cheap).
 //
 // The 0 allocs/op inline steady-state claim is enforced separately by
 // `make alloc-gate` (TestDeliverInlineBundleZeroAllocs): AllocsPerRun is
 // exact where a wire-level process-wide malloc count is noisy.
 
-// InlineRecord is one measured row.
-type InlineRecord struct {
-	Op         string  `json:"op"`          // e.g. "inline/msgrate/64B/on"
-	Rate       float64 `json:"rate"`        // msgs/s or ops/s
-	NsOp       float64 `json:"ns_op"`       // wall ns per delivered message
-	AllocsOp   float64 `json:"allocs_op"`   // process-wide mallocs per message
-	InlineFrac float64 `json:"inline_frac"` // inline-executed / delivered (msgrate rows)
-}
-
-// InlineReport is the artifact: rows plus provenance.
-type InlineReport struct {
-	Commit    string         `json:"commit"`
-	Generated string         `json:"generated"`
-	Scale     string         `json:"scale"`
-	Records   []InlineRecord `json:"records"`
-}
-
-// Structural claims checked on every fresh report.
-const (
-	// inlineSpeedupMin: the inline lane must deliver at least this multiple
-	// of the spawn-always 64 B small-parcel rate. Measured ~4x on the 1-CPU
-	// host (the spawn path pays handoff, wakeup, and scheduling per parcel
-	// that run-to-completion does not); 1.3x is the claim's floor, far below
-	// the observed band so scheduler noise cannot flip it.
-	inlineSpeedupMin = 1.3
-	// inlineEngagedMin: the on-row must actually run a substantial share of
-	// its parcels inline — a speedup measured while the lane sat idle would
-	// be measuring something else.
-	inlineEngagedMin = 0.5
-)
-
-// Row names the claims reference.
+// Row names the inline claims reference.
 const (
 	inlineOnRow    = "inline/msgrate/64B/on"
 	inlineOffRow   = "inline/msgrate/64B/off"
 	inlineServeRow = "inline/serve/zipf/cache"
 )
 
-// inlineMsgRateRow measures one 64 B aggregated message-rate configuration,
-// best-of-reps, capturing the fraction of deliveries the inline lane took.
-func inlineMsgRateRow(sc Scale, op string, off bool) (InlineRecord, error) {
-	reps := sc.Reps
-	if reps < 3 {
-		reps = 3
-	}
-	rec := InlineRecord{Op: op}
-	for r := 0; r < reps; r++ {
-		var inlined, delivered uint64
-		p := MsgRateParams{
-			Size: 64, Batch: 50, Total: sc.Total8B, Agg: true,
-			Fabric: Expanse.Fabric(2), MeasureAllocs: true,
-			InlineOff: off,
-			Inspect: func(rt *core.Runtime) {
-				for i := 0; i < rt.Localities(); i++ {
-					inlined += rt.Locality(i).InlineExecuted()
-					delivered += rt.Locality(i).ParcelsExecuted()
-				}
-			},
-		}
-		res, err := MessageRate("lci_i", p)
+// inlineRow renders one measured rate as an artifact row.
+func inlineRow(op string, rate, allocsOp, inlineFrac float64) Record {
+	return row(op, "rate", rate, "ns_op", nsPer(rate), "allocs_op", allocsOp, "inline_frac", inlineFrac)
+}
+
+// measureInline measures the 64 B aggregated message rate with the inline
+// lane on and off (inline_frac = inline-executed / delivered), then the
+// serving-tier Zipf closed-loop capacity with the lane at its defaults — the
+// same configuration as BENCH_serve.json's serve/zipf/cache row.
+func measureInline(sc Scale) ([]Record, error) {
+	var recs []Record
+	for _, pt := range []struct {
+		op  string
+		off bool
+	}{{inlineOnRow, false}, {inlineOffRow, true}} {
+		rate, allocs, frac, err := bestMsgRate(sc, MsgRateParams{
+			Size: 64, Batch: 50, Total: sc.Total8B, Agg: true, InlineOff: pt.off,
+		})
 		if err != nil {
-			return rec, fmt.Errorf("inline bench %s: %w", op, err)
+			return nil, fmt.Errorf("%s: %w", pt.op, err)
 		}
-		if res.MsgRate > rec.Rate {
-			rec.Rate = res.MsgRate
-			if delivered > 0 {
-				rec.InlineFrac = float64(inlined) / float64(delivered)
-			}
-		}
-		if rec.AllocsOp == 0 || res.AllocsPerMsg < rec.AllocsOp {
-			rec.AllocsOp = res.AllocsPerMsg
-		}
+		recs = append(recs, inlineRow(pt.op, rate, allocs, frac))
 	}
-	if rec.Rate > 0 {
-		rec.NsOp = 1e9 / rec.Rate
-	}
-	return rec, nil
-}
-
-// inlineServeCapacity measures the serving-tier Zipf closed-loop capacity
-// row with the inline lane at its defaults — the same configuration as the
-// committed serve/zipf/cache baseline, so the two are directly comparable.
-func inlineServeCapacity(sc Scale) (InlineRecord, error) {
-	pts := servePoints(sc)
-	var pt servePoint
-	for _, p := range pts {
-		if p.op == serveZipfCache {
-			pt = p
-		}
-	}
-	srec, err := serveRow(sc, pt)
+	res, err := serveRow(sc, servePoints(sc)[0]) // serve/zipf/cache
 	if err != nil {
-		return InlineRecord{}, fmt.Errorf("inline bench %s: %w", inlineServeRow, err)
+		return nil, fmt.Errorf("%s: %w", inlineServeRow, err)
 	}
-	rec := InlineRecord{Op: inlineServeRow, Rate: srec.OpsSec}
-	if rec.Rate > 0 {
-		rec.NsOp = 1e9 / rec.Rate
-	}
-	return rec, nil
-}
-
-// InlineBench measures every row and checks the structural claims.
-// serveBaseline is the committed serving-tier Zipf capacity (ops/s) the
-// serve row must stay comparable to; pass 0 to skip that check. On a claims
-// failure the report is returned alongside the error so the caller can
-// print the rows.
-func InlineBench(sc Scale, scaleName string, serveBaseline float64) (*InlineReport, error) {
-	rep := &InlineReport{
-		Commit:    gitCommit(),
-		Generated: time.Now().Format(time.RFC3339),
-		Scale:     scaleName,
-	}
-	on, err := inlineMsgRateRow(sc, inlineOnRow, false)
-	if err != nil {
-		return nil, err
-	}
-	off, err := inlineMsgRateRow(sc, inlineOffRow, true)
-	if err != nil {
-		return nil, err
-	}
-	srv, err := inlineServeCapacity(sc)
-	if err != nil {
-		return nil, err
-	}
-	rep.Records = []InlineRecord{on, off, srv}
-	if err := InlineClaims(rep, serveBaseline); err != nil {
-		return rep, err
-	}
-	return rep, nil
-}
-
-// InlineClaims validates the report: the inline lane's small-parcel speedup
-// over spawn-always, genuine lane engagement behind it, and (when a
-// committed serving-tier baseline is supplied) Zipf capacity no worse than
-// that baseline within the standard gate band.
-func InlineClaims(r *InlineReport, serveBaseline float64) error {
-	byOp := map[string]InlineRecord{}
-	for _, rec := range r.Records {
-		byOp[rec.Op] = rec
-	}
-	on, off, srv := byOp[inlineOnRow], byOp[inlineOffRow], byOp[inlineServeRow]
-	var failures []string
-	if off.Rate > 0 && on.Rate < off.Rate*inlineSpeedupMin {
-		failures = append(failures, fmt.Sprintf("inline speedup %.2fx < %.1fx (on %.0f msgs/s vs spawn-always %.0f msgs/s)",
-			on.Rate/off.Rate, inlineSpeedupMin, on.Rate, off.Rate))
-	}
-	if on.InlineFrac < inlineEngagedMin {
-		failures = append(failures, fmt.Sprintf("inline lane took %.2f of deliveries on the on-row, want >= %.2f",
-			on.InlineFrac, inlineEngagedMin))
-	}
-	if off.InlineFrac != 0 {
-		failures = append(failures, fmt.Sprintf("spawn-always row ran %.2f of deliveries inline — the A/B is not an A/B",
-			off.InlineFrac))
-	}
-	if serveBaseline > 0 && srv.Rate < serveBaseline/gateNsOpFactor {
-		failures = append(failures, fmt.Sprintf("serve zipf capacity %.0f ops/s < committed baseline %.0f / %.1f — inline lane regressed the serving tier",
-			srv.Rate, serveBaseline, gateNsOpFactor))
-	}
-	if len(failures) > 0 {
-		return fmt.Errorf("bench: inline claims failed:\n  %s", strings.Join(failures, "\n  "))
-	}
-	return nil
-}
-
-// ServeZipfBaseline extracts the committed serving-tier Zipf capacity row
-// the inline serve claim compares against.
-func ServeZipfBaseline(committed *ServeReport) float64 {
-	for _, rec := range committed.Records {
-		if rec.Op == serveZipfCache {
-			return rec.OpsSec
-		}
-	}
-	return 0
-}
-
-// JSON renders the report as the BENCH_inline.json artifact.
-func (r *InlineReport) JSON() ([]byte, error) {
-	b, err := json.MarshalIndent(r, "", "  ")
-	if err != nil {
-		return nil, err
-	}
-	return append(b, '\n'), nil
-}
-
-// Text renders the rows for the experiments output.
-func (r *InlineReport) Text() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "# inline-lane rows (commit %s)\n", r.Commit)
-	fmt.Fprintf(&b, "%-26s %12s %10s %10s %12s\n", "op", "rate/s", "ns/op", "allocs/op", "inline_frac")
-	for _, rec := range r.Records {
-		fmt.Fprintf(&b, "%-26s %12.0f %10.0f %10.2f %12.2f\n",
-			rec.Op, rec.Rate, rec.NsOp, rec.AllocsOp, rec.InlineFrac)
-	}
-	return b.String()
-}
-
-// ParseInlineReport decodes a committed BENCH_inline.json.
-func ParseInlineReport(data []byte) (*InlineReport, error) {
-	var r InlineReport
-	if err := json.Unmarshal(data, &r); err != nil {
-		return nil, fmt.Errorf("bench: bad BENCH_inline.json: %w", err)
-	}
-	return &r, nil
-}
-
-// InlineGate compares a fresh measurement against the committed artifact —
-// rate must not fall below 1/gateNsOpFactor of each committed row, allocs
-// must stay within the standard band — and re-validates the structural
-// claims on the fresh rows.
-func InlineGate(fresh, committed *InlineReport, serveBaseline float64) (string, error) {
-	if fresh.Scale != committed.Scale {
-		return "", fmt.Errorf("bench: gate scale %q vs committed artifact scale %q — regenerate the artifact at the gate's scale",
-			fresh.Scale, committed.Scale)
-	}
-	byOp := map[string]InlineRecord{}
-	for _, rec := range fresh.Records {
-		byOp[rec.Op] = rec
-	}
-	var b strings.Builder
-	fmt.Fprintf(&b, "# inline gate vs committed commit %s\n", committed.Commit)
-	fmt.Fprintf(&b, "%-26s %18s %18s %8s\n", "op", "rate new/old", "allocs/op new/old", "verdict")
-	var failures []string
-	for _, old := range committed.Records {
-		cur, ok := byOp[old.Op]
-		if !ok {
-			failures = append(failures, fmt.Sprintf("%s: row missing from fresh run", old.Op))
-			continue
-		}
-		verdict := "ok"
-		if old.Rate > 0 && cur.Rate < old.Rate/gateNsOpFactor {
-			verdict = "SLOWER"
-			failures = append(failures, fmt.Sprintf("%s: %.0f/s < committed %.0f / %.1f",
-				old.Op, cur.Rate, old.Rate, gateNsOpFactor))
-		}
-		if cur.AllocsOp > old.AllocsOp*gateAllocsFactor+gateAllocsSlack {
-			verdict = "ALLOCS"
-			failures = append(failures, fmt.Sprintf("%s: allocs/op %.2f > %.1fx committed %.2f + %.0f",
-				old.Op, cur.AllocsOp, gateAllocsFactor, old.AllocsOp, gateAllocsSlack))
-		}
-		fmt.Fprintf(&b, "%-26s %8.0f/%-9.0f %8.2f/%-7.2f %8s\n",
-			old.Op, cur.Rate, old.Rate, cur.AllocsOp, old.AllocsOp, verdict)
-	}
-	if err := InlineClaims(fresh, serveBaseline); err != nil {
-		failures = append(failures, err.Error())
-	}
-	if len(failures) > 0 {
-		return b.String(), fmt.Errorf("bench: inline regression gate failed:\n  %s", strings.Join(failures, "\n  "))
-	}
-	return b.String(), nil
+	return append(recs, inlineRow(inlineServeRow, res.Throughput, 0, 0)), nil
 }

@@ -1,48 +1,16 @@
 package bench
 
-import (
-	"encoding/json"
-	"fmt"
-	"strings"
-	"time"
-)
+import "fmt"
 
-// Latency trajectory artifact: the ping-pong latency distribution of a
-// small fixed set of (size, window) points, committed as
+// Latency trajectory rows: the ping-pong latency distribution of a small
+// fixed set of (size, window) points, committed as
 // results/BENCH_latency.json so latency regressions show up in perf
 // history the same way message-rate and collectives regressions do.
-// Latency on a shared host is jitter-prone, so the gate factors below are
-// derived from the measured run-to-run noise band rather than the tighter
-// throughput-gate tolerances (see LatencyGate).
-
-// LatencyRecord is one measured (size, window) row.
-type LatencyRecord struct {
-	Op     string  `json:"op"`      // e.g. "latency/lci_i/16KiB/w8"
-	MeanUs float64 `json:"mean_us"` // mean one-way latency
-	P50Us  float64 `json:"p50_us"`
-	P99Us  float64 `json:"p99_us"`
-	MaxUs  float64 `json:"max_us"`
-}
-
-// LatencyReport is the artifact: rows plus provenance, the same shape as
-// the other BENCH_*.json artifacts.
-type LatencyReport struct {
-	Commit    string          `json:"commit"`
-	Generated string          `json:"generated"`
-	Scale     string          `json:"scale"`
-	Records   []LatencyRecord `json:"records"`
-}
 
 // latencyPoints enumerates the artifact rows: the smallest and an
 // eager-threshold-sized message, solo and windowed.
-func latencyPoints(sc Scale) []struct {
-	op string
-	p  LatencyParams
-} {
-	return []struct {
-		op string
-		p  LatencyParams
-	}{
+func latencyPoints(sc Scale) []point[LatencyParams] {
+	return []point[LatencyParams]{
 		{"latency/lci_i/8B/w1", LatencyParams{Size: 8, Window: 1, Steps: sc.LatencySteps}},
 		{"latency/lci_i/8B/w8", LatencyParams{Size: 8, Window: 8, Steps: sc.LatencySteps}},
 		{"latency/lci_i/16KiB/w1", LatencyParams{Size: 16384, Window: 1, Steps: sc.LatencySteps}},
@@ -50,118 +18,26 @@ func latencyPoints(sc Scale) []struct {
 	}
 }
 
-// LatencyBench measures every row, best-of-reps by mean (the distribution
+// measureLatency measures every row, best-of-reps by mean (the distribution
 // columns come from the best rep, so one row is internally consistent).
-func LatencyBench(sc Scale, scaleName string) (*LatencyReport, error) {
-	rep := &LatencyReport{
-		Commit:    gitCommit(),
-		Generated: time.Now().Format(time.RFC3339),
-		Scale:     scaleName,
-	}
+func measureLatency(sc Scale) ([]Record, error) {
 	// Best-of-N by mean: the minimum of a noisy distribution stabilizes as
 	// N grows, and each rep costs ~25 ms at quick scale. Best-of-2 wandered
 	// ~2.8x run to run on the 8B mean; best-of-5 holds the gate band.
-	reps := sc.Reps
-	if reps < 5 {
-		reps = 5
-	}
+	reps := max(sc.Reps, 5)
+	var recs []Record
 	for _, pt := range latencyPoints(sc) {
-		rec := LatencyRecord{Op: pt.op}
+		var best LatencyDist
 		for r := 0; r < reps; r++ {
 			d, err := LatencyDistribution("lci_i", pt.p)
 			if err != nil {
-				return nil, fmt.Errorf("latency bench %s: %w", pt.op, err)
+				return nil, fmt.Errorf("%s: %w", pt.op, err)
 			}
-			if rec.MeanUs == 0 || d.Mean < rec.MeanUs {
-				rec = LatencyRecord{Op: pt.op, MeanUs: d.Mean, P50Us: d.P50, P99Us: d.P99, MaxUs: d.Max}
-			}
-		}
-		rep.Records = append(rep.Records, rec)
-	}
-	return rep, nil
-}
-
-// JSON renders the report as the BENCH_latency.json artifact.
-func (r *LatencyReport) JSON() ([]byte, error) {
-	b, err := json.MarshalIndent(r, "", "  ")
-	if err != nil {
-		return nil, err
-	}
-	return append(b, '\n'), nil
-}
-
-// Text renders the rows for the experiments output.
-func (r *LatencyReport) Text() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "# latency trajectory rows (commit %s)\n", r.Commit)
-	fmt.Fprintf(&b, "%-26s %10s %10s %10s %10s\n", "op", "mean_us", "p50_us", "p99_us", "max_us")
-	for _, rec := range r.Records {
-		fmt.Fprintf(&b, "%-26s %10.2f %10.2f %10.2f %10.2f\n", rec.Op, rec.MeanUs, rec.P50Us, rec.P99Us, rec.MaxUs)
-	}
-	return b.String()
-}
-
-// ParseLatencyReport decodes a committed BENCH_latency.json.
-func ParseLatencyReport(data []byte) (*LatencyReport, error) {
-	var r LatencyReport
-	if err := json.Unmarshal(data, &r); err != nil {
-		return nil, fmt.Errorf("bench: bad BENCH_latency.json: %w", err)
-	}
-	return &r, nil
-}
-
-// Latency gate tolerances, set from the measured noise band at quick scale
-// on the 1-CPU CI host: across 5 repeated best-of-5 runs the mean and p50
-// wander up to ~2.1x between the fastest and slowest run, the p99 up to
-// ~2.2x (a single descheduling spike lands in the tail). The factors leave
-// headroom over the worst observed fresh-vs-committed wander, so a true
-// step regression (eager-path work doubling, a lost fast path —
-// historically 3x+) still fails while honest jitter passes.
-// Characterization recorded in EXPERIMENTS.md.
-const (
-	latGateMeanFactor = 2.5 // mean and p50
-	latGateTailFactor = 3.0 // p99
-)
-
-// LatencyGate compares a fresh measurement against the committed artifact:
-// mean and p50 must stay within latGateMeanFactor of the committed row,
-// p99 within latGateTailFactor. Max is recorded but not gated — a single
-// worst packet is pure scheduler luck on a shared host.
-func LatencyGate(fresh, committed *LatencyReport) (string, error) {
-	if fresh.Scale != committed.Scale {
-		return "", fmt.Errorf("bench: gate scale %q vs committed artifact scale %q — regenerate the artifact at the gate's scale",
-			fresh.Scale, committed.Scale)
-	}
-	byOp := map[string]LatencyRecord{}
-	for _, rec := range fresh.Records {
-		byOp[rec.Op] = rec
-	}
-	var b strings.Builder
-	fmt.Fprintf(&b, "# latency gate vs committed commit %s\n", committed.Commit)
-	fmt.Fprintf(&b, "%-26s %16s %16s %16s %8s\n", "op", "mean new/old", "p50 new/old", "p99 new/old", "verdict")
-	var failures []string
-	for _, old := range committed.Records {
-		cur, ok := byOp[old.Op]
-		if !ok {
-			failures = append(failures, fmt.Sprintf("%s: row missing from fresh run", old.Op))
-			continue
-		}
-		verdict := "ok"
-		check := func(name string, curV, oldV, factor float64) {
-			if oldV > 0 && curV > oldV*factor {
-				verdict = "SLOWER"
-				failures = append(failures, fmt.Sprintf("%s: %s %.2fus > %.1fx committed %.2fus",
-					old.Op, name, curV, factor, oldV))
+			if best.Mean == 0 || d.Mean < best.Mean {
+				best = d
 			}
 		}
-		check("mean", cur.MeanUs, old.MeanUs, latGateMeanFactor)
-		check("p50", cur.P50Us, old.P50Us, latGateMeanFactor)
-		check("p99", cur.P99Us, old.P99Us, latGateTailFactor)
-		fmt.Fprintf(&b, "%-26s %7.1f/%-8.1f %7.1f/%-8.1f %7.1f/%-8.1f %8s\n",
-			old.Op, cur.MeanUs, old.MeanUs, cur.P50Us, old.P50Us, cur.P99Us, old.P99Us, verdict)
+		recs = append(recs, row(pt.op, "mean_us", best.Mean, "p50_us", best.P50, "p99_us", best.P99, "max_us", best.Max))
 	}
-	if len(failures) > 0 {
-		return b.String(), fmt.Errorf("bench: latency regression gate failed:\n  %s", strings.Join(failures, "\n  "))
-	}
-	return b.String(), nil
+	return recs, nil
 }

@@ -1,167 +1,75 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
-	"strings"
-	"time"
+
+	"hpxgo/internal/core"
 )
 
-// Message-rate regression artifact: a small fixed set of datapath
-// configurations measured as (ns/op, allocs/op) rows, committed as
+// Message-rate regression rows: a small fixed set of datapath
+// configurations measured as (ns/op, allocs/op), committed as
 // results/BENCH_msgrate.json and re-checked by `make bench-gate` so a
 // datapath change that regresses throughput or steady-state allocation
 // shows up in `make check` instead of in a later profiling session.
 
-// MsgRateRecord is one measured configuration row.
-type MsgRateRecord struct {
-	Op       string  `json:"op"`        // e.g. "msgrate/lci_i/64B"
-	NsOp     float64 `json:"ns_op"`     // wall ns per delivered message
-	AllocsOp float64 `json:"allocs_op"` // process-wide mallocs per message
-	MsgRate  float64 `json:"msg_rate"`  // messages/second received
-}
-
-// MsgRateReport is the artifact: rows plus provenance.
-type MsgRateReport struct {
-	Commit    string          `json:"commit"`
-	Generated string          `json:"generated"`
-	Scale     string          `json:"scale"`
-	Records   []MsgRateRecord `json:"records"`
-}
-
-// Gate tolerances. ns/op is wall time on a shared host, so the headroom is
-// generous — the gate exists to catch step regressions (a lost fast path, a
-// new per-message allocation), not percent-level drift. allocs/op is nearly
-// deterministic, so its band is tight.
-const (
-	gateNsOpFactor   = 1.8
-	gateAllocsFactor = 1.5
-	gateAllocsSlack  = 3.0
-)
-
 // msgRatePoints enumerates the gated configurations.
-func msgRatePoints(sc Scale) []struct {
-	op string
-	p  MsgRateParams
-} {
-	return []struct {
-		op string
-		p  MsgRateParams
-	}{
-		{"msgrate/lci_i/64B", MsgRateParams{
-			Size: 64, Batch: 50, Total: sc.Total8B, Fabric: Expanse.Fabric(2), MeasureAllocs: true,
-		}},
-		{"msgrate/lci_i_agg/64B", MsgRateParams{
-			Size: 64, Batch: 50, Total: sc.Total8B, Agg: true, Fabric: Expanse.Fabric(2), MeasureAllocs: true,
-		}},
-		{"msgrate/lci_i/16KiB", MsgRateParams{
-			Size: 16384, Batch: 10, Total: sc.Total16K, Fabric: Expanse.Fabric(2), MeasureAllocs: true,
-		}},
+func msgRatePoints(sc Scale) []point[MsgRateParams] {
+	return []point[MsgRateParams]{
+		{"msgrate/lci_i/64B", MsgRateParams{Size: 64, Batch: 50, Total: sc.Total8B}},
+		{"msgrate/lci_i_agg/64B", MsgRateParams{Size: 64, Batch: 50, Total: sc.Total8B, Agg: true}},
+		{"msgrate/lci_i/16KiB", MsgRateParams{Size: 16384, Batch: 10, Total: sc.Total16K}},
 	}
 }
 
-// MsgRateBench measures every gated point, best-of-reps (minimum ns/op and
-// allocs/op across repetitions: the gate wants the achievable floor, not
-// scheduling noise).
-func MsgRateBench(sc Scale, scaleName string) (*MsgRateReport, error) {
-	rep := &MsgRateReport{
-		Commit:    gitCommit(),
-		Generated: time.Now().Format(time.RFC3339),
-		Scale:     scaleName,
+// bestMsgRate measures one lci_i configuration on the 2-node Expanse fabric,
+// best-of-reps: the maximum rate and minimum allocs/op across repetitions
+// (the gate wants the achievable floor, not scheduling noise), plus the
+// fraction of deliveries the inline lane took on the fastest rep.
+func bestMsgRate(sc Scale, p MsgRateParams) (rate, allocsOp, inlineFrac float64, err error) {
+	p.Fabric, p.MeasureAllocs = Expanse.Fabric(2), true
+	var inlined, delivered uint64
+	p.Inspect = func(rt *core.Runtime) {
+		inlined, delivered = 0, 0
+		for i := 0; i < rt.Localities(); i++ {
+			inlined += rt.Locality(i).InlineExecuted()
+			delivered += rt.Locality(i).ParcelsExecuted()
+		}
 	}
-	reps := sc.Reps
-	if reps < 3 {
-		reps = 3
+	for r := 0; r < max(sc.Reps, 3); r++ {
+		res, err := MessageRate("lci_i", p)
+		if err != nil {
+			return 0, 0, 0, err
+		}
+		if res.MsgRate > rate {
+			rate = res.MsgRate
+			if delivered > 0 {
+				inlineFrac = float64(inlined) / float64(delivered)
+			}
+		}
+		if allocsOp == 0 || res.AllocsPerMsg < allocsOp {
+			allocsOp = res.AllocsPerMsg
+		}
 	}
+	return rate, allocsOp, inlineFrac, nil
+}
+
+// nsPer converts a rate per second into nanoseconds per operation.
+func nsPer(rate float64) float64 {
+	if rate <= 0 {
+		return 0
+	}
+	return 1e9 / rate
+}
+
+// measureMsgRate measures every gated point.
+func measureMsgRate(sc Scale) ([]Record, error) {
+	var recs []Record
 	for _, pt := range msgRatePoints(sc) {
-		rec := MsgRateRecord{Op: pt.op}
-		for r := 0; r < reps; r++ {
-			res, err := MessageRate("lci_i", pt.p)
-			if err != nil {
-				return nil, fmt.Errorf("msgrate bench %s: %w", pt.op, err)
-			}
-			if res.MsgRate > rec.MsgRate {
-				rec.MsgRate = res.MsgRate
-			}
-			if rec.AllocsOp == 0 || res.AllocsPerMsg < rec.AllocsOp {
-				rec.AllocsOp = res.AllocsPerMsg
-			}
+		rate, allocs, _, err := bestMsgRate(sc, pt.p)
+		if err != nil {
+			return nil, fmt.Errorf("%s: %w", pt.op, err)
 		}
-		if rec.MsgRate > 0 {
-			rec.NsOp = 1e9 / rec.MsgRate
-		}
-		rep.Records = append(rep.Records, rec)
+		recs = append(recs, row(pt.op, "ns_op", nsPer(rate), "allocs_op", allocs, "msg_rate", rate))
 	}
-	return rep, nil
-}
-
-// JSON renders the report as the BENCH_msgrate.json artifact.
-func (r *MsgRateReport) JSON() ([]byte, error) {
-	b, err := json.MarshalIndent(r, "", "  ")
-	if err != nil {
-		return nil, err
-	}
-	return append(b, '\n'), nil
-}
-
-// Text renders the rows for the experiments output.
-func (r *MsgRateReport) Text() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "# message-rate regression rows (commit %s)\n", r.Commit)
-	fmt.Fprintf(&b, "%-24s %12s %10s %10s\n", "op", "msgs/s", "ns/op", "allocs/op")
-	for _, rec := range r.Records {
-		fmt.Fprintf(&b, "%-24s %12.0f %10.0f %10.2f\n", rec.Op, rec.MsgRate, rec.NsOp, rec.AllocsOp)
-	}
-	return b.String()
-}
-
-// ParseMsgRateReport decodes a committed BENCH_msgrate.json.
-func ParseMsgRateReport(data []byte) (*MsgRateReport, error) {
-	var r MsgRateReport
-	if err := json.Unmarshal(data, &r); err != nil {
-		return nil, fmt.Errorf("bench: bad BENCH_msgrate.json: %w", err)
-	}
-	return &r, nil
-}
-
-// MsgRateGate compares a fresh measurement against the committed artifact
-// and fails on regression. Both reports must come from the same scale
-// (totals differ otherwise and the rows are not comparable).
-func MsgRateGate(fresh, committed *MsgRateReport) (string, error) {
-	if fresh.Scale != committed.Scale {
-		return "", fmt.Errorf("bench: gate scale %q vs committed artifact scale %q — regenerate the artifact at the gate's scale",
-			fresh.Scale, committed.Scale)
-	}
-	byOp := map[string]MsgRateRecord{}
-	for _, rec := range fresh.Records {
-		byOp[rec.Op] = rec
-	}
-	var b strings.Builder
-	fmt.Fprintf(&b, "# bench gate vs committed commit %s\n", committed.Commit)
-	fmt.Fprintf(&b, "%-24s %14s %16s %8s\n", "op", "ns/op new/old", "allocs/op new/old", "verdict")
-	var failures []string
-	for _, old := range committed.Records {
-		cur, ok := byOp[old.Op]
-		if !ok {
-			failures = append(failures, fmt.Sprintf("%s: row missing from fresh run", old.Op))
-			continue
-		}
-		verdict := "ok"
-		if old.NsOp > 0 && cur.NsOp > old.NsOp*gateNsOpFactor {
-			verdict = "SLOWER"
-			failures = append(failures, fmt.Sprintf("%s: ns/op %.0f > %.1fx committed %.0f",
-				old.Op, cur.NsOp, gateNsOpFactor, old.NsOp))
-		}
-		if cur.AllocsOp > old.AllocsOp*gateAllocsFactor+gateAllocsSlack {
-			verdict = "ALLOCS"
-			failures = append(failures, fmt.Sprintf("%s: allocs/op %.2f > %.1fx committed %.2f + %.0f",
-				old.Op, cur.AllocsOp, gateAllocsFactor, old.AllocsOp, gateAllocsSlack))
-		}
-		fmt.Fprintf(&b, "%-24s %6.0f/%-7.0f %8.2f/%-7.2f %8s\n",
-			old.Op, cur.NsOp, old.NsOp, cur.AllocsOp, old.AllocsOp, verdict)
-	}
-	if len(failures) > 0 {
-		return b.String(), fmt.Errorf("bench: message-rate regression gate failed:\n  %s", strings.Join(failures, "\n  "))
-	}
-	return b.String(), nil
+	return recs, nil
 }

@@ -86,9 +86,6 @@ var Rostam = Platform{
 	OctoLevel:          5,
 }
 
-// Platforms lists the two evaluation systems.
-func Platforms() []Platform { return []Platform{Expanse, Rostam} }
-
 // Scale sets the experiment sizes. The paper's values appear in comments.
 type Scale struct {
 	Reps int // repetitions per data point (paper: >= 5)
@@ -142,11 +139,11 @@ func FullScale() Scale {
 		Batch8B:       100,
 		Total16K:      2000,
 		Batch16K:      10,
-		Rates8B:       InjectionRates8B(),
-		Rates16K:      InjectionRates16K(),
+		Rates8B:       []float64{100e3, 200e3, 400e3, 800e3, 1600e3, 0},          // paper: 100K/s to 1600K/s and unlimited
+		Rates16K:      []float64{10e3, 20e3, 40e3, 80e3, 160e3, 320e3, 640e3, 0}, // paper: 10K/s to 640K/s and unlimited
 		LatencySteps:  300,
-		Sizes7:        MessageSizes7(),
-		Windows:       WindowSizes(),
+		Sizes7:        []int{8, 64, 512, 1024, 4096, 8192, 16384, 65536}, // 8B to 64KiB
+		Windows:       []int{1, 2, 4, 8, 16, 32, 64},                     // paper: 1 to 64
 		OctoSteps:     3,
 		OctoNodes:     []int{2, 4, 8, 16, 32},
 		OctoNodesR:    []int{2, 4, 8, 16},
@@ -200,23 +197,3 @@ func QuickScale() Scale {
 	s.DeliverIters = 5000
 	return s
 }
-
-// InjectionRates8B are the attempted injection rates of Figs 1-3 (K
-// messages/s; 0 = unlimited). Paper: 100K/s to 1600K/s and unlimited.
-func InjectionRates8B() []float64 {
-	return []float64{100e3, 200e3, 400e3, 800e3, 1600e3, 0}
-}
-
-// InjectionRates16K are the attempted injection rates of Figs 4-6.
-// Paper: 10K/s to 640K/s and unlimited.
-func InjectionRates16K() []float64 {
-	return []float64{10e3, 20e3, 40e3, 80e3, 160e3, 320e3, 640e3, 0}
-}
-
-// MessageSizes7 are the message sizes of Fig 7 (bytes), 8B to 64KiB.
-func MessageSizes7() []int {
-	return []int{8, 64, 512, 1024, 4096, 8192, 16384, 65536}
-}
-
-// WindowSizes are the window sizes of Figs 8-9. Paper: 1 to 64.
-func WindowSizes() []int { return []int{1, 2, 4, 8, 16, 32, 64} }

@@ -22,28 +22,19 @@ type ReliabilityOverheadResult struct {
 	OverheadPct float64
 }
 
-// ReliabilityOverhead measures what end-to-end delivery guarantees cost the
-// §4.1 message-rate benchmark under one parcelport configuration.
-//
-// Each mode runs reps times with the modes interleaved (so slow drift on a
-// shared host hits all three equally) and the best rate is kept: peak
-// attainable rate is the capacity question the overhead comparison asks, and
-// best-of is far less sensitive to scheduler noise than a single sample.
-func ReliabilityOverhead(ppName string, p MsgRateParams) (ReliabilityOverheadResult, error) {
-	const reps = 3
+// reliabilityModes derives the three fabric modes from one parameter set:
+// the fabric as-is, the ARQ on a clean fabric, and the ARQ under the 1% fault
+// profile (drop + duplication + corruption, with timers short enough that
+// recovery fits a benchmark-sized run).
+func reliabilityModes(p MsgRateParams) (base, rel, lossy MsgRateParams) {
 	if p.Fabric.Nodes == 0 {
 		p.Fabric = Expanse.Fabric(2)
 	}
 	if p.Timeout <= 0 {
 		p.Timeout = 5 * time.Minute
 	}
-
-	base := p
-
-	rel := p
+	base, rel, lossy = p, p, p
 	rel.Fabric.Reliability = true
-
-	lossy := p
 	lossy.Fabric.Faults = fabric.FaultConfig{
 		DropProb:    0.01,
 		DupProb:     0.005,
@@ -53,27 +44,34 @@ func ReliabilityOverhead(ppName string, p MsgRateParams) (ReliabilityOverheadRes
 	lossy.Fabric.RetransmitTimeoutNs = 200_000
 	lossy.Fabric.AckDelayNs = 50_000
 	lossy.Fabric.RetryBudget = 50
+	return base, rel, lossy
+}
+
+// ReliabilityOverhead measures what end-to-end delivery guarantees cost the
+// §4.1 message-rate benchmark under one parcelport configuration.
+//
+// Each mode runs reps times with the modes interleaved (so slow drift on a
+// shared host hits all three equally) and the best rate is kept: peak
+// attainable rate is the capacity question the overhead comparison asks, and
+// best-of is far less sensitive to scheduler noise than a single sample.
+func ReliabilityOverhead(ppName string, p MsgRateParams) (ReliabilityOverheadResult, error) {
+	const reps = 3
+	base, rel, lossy := reliabilityModes(p)
 
 	var out ReliabilityOverheadResult
+	modes := []struct {
+		p    MsgRateParams
+		best *MsgRateResult
+	}{{base, &out.Baseline}, {rel, &out.Reliable}, {lossy, &out.Lossy}}
 	for i := 0; i < reps; i++ {
-		r, err := MessageRate(ppName, base)
-		if err != nil {
-			return out, err
-		}
-		if r.MsgRate > out.Baseline.MsgRate {
-			out.Baseline = r
-		}
-		if r, err = MessageRate(ppName, rel); err != nil {
-			return out, err
-		}
-		if r.MsgRate > out.Reliable.MsgRate {
-			out.Reliable = r
-		}
-		if r, err = MessageRate(ppName, lossy); err != nil {
-			return out, err
-		}
-		if r.MsgRate > out.Lossy.MsgRate {
-			out.Lossy = r
+		for _, m := range modes {
+			r, err := MessageRate(ppName, m.p)
+			if err != nil {
+				return out, err
+			}
+			if r.MsgRate > m.best.MsgRate {
+				*m.best = r
+			}
 		}
 	}
 

@@ -2,11 +2,9 @@ package bench
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
 	"runtime"
 	"sort"
-	"strings"
 	"time"
 
 	"hpxgo/internal/fabric"
@@ -139,46 +137,7 @@ func Rendezvous(p RendezvousParams) (RendezvousResult, error) {
 	return res, nil
 }
 
-// RendezvousRecord is one artifact row.
-type RendezvousRecord struct {
-	Op       string  `json:"op"`        // e.g. "rendezvous/c64K/1MiB/r4"
-	NsOp     float64 `json:"ns_op"`     // wall ns per transfer
-	Gbps     float64 `json:"gbps"`      // payload bandwidth
-	AllocsOp float64 `json:"allocs_op"` // process-wide mallocs per transfer
-}
-
-// RendezvousReport is the artifact: rows plus provenance, the same shape as
-// BENCH_msgrate.json / BENCH_collectives.json.
-type RendezvousReport struct {
-	Commit    string             `json:"commit"`
-	Generated string             `json:"generated"`
-	Scale     string             `json:"scale"`
-	Records   []RendezvousRecord `json:"records"`
-}
-
-// Structural claims checked by RendezvousClaims on every fresh report (so
-// the claim regressing fails bench-rendezvous and bench-gate, not just a
-// reader of the numbers).
-const (
-	// rendSpeedupMin: chunked 1MiB on 4 rails must reach at least this
-	// multiple of the single-blob baseline's bandwidth. Physics allows ~4x
-	// (four rails transmit concurrently) and typical runs measure 3.3-3.6x,
-	// but the ratio of two median-of-5 rows still dips to ~2.8x about once
-	// in ten runs on the 1-CPU host; 2.5 stays under the noise band while
-	// still proving the structural win over the blob path.
-	rendSpeedupMin = 2.5
-	// rendParityMin: chunked on ONE rail must stay within noise of the
-	// single-blob path (chunking overhead must not tax the config that
-	// cannot benefit from it).
-	rendParityMin = 0.75
-	// rendAllocsMax: steady-state chunked transfers must not allocate —
-	// any chunk size: chunks are injected zero-copy (fabric Borrow), so
-	// no payload buffer is ever created on the sender, and the receiver
-	// copies into the posted buffer.
-	rendAllocsMax = 0.5
-)
-
-// Row names the claims reference.
+// Row names the rendezvous claims reference.
 const (
 	rendBlobR1 = "rendezvous/blob/1MiB/r1"
 	rendBlobR4 = "rendezvous/blob/1MiB/r4"
@@ -188,19 +147,10 @@ const (
 
 // rendezvousPoints enumerates the artifact rows: the 1 MiB size × rails
 // sweep against the blob baseline, plus a chunk-size sweep at 4 rails.
-func rendezvousPoints(sc Scale) []struct {
-	op string
-	p  RendezvousParams
-} {
+func rendezvousPoints(sc Scale) []point[RendezvousParams] {
 	const mib = 1 << 20
-	reps := sc.Reps
-	if reps < 5 {
-		reps = 5
-	}
-	return []struct {
-		op string
-		p  RendezvousParams
-	}{
+	reps := max(sc.Reps, 5)
+	return []point[RendezvousParams]{
 		{rendBlobR1, RendezvousParams{Size: mib, Rails: 1, SingleBlob: true, Reps: reps}},
 		{rendBlobR4, RendezvousParams{Size: mib, Rails: 4, SingleBlob: true, Reps: reps}},
 		{rendC64KR1, RendezvousParams{Size: mib, Rails: 1, Reps: reps}},
@@ -213,130 +163,15 @@ func rendezvousPoints(sc Scale) []struct {
 	}
 }
 
-// RendezvousBench measures every row and checks the structural claims.
-func RendezvousBench(sc Scale, scaleName string) (*RendezvousReport, error) {
-	rep := &RendezvousReport{
-		Commit:    gitCommit(),
-		Generated: time.Now().Format(time.RFC3339),
-		Scale:     scaleName,
-	}
+// measureRendezvous measures every row.
+func measureRendezvous(sc Scale) ([]Record, error) {
+	var recs []Record
 	for _, pt := range rendezvousPoints(sc) {
 		res, err := Rendezvous(pt.p)
 		if err != nil {
-			return nil, fmt.Errorf("rendezvous bench %s: %w", pt.op, err)
+			return nil, fmt.Errorf("%s: %w", pt.op, err)
 		}
-		rep.Records = append(rep.Records, RendezvousRecord{
-			Op: pt.op, NsOp: res.NsOp, Gbps: res.Gbps, AllocsOp: res.AllocsOp,
-		})
+		recs = append(recs, row(pt.op, "ns_op", res.NsOp, "gbps", res.Gbps, "allocs_op", res.AllocsOp))
 	}
-	if err := RendezvousClaims(rep); err != nil {
-		return rep, err
-	}
-	return rep, nil
-}
-
-// RendezvousClaims validates the report's structural claims: striping
-// speedup at 4 rails, single-rail parity with the blob path, and zero
-// steady-state allocations on the chunked rows.
-func RendezvousClaims(r *RendezvousReport) error {
-	byOp := map[string]RendezvousRecord{}
-	for _, rec := range r.Records {
-		byOp[rec.Op] = rec
-	}
-	blob1, blob4 := byOp[rendBlobR1], byOp[rendBlobR4]
-	c1, c4 := byOp[rendC64KR1], byOp[rendC64KR4]
-	var failures []string
-	if blob4.Gbps > 0 && c4.Gbps < blob4.Gbps*rendSpeedupMin {
-		failures = append(failures, fmt.Sprintf("striping speedup %.2fx < %.1fx (chunked r4 %.1f Gbps vs blob r4 %.1f Gbps)",
-			c4.Gbps/blob4.Gbps, rendSpeedupMin, c4.Gbps, blob4.Gbps))
-	}
-	if blob1.Gbps > 0 && c1.Gbps < blob1.Gbps*rendParityMin {
-		failures = append(failures, fmt.Sprintf("single-rail parity %.2fx < %.2fx (chunked r1 %.1f Gbps vs blob r1 %.1f Gbps)",
-			c1.Gbps/blob1.Gbps, rendParityMin, c1.Gbps, blob1.Gbps))
-	}
-	for _, rec := range r.Records {
-		if strings.HasPrefix(rec.Op, "rendezvous/c") && rec.AllocsOp > rendAllocsMax {
-			failures = append(failures, fmt.Sprintf("%s: %.2f allocs/op (chunked steady state must not allocate)",
-				rec.Op, rec.AllocsOp))
-		}
-	}
-	if len(failures) > 0 {
-		return fmt.Errorf("bench: rendezvous claims failed:\n  %s", strings.Join(failures, "\n  "))
-	}
-	return nil
-}
-
-// JSON renders the report as the BENCH_rendezvous.json artifact.
-func (r *RendezvousReport) JSON() ([]byte, error) {
-	b, err := json.MarshalIndent(r, "", "  ")
-	if err != nil {
-		return nil, err
-	}
-	return append(b, '\n'), nil
-}
-
-// Text renders the rows for the experiments output.
-func (r *RendezvousReport) Text() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "# rendezvous bandwidth rows (commit %s)\n", r.Commit)
-	fmt.Fprintf(&b, "%-28s %10s %12s %10s\n", "op", "Gbps", "ns/op", "allocs/op")
-	for _, rec := range r.Records {
-		fmt.Fprintf(&b, "%-28s %10.1f %12.0f %10.2f\n", rec.Op, rec.Gbps, rec.NsOp, rec.AllocsOp)
-	}
-	return b.String()
-}
-
-// ParseRendezvousReport decodes a committed BENCH_rendezvous.json.
-func ParseRendezvousReport(data []byte) (*RendezvousReport, error) {
-	var r RendezvousReport
-	if err := json.Unmarshal(data, &r); err != nil {
-		return nil, fmt.Errorf("bench: bad BENCH_rendezvous.json: %w", err)
-	}
-	return &r, nil
-}
-
-// RendezvousGate compares a fresh measurement against the committed
-// artifact (step regressions in ns/op and allocs/op, same tolerances as the
-// message-rate gate) and re-validates the structural claims on the fresh
-// rows.
-func RendezvousGate(fresh, committed *RendezvousReport) (string, error) {
-	if fresh.Scale != committed.Scale {
-		return "", fmt.Errorf("bench: gate scale %q vs committed artifact scale %q — regenerate the artifact at the gate's scale",
-			fresh.Scale, committed.Scale)
-	}
-	byOp := map[string]RendezvousRecord{}
-	for _, rec := range fresh.Records {
-		byOp[rec.Op] = rec
-	}
-	var b strings.Builder
-	fmt.Fprintf(&b, "# rendezvous gate vs committed commit %s\n", committed.Commit)
-	fmt.Fprintf(&b, "%-28s %14s %16s %8s\n", "op", "ns/op new/old", "allocs/op new/old", "verdict")
-	var failures []string
-	for _, old := range committed.Records {
-		cur, ok := byOp[old.Op]
-		if !ok {
-			failures = append(failures, fmt.Sprintf("%s: row missing from fresh run", old.Op))
-			continue
-		}
-		verdict := "ok"
-		if old.NsOp > 0 && cur.NsOp > old.NsOp*gateNsOpFactor {
-			verdict = "SLOWER"
-			failures = append(failures, fmt.Sprintf("%s: ns/op %.0f > %.1fx committed %.0f",
-				old.Op, cur.NsOp, gateNsOpFactor, old.NsOp))
-		}
-		if cur.AllocsOp > old.AllocsOp*gateAllocsFactor+gateAllocsSlack {
-			verdict = "ALLOCS"
-			failures = append(failures, fmt.Sprintf("%s: allocs/op %.2f > %.1fx committed %.2f + %.0f",
-				old.Op, cur.AllocsOp, gateAllocsFactor, old.AllocsOp, gateAllocsSlack))
-		}
-		fmt.Fprintf(&b, "%-28s %6.0f/%-7.0f %8.2f/%-7.2f %8s\n",
-			old.Op, cur.NsOp, old.NsOp, cur.AllocsOp, old.AllocsOp, verdict)
-	}
-	if err := RendezvousClaims(fresh); err != nil {
-		failures = append(failures, err.Error())
-	}
-	if len(failures) > 0 {
-		return b.String(), fmt.Errorf("bench: rendezvous regression gate failed:\n  %s", strings.Join(failures, "\n  "))
-	}
-	return b.String(), nil
+	return recs, nil
 }

@@ -1,9 +1,7 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
-	"strings"
 	"time"
 
 	"hpxgo/internal/core"
@@ -19,60 +17,7 @@ import (
 // refused fast instead of queueing). Committed as results/BENCH_serve.json
 // and re-checked by `make bench-gate`.
 
-// ServeRecord is one measured load-mix row.
-type ServeRecord struct {
-	Op        string  `json:"op"`      // e.g. "serve/zipf/cache"
-	OpsSec    float64 `json:"ops_sec"` // completed requests per second
-	P50Us     float64 `json:"p50_us"`  // latency from *scheduled* arrival
-	P99Us     float64 `json:"p99_us"`
-	P999Us    float64 `json:"p999_us"`
-	HitRate   float64 `json:"hit_rate"`  // cache hits / remote GETs
-	ShedFrac  float64 `json:"shed_frac"` // shed (admission+backpressure) / offered
-	Completed int     `json:"completed"`
-	Offered   int     `json:"offered"`
-}
-
-// ServeReport is the artifact: rows plus provenance, the same shape as the
-// other BENCH_*.json artifacts.
-type ServeReport struct {
-	Commit    string        `json:"commit"`
-	Generated string        `json:"generated"`
-	Scale     string        `json:"scale"`
-	Records   []ServeRecord `json:"records"`
-}
-
-// Structural claims checked on every fresh report.
-const (
-	// serveCacheSpeedupMin: on the Zipf mix at saturation (closed-loop),
-	// cache + coalescing must reach at least this multiple of the
-	// cache-off baseline's throughput. The hot set fits the cache while
-	// the keyspace does not, so most GETs are served locally; 2x leaves
-	// headroom below the ~3x measured ratio.
-	serveCacheSpeedupMin = 2.0
-	// serveHitRateMin: the Zipf row's cache hit rate. Zipf(1.2) over a
-	// keyspace 8x the cache capacity concentrates ~85% of draws in the
-	// cacheable hot set; CLOCK approximation and write-through churn eat
-	// some of that.
-	serveHitRateMin = 0.5
-	// serveShedMin: the admission row must actually engage the shard token
-	// bucket — an admission benchmark where nothing sheds measures nothing.
-	serveShedMin = 0.05
-	// serveAdmitP99Factor: with admission shedding the excess instead of
-	// queueing it, the admit row's p99 must not exceed the unprotected
-	// overload row's p99 (same offered rate, same cache-off config). In
-	// practice shedding wins by >10x; 1.0 is the claim's floor.
-	serveAdmitP99Factor = 1.0
-	// serveGateTailFactor: gate tolerance for the cache row's p99 against
-	// the committed artifact. Closed-loop p99 on the 1-CPU host is
-	// scheduler jitter among hundreds of client goroutines and wanders
-	// ~3.3x run to run (measured 2.0-6.6 ms across repeated gate runs,
-	// and a committed value can land at the low end of that band), so
-	// the throughput gate's 1.8x is far too tight for this column. A
-	// queueing collapse is 10x+ (see the overload row), still caught.
-	serveGateTailFactor = 5.0
-)
-
-// Row names the claims reference.
+// Row names the serve claims and gate reference.
 const (
 	serveZipfCache   = "serve/zipf/cache"
 	serveZipfNoCache = "serve/zipf/nocache"
@@ -131,7 +76,7 @@ func servePoints(sc Scale) []servePoint {
 
 // serveRow builds a fresh runtime and service for one row, preloads the
 // keyspace, and drives the load.
-func serveRow(sc Scale, pt servePoint) (ServeRecord, error) {
+func serveRow(sc Scale, pt servePoint) (serve.LoadResult, error) {
 	rt, err := core.NewRuntime(core.Config{
 		Localities:         sc.ServeLocalities,
 		WorkersPerLocality: 2,
@@ -139,14 +84,14 @@ func serveRow(sc Scale, pt servePoint) (ServeRecord, error) {
 		Aggregation:        true,
 	})
 	if err != nil {
-		return ServeRecord{}, err
+		return serve.LoadResult{}, err
 	}
 	svc, err := serve.New(rt, pt.cfg)
 	if err != nil {
-		return ServeRecord{}, err
+		return serve.LoadResult{}, err
 	}
 	if err := rt.Start(); err != nil {
-		return ServeRecord{}, err
+		return serve.LoadResult{}, err
 	}
 	defer rt.Shutdown()
 	svc.Preload(serve.KeySet(pt.load.Keys), make([]byte, 64))
@@ -157,161 +102,33 @@ func serveRow(sc Scale, pt servePoint) (ServeRecord, error) {
 	// 11 ms. The stalled rep also loses throughput, so keeping the faster
 	// rep keeps the stall-free one. Stalls are rare and independent, so
 	// two reps make a poisoned row vanishingly unlikely.
-	var best ServeRecord
+	var best serve.LoadResult
 	for r := 0; r < 2; r++ {
 		res, err := serve.RunLoad(svc, 0, pt.load)
 		if err != nil {
-			return ServeRecord{}, fmt.Errorf("%s: %w", pt.op, err)
+			return serve.LoadResult{}, err
 		}
-		rec := ServeRecord{
-			Op:        pt.op,
-			OpsSec:    res.Throughput,
-			P50Us:     res.P50Us,
-			P99Us:     res.P99Us,
-			P999Us:    res.P999Us,
-			HitRate:   res.HitRate,
-			ShedFrac:  res.ShedFrac,
-			Completed: res.Completed,
-			Offered:   res.Offered,
-		}
-		if r == 0 || rec.OpsSec > best.OpsSec {
-			best = rec
+		if r == 0 || res.Throughput > best.Throughput {
+			best = res
 		}
 	}
 	return best, nil
 }
 
-// ServeBench measures every row and checks the structural claims. On a
-// claims failure the partial report is returned alongside the error so the
-// caller can print the rows.
-func ServeBench(sc Scale, scaleName string) (*ServeReport, error) {
-	rep := &ServeReport{
-		Commit:    gitCommit(),
-		Generated: time.Now().Format(time.RFC3339),
-		Scale:     scaleName,
-	}
+// measureServe measures every load-mix row. Latencies are from the
+// *scheduled* arrival; hit_rate is cache hits / remote GETs; shed_frac is
+// shed (admission + backpressure) / offered.
+func measureServe(sc Scale) ([]Record, error) {
+	var recs []Record
 	for _, pt := range servePoints(sc) {
-		rec, err := serveRow(sc, pt)
+		res, err := serveRow(sc, pt)
 		if err != nil {
-			return nil, fmt.Errorf("serve bench %s: %w", pt.op, err)
+			return nil, fmt.Errorf("%s: %w", pt.op, err)
 		}
-		rep.Records = append(rep.Records, rec)
+		recs = append(recs, row(pt.op, "ops_sec", res.Throughput,
+			"p50_us", res.P50Us, "p99_us", res.P99Us, "p999_us", res.P999Us,
+			"hit_rate", res.HitRate, "shed_frac", res.ShedFrac,
+			"completed", res.Completed, "offered", res.Offered))
 	}
-	if err := ServeClaims(rep); err != nil {
-		return rep, err
-	}
-	return rep, nil
-}
-
-// ServeClaims validates the report's structural claims: the cache/coalescing
-// speedup on the Zipf mix, a credible hit rate behind it, and admission
-// control that sheds instead of queueing.
-func ServeClaims(r *ServeReport) error {
-	byOp := map[string]ServeRecord{}
-	for _, rec := range r.Records {
-		byOp[rec.Op] = rec
-	}
-	cache, nocache := byOp[serveZipfCache], byOp[serveZipfNoCache]
-	over, admit := byOp[serveOverRow], byOp[serveAdmitRow]
-	var failures []string
-	if nocache.OpsSec > 0 && cache.OpsSec < nocache.OpsSec*serveCacheSpeedupMin {
-		failures = append(failures, fmt.Sprintf("cache speedup %.2fx < %.1fx (cache %.0f ops/s vs nocache %.0f ops/s)",
-			cache.OpsSec/nocache.OpsSec, serveCacheSpeedupMin, cache.OpsSec, nocache.OpsSec))
-	}
-	if cache.HitRate < serveHitRateMin {
-		failures = append(failures, fmt.Sprintf("zipf hit rate %.2f < %.2f (cache not absorbing the hot set)",
-			cache.HitRate, serveHitRateMin))
-	}
-	if admit.ShedFrac < serveShedMin {
-		failures = append(failures, fmt.Sprintf("admit row shed fraction %.3f < %.2f (token bucket never engaged)",
-			admit.ShedFrac, serveShedMin))
-	}
-	if over.P99Us > 0 && admit.P99Us > over.P99Us*serveAdmitP99Factor {
-		failures = append(failures, fmt.Sprintf("admit p99 %.0fus > %.1fx unprotected overload p99 %.0fus (shedding is not bounding the tail)",
-			admit.P99Us, serveAdmitP99Factor, over.P99Us))
-	}
-	if len(failures) > 0 {
-		return fmt.Errorf("bench: serve claims failed:\n  %s", strings.Join(failures, "\n  "))
-	}
-	return nil
-}
-
-// JSON renders the report as the BENCH_serve.json artifact.
-func (r *ServeReport) JSON() ([]byte, error) {
-	b, err := json.MarshalIndent(r, "", "  ")
-	if err != nil {
-		return nil, err
-	}
-	return append(b, '\n'), nil
-}
-
-// Text renders the rows for the experiments output.
-func (r *ServeReport) Text() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "# serving-tier rows (commit %s)\n", r.Commit)
-	fmt.Fprintf(&b, "%-22s %10s %10s %10s %10s %9s %9s\n",
-		"op", "ops/s", "p50_us", "p99_us", "p999_us", "hit_rate", "shed")
-	for _, rec := range r.Records {
-		fmt.Fprintf(&b, "%-22s %10.0f %10.1f %10.1f %10.1f %9.2f %9.2f\n",
-			rec.Op, rec.OpsSec, rec.P50Us, rec.P99Us, rec.P999Us, rec.HitRate, rec.ShedFrac)
-	}
-	return b.String()
-}
-
-// ParseServeReport decodes a committed BENCH_serve.json.
-func ParseServeReport(data []byte) (*ServeReport, error) {
-	var r ServeReport
-	if err := json.Unmarshal(data, &r); err != nil {
-		return nil, fmt.Errorf("bench: bad BENCH_serve.json: %w", err)
-	}
-	return &r, nil
-}
-
-// ServeGate compares a fresh measurement against the committed artifact —
-// throughput must not fall below 1/gateNsOpFactor of the committed row, the
-// cache row's p99 must not exceed serveGateTailFactor times the committed
-// one — and re-validates the structural claims on the fresh rows.
-func ServeGate(fresh, committed *ServeReport) (string, error) {
-	if fresh.Scale != committed.Scale {
-		return "", fmt.Errorf("bench: gate scale %q vs committed artifact scale %q — regenerate the artifact at the gate's scale",
-			fresh.Scale, committed.Scale)
-	}
-	byOp := map[string]ServeRecord{}
-	for _, rec := range fresh.Records {
-		byOp[rec.Op] = rec
-	}
-	var b strings.Builder
-	fmt.Fprintf(&b, "# serve gate vs committed commit %s\n", committed.Commit)
-	fmt.Fprintf(&b, "%-22s %18s %18s %8s\n", "op", "ops/s new/old", "p99_us new/old", "verdict")
-	var failures []string
-	for _, old := range committed.Records {
-		cur, ok := byOp[old.Op]
-		if !ok {
-			failures = append(failures, fmt.Sprintf("%s: row missing from fresh run", old.Op))
-			continue
-		}
-		verdict := "ok"
-		if old.OpsSec > 0 && cur.OpsSec < old.OpsSec/gateNsOpFactor {
-			verdict = "SLOWER"
-			failures = append(failures, fmt.Sprintf("%s: %.0f ops/s < committed %.0f / %.1f",
-				old.Op, cur.OpsSec, old.OpsSec, gateNsOpFactor))
-		}
-		// Only the cache row's tail is a stable promise: the overdriven
-		// baseline rows' p99 is queueing delay by design. It gets the
-		// wider noise-band factor, not the throughput one.
-		if old.Op == serveZipfCache && old.P99Us > 0 && cur.P99Us > old.P99Us*serveGateTailFactor {
-			verdict = "TAIL"
-			failures = append(failures, fmt.Sprintf("%s: p99 %.0fus > %.1fx committed %.0fus",
-				old.Op, cur.P99Us, serveGateTailFactor, old.P99Us))
-		}
-		fmt.Fprintf(&b, "%-22s %8.0f/%-9.0f %8.0f/%-9.0f %8s\n",
-			old.Op, cur.OpsSec, old.OpsSec, cur.P99Us, old.P99Us, verdict)
-	}
-	if err := ServeClaims(fresh); err != nil {
-		failures = append(failures, err.Error())
-	}
-	if len(failures) > 0 {
-		return b.String(), fmt.Errorf("bench: serve regression gate failed:\n  %s", strings.Join(failures, "\n  "))
-	}
-	return b.String(), nil
+	return recs, nil
 }

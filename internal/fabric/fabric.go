@@ -39,9 +39,12 @@ package fabric
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"hpxgo/internal/ring"
 )
 
 // ErrBackpressure is returned by Inject when the destination rail queue is
@@ -184,7 +187,7 @@ func NewNetwork(cfg Config) (*Network, error) {
 		for di := range n.devices[i] {
 			d := &Device{net: n, node: i, idx: di}
 			d.pool = newPacketPool()
-			d.readyIdx = newMPMC[uint32](cfg.Nodes * cfg.Rails)
+			d.readyIdx = ring.New[uint32](cfg.Nodes * cfg.Rails)
 			d.in = make([][]rail, cfg.Nodes)
 			for s := range d.in {
 				d.in[s] = make([]rail, cfg.Rails)
@@ -295,7 +298,7 @@ type railSlot struct {
 // most once, so the index (sized for every rail) can never overflow.
 func (r *rail) notify() {
 	if r.ready.CompareAndSwap(0, 1) {
-		r.owner.readyIdx.TryPush(r.id)
+		r.owner.markReady(r.id)
 	}
 }
 
@@ -425,7 +428,7 @@ type Device struct {
 	// rail id on its quiescent → pending edge; Poll drains ready rails and
 	// re-parks the ones whose head has not arrived yet, so poll cost scales
 	// with traffic, not with cluster size.
-	readyIdx *mpmc[uint32]
+	readyIdx *ring.MPMC[uint32]
 
 	pool *packetPool // recycled stored packets (see pool.go)
 
@@ -719,6 +722,18 @@ func (d *Device) enqueueLocked(r *rail, pkt *Packet, extraNs int64) {
 	r.count.Add(1)
 }
 
+// markReady puts a rail id (back) into the ready index. The index is sized
+// for every rail and holds each id at most once, so it is never truly full;
+// but the ring's TryPush also fails while a descheduled popper still owns
+// the slot one lap behind, and dropping the id then would strand the rail's
+// packets for good (ready stays 1, so no producer re-publishes it). Yield
+// until that popper finishes.
+func (d *Device) markReady(id uint32) {
+	for !d.readyIdx.TryPush(id) {
+		runtime.Gosched()
+	}
+}
+
 // Poll returns one arrived packet destined to this device, or nil if none
 // has arrived yet. It drains the device's ready index — only rails with
 // queued traffic are visited, so an idle or mostly-idle device polls in O(1)
@@ -744,14 +759,14 @@ func (d *Device) Poll() *Packet {
 		}
 		r := d.railByID(id)
 		if hint := r.headNs.Load(); hint > now {
-			d.readyIdx.TryPush(id) // head not arrived: re-park cheaply
+			d.markReady(id) // head not arrived: re-park cheaply
 			continue
 		}
 		for {
 			p, blocked := r.tryPop(now)
 			if p == nil {
 				if blocked {
-					d.readyIdx.TryPush(id)
+					d.markReady(id)
 				} else {
 					r.retire()
 				}
@@ -761,7 +776,7 @@ func (d *Device) Poll() *Packet {
 				p.Release() // consumed by the ARQ; try the same rail again
 				continue
 			}
-			d.readyIdx.TryPush(id) // more arrivals may be queued behind
+			d.markReady(id) // more arrivals may be queued behind
 			d.deliveredPackets.Add(1)
 			d.deliveredBytes.Add(uint64(len(p.Data)))
 			return p

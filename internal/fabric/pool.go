@@ -1,6 +1,10 @@
 package fabric
 
-import "sync/atomic"
+import (
+	"sync/atomic"
+
+	"hpxgo/internal/ring"
+)
 
 // The packet pool removes the per-message make([]byte) + Packet allocation
 // from the fabric datapath. Every stored packet the fabric creates — the
@@ -42,7 +46,7 @@ const (
 
 // packetPool is a per-device freelist of stored packets.
 type packetPool struct {
-	free *mpmc[*Packet]
+	free *ring.MPMC[*Packet]
 
 	gets   atomic.Uint64 // packets taken from the pool (hit or miss)
 	puts   atomic.Uint64 // packets released back (recycled or dropped)
@@ -51,7 +55,7 @@ type packetPool struct {
 }
 
 func newPacketPool() *packetPool {
-	return &packetPool{free: newMPMC[*Packet](poolFreeCap)}
+	return &packetPool{free: ring.New[*Packet](poolFreeCap)}
 }
 
 // PoolStats is a snapshot of a device's packet-pool counters. In a quiescent

@@ -6,15 +6,6 @@ import (
 	"hpxgo/internal/fabric"
 )
 
-func BenchmarkRingPushPop(b *testing.B) {
-	r := newRing[int](1024)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		r.TryPush(i)
-		r.TryPop()
-	}
-}
-
 func BenchmarkCompQueuePushPop(b *testing.B) {
 	q := NewCompQueue(1024)
 	req := Request{Type: CompRecv, Rank: 1, Tag: 7}

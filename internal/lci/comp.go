@@ -5,6 +5,7 @@ import (
 	"sync/atomic"
 
 	"hpxgo/internal/fabric"
+	"hpxgo/internal/ring"
 )
 
 // CompType classifies a completion record.
@@ -63,7 +64,7 @@ type Comp interface {
 // lock-free via the bounded ring; a rarely-used overflow list keeps Push
 // non-dropping when a burst outruns the consumer.
 type CompQueue struct {
-	r *ring[Request]
+	r *ring.MPMC[Request]
 
 	ovMu     sync.Mutex
 	overflow []Request
@@ -75,7 +76,7 @@ func NewCompQueue(capacity int) *CompQueue {
 	if capacity <= 0 {
 		capacity = 1 << 14
 	}
-	return &CompQueue{r: newRing[Request](capacity)}
+	return &CompQueue{r: ring.New[Request](capacity)}
 }
 
 func (q *CompQueue) signal(req Request) { q.Push(req) }

@@ -24,6 +24,7 @@ import (
 	"sync/atomic"
 
 	"hpxgo/internal/fabric"
+	"hpxgo/internal/ring"
 )
 
 // ErrRetry is returned by nonblocking operations when a resource (packet
@@ -159,7 +160,7 @@ type Device struct {
 	rank  int
 	putCQ *CompQueue // pre-configured remote-completion queue for puts
 
-	pool *ring[*Packet]
+	pool *ring.MPMC[*Packet]
 
 	match *matchTable
 
@@ -173,8 +174,8 @@ type Device struct {
 	// deliver cycle allocates nothing; waves recycles the scratch packet
 	// arrays streamChunks builds its InjectBatch calls in (a stack array
 	// would escape through the batch-call slice).
-	prPool *ring[*postedRecv]
-	waves  *ring[*[chunkWave]fabric.Packet]
+	prPool *ring.MPMC[*postedRecv]
+	waves  *ring.MPMC[*[chunkWave]fabric.Packet]
 
 	stats struct {
 		mediumSent    atomic.Uint64
@@ -207,10 +208,10 @@ func NewDevice(fdev *fabric.Device, cfg Config, putCQ *CompQueue) *Device {
 		fdev:   fdev,
 		rank:   fdev.Node(),
 		putCQ:  putCQ,
-		pool:   newRing[*Packet](cfg.PoolPackets),
+		pool:   ring.New[*Packet](cfg.PoolPackets),
 		match:  newMatchTable(cfg.MatchShards),
-		prPool: newRing[*postedRecv](prPoolCap),
-		waves:  newRing[*[chunkWave]fabric.Packet](wavePoolCap),
+		prPool: ring.New[*postedRecv](prPoolCap),
+		waves:  ring.New[*[chunkWave]fabric.Packet](wavePoolCap),
 	}
 	for i := 0; i < cfg.PoolPackets; i++ {
 		d.pool.TryPush(&Packet{Data: make([]byte, cfg.EagerThreshold), dev: d})

@@ -4,6 +4,7 @@ import (
 	"sync"
 
 	"hpxgo/internal/fabric"
+	"hpxgo/internal/ring"
 )
 
 // matchKind separates the medium and long matching namespaces so a Recvm can
@@ -157,11 +158,11 @@ func deletePRAt(l []*postedRecv, i int) []*postedRecv {
 // in-flight rendezvous state on both sides.
 type handleTable[T any] struct {
 	slots []T
-	free  *ring[uint32]
+	free  *ring.MPMC[uint32]
 }
 
 func newHandleTable[T any](n int) *handleTable[T] {
-	t := &handleTable[T]{slots: make([]T, n), free: newRing[uint32](n)}
+	t := &handleTable[T]{slots: make([]T, n), free: ring.New[uint32](n)}
 	for i := 0; i < n; i++ {
 		t.free.TryPush(uint32(i))
 	}

@@ -11,13 +11,10 @@ import (
 
 // Aggregation defaults. FlushBytes roughly matches one fabric packet of
 // small messages; FlushDelay bounds the latency a buffered message can pay
-// waiting for company; ColdIdle decides when a destination counts as cold
-// (first message after an idle gap goes out immediately rather than waiting
-// alone in a buffer).
+// waiting for company.
 const (
 	DefaultAggFlushBytes = 4096
 	DefaultAggFlushDelay = 50 * time.Microsecond
-	DefaultAggColdIdle   = 200 * time.Microsecond
 )
 
 // AggConfig tunes the sender-side aggregation layer.

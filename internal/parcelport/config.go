@@ -81,12 +81,6 @@ func DefaultLCI() Config {
 	return Config{Transport: TransportLCI, Immediate: true}
 }
 
-// DefaultMPI returns the improved MPI parcelport without send-immediate
-// ("mpi"), the best-performing MPI configuration at the application level.
-func DefaultMPI() Config {
-	return Config{Transport: TransportMPI}
-}
-
 // String renders the Table 1 abbreviation for the configuration.
 func (c Config) String() string {
 	var parts []string

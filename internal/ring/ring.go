@@ -1,35 +1,39 @@
-package lci
+// Package ring is the bounded lock-free queue the communication layers share.
+// It imports nothing from the tree, so both internal/fabric and internal/lci
+// (which imports fabric) can use it.
+package ring
 
 import "sync/atomic"
 
-// ring is a bounded multi-producer multi-consumer FIFO queue (Dmitry Vyukov's
+// MPMC is a bounded multi-producer multi-consumer FIFO queue (Dmitry Vyukov's
 // sequence-numbered ring). Both TryPush and TryPop are lock-free in the sense
 // that a stalled thread can delay at most the slot it claimed; there is no
-// mutex anywhere. It backs the completion queues and the packet-pool
-// freelist, the two structures the paper credits for LCI's low-overhead
-// completion path ("polling one completion queue is preferable to polling
-// multiple requests").
-type ring[T any] struct {
+// mutex anywhere. In internal/lci it backs the completion queues and the
+// packet-pool freelist, the two structures the paper credits for LCI's
+// low-overhead completion path ("polling one completion queue is preferable
+// to polling multiple requests"); in internal/fabric, the per-device packet
+// pool freelist and the arrival ready-index.
+type MPMC[T any] struct {
 	mask uint64
-	buf  []ringSlot[T]
+	buf  []cell[T]
 	_    [56]byte // keep enq and deq on separate cache lines
 	enq  atomic.Uint64
 	_    [56]byte
 	deq  atomic.Uint64
 }
 
-type ringSlot[T any] struct {
+type cell[T any] struct {
 	seq atomic.Uint64
 	val T
 }
 
-// newRing creates a ring with capacity rounded up to a power of two.
-func newRing[T any](capacity int) *ring[T] {
+// New creates a ring with capacity rounded up to a power of two.
+func New[T any](capacity int) *MPMC[T] {
 	n := 1
 	for n < capacity {
 		n <<= 1
 	}
-	r := &ring[T]{mask: uint64(n - 1), buf: make([]ringSlot[T], n)}
+	r := &MPMC[T]{mask: uint64(n - 1), buf: make([]cell[T], n)}
 	for i := range r.buf {
 		r.buf[i].seq.Store(uint64(i))
 	}
@@ -37,7 +41,7 @@ func newRing[T any](capacity int) *ring[T] {
 }
 
 // TryPush enqueues v, returning false if the ring is full.
-func (r *ring[T]) TryPush(v T) bool {
+func (r *MPMC[T]) TryPush(v T) bool {
 	pos := r.enq.Load()
 	for {
 		slot := &r.buf[pos&r.mask]
@@ -59,7 +63,7 @@ func (r *ring[T]) TryPush(v T) bool {
 }
 
 // TryPop dequeues the oldest element, returning false if the ring is empty.
-func (r *ring[T]) TryPop() (T, bool) {
+func (r *MPMC[T]) TryPop() (T, bool) {
 	var zero T
 	pos := r.deq.Load()
 	for {
@@ -83,7 +87,7 @@ func (r *ring[T]) TryPop() (T, bool) {
 }
 
 // Len returns an approximate number of queued elements.
-func (r *ring[T]) Len() int {
+func (r *MPMC[T]) Len() int {
 	n := int64(r.enq.Load()) - int64(r.deq.Load())
 	if n < 0 {
 		return 0
@@ -92,4 +96,4 @@ func (r *ring[T]) Len() int {
 }
 
 // Cap returns the ring capacity.
-func (r *ring[T]) Cap() int { return len(r.buf) }
+func (r *MPMC[T]) Cap() int { return len(r.buf) }

@@ -1,4 +1,4 @@
-package lci
+package ring
 
 import (
 	"runtime"
@@ -8,7 +8,7 @@ import (
 )
 
 func TestRingBasic(t *testing.T) {
-	r := newRing[int](4)
+	r := New[int](4)
 	if r.Cap() != 4 {
 		t.Fatalf("Cap = %d, want 4", r.Cap())
 	}
@@ -35,14 +35,14 @@ func TestRingBasic(t *testing.T) {
 }
 
 func TestRingCapacityRoundsUp(t *testing.T) {
-	r := newRing[int](5)
+	r := New[int](5)
 	if r.Cap() != 8 {
 		t.Fatalf("Cap = %d, want 8", r.Cap())
 	}
 }
 
 func TestRingWrapAround(t *testing.T) {
-	r := newRing[int](4)
+	r := New[int](4)
 	for round := 0; round < 10; round++ {
 		for i := 0; i < 3; i++ {
 			if !r.TryPush(round*10 + i) {
@@ -59,7 +59,7 @@ func TestRingWrapAround(t *testing.T) {
 }
 
 func TestRingLen(t *testing.T) {
-	r := newRing[int](8)
+	r := New[int](8)
 	if r.Len() != 0 {
 		t.Fatalf("empty Len = %d", r.Len())
 	}
@@ -75,7 +75,7 @@ func TestRingLen(t *testing.T) {
 }
 
 func TestRingConcurrentMPMC(t *testing.T) {
-	r := newRing[int](64)
+	r := New[int](64)
 	const producers, perProducer = 4, 2000
 	var wg sync.WaitGroup
 	for p := 0; p < producers; p++ {
@@ -133,7 +133,7 @@ func TestRingConcurrentMPMC(t *testing.T) {
 
 func TestRingPropertyFIFOSingleThread(t *testing.T) {
 	f := func(vals []uint16) bool {
-		r := newRing[uint16](1024)
+		r := New[uint16](1024)
 		if len(vals) > 1024 {
 			vals = vals[:1024]
 		}
@@ -153,5 +153,14 @@ func TestRingPropertyFIFOSingleThread(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+func BenchmarkRingPushPop(b *testing.B) {
+	r := New[int](1024)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		r.TryPush(i)
+		r.TryPop()
 	}
 }
