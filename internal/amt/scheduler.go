@@ -348,10 +348,22 @@ func (s *Scheduler) IdleRunners() int {
 // completion-drain pass — trades a goroutine handoff for running the task
 // itself, so it must only pass tasks it knows will not block.
 func (s *Scheduler) RunInline(task func()) {
-	s.spawned.Add(1)
+	s.BeginInline(1)
 	task()
-	s.completed.Add(1)
-	s.inline.Add(1)
+	s.EndInline(1)
+}
+
+// BeginInline and EndInline are RunInline's accounting for callers that run
+// a batch of inline tasks themselves and want the shared counters touched
+// once per batch instead of three times per task: BeginInline(n) before
+// running n tasks (they count as pending from here), EndInline(n) after n
+// have finished. A caller may Begin in several steps and End once.
+func (s *Scheduler) BeginInline(n int) { s.spawned.Add(int64(n)) }
+
+// EndInline completes n tasks admitted by BeginInline.
+func (s *Scheduler) EndInline(n int) {
+	s.completed.Add(int64(n))
+	s.inline.Add(int64(n))
 }
 
 // Pending returns the number of spawned-but-unfinished tasks.

@@ -180,3 +180,25 @@ func BenchmarkSpawnBatch(b *testing.B) {
 		})
 	}
 }
+
+// TestInlineAccountingConserves: tasks run on the inline lane count as
+// pending while they run and as executed afterwards, whether accounted one
+// at a time (RunInline) or as a batch begun in steps and ended once — so
+// Pending-based quiescence detection is oblivious to the lane.
+func TestInlineAccountingConserves(t *testing.T) {
+	s := New(Config{Workers: 1})
+	s.RunInline(func() {
+		if got := s.Pending(); got != 1 {
+			t.Errorf("Pending inside RunInline = %d, want 1", got)
+		}
+	})
+	s.BeginInline(8)
+	s.BeginInline(3)
+	if got := s.Pending(); got != 11 {
+		t.Fatalf("Pending inside an inline batch = %d, want 11", got)
+	}
+	s.EndInline(11)
+	if p, e, in := s.Pending(), s.Executed(), s.InlineExecuted(); p != 0 || e != 12 || in != 12 {
+		t.Fatalf("Pending %d, Executed %d, InlineExecuted %d; want 0, 12, 12", p, e, in)
+	}
+}

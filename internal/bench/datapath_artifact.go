@@ -9,6 +9,7 @@ import (
 	"hpxgo/internal/amt"
 	"hpxgo/internal/core"
 	"hpxgo/internal/fabric"
+	"hpxgo/internal/parcelport"
 	"hpxgo/internal/serialization"
 )
 
@@ -173,6 +174,69 @@ func deliverBundleRow(bundle, iters int) (Record, error) {
 	return measureOp(iters, cycle)
 }
 
+// bundleTap is an inner parcelport that keeps the last transfer it was
+// asked to send: how deliverHPXBRow gets hold of a real aggregation bundle.
+type bundleTap struct{ last []byte }
+
+func (*bundleTap) Name() string                       { return "tap" }
+func (*bundleTap) Start(parcelport.DeliverFunc) error { return nil }
+func (*bundleTap) Stop()                              {}
+func (*bundleTap) BackgroundWork(int) bool            { return false }
+func (b *bundleTap) Send(_ int, m *serialization.Message) {
+	b.last = append([]byte(nil), m.NonZeroCopy...)
+	m.Done()
+}
+
+// deliverHPXBRow measures the receiver datapath for the shape the aggregated
+// fast path really produces: one HPXB bundle of `frames` frames, each a 64 B
+// parcel of an inline-hinted action written by Aggregator.SendParcel —
+// decoded once and run to completion on the delivering goroutine.
+func deliverHPXBRow(frames, iters int) (Record, error) {
+	rt, err := core.NewRuntime(core.Config{Localities: 2, WorkersPerLocality: 2, Parcelport: "lci_agg"})
+	if err != nil {
+		return Record{}, err
+	}
+	var ran atomic.Uint64 // a batch that trips the wall cap spills to runners
+	var want uint64
+	noop := rt.MustRegisterInlineAction("bench_dp_inline_noop", func(*core.Locality, [][]byte) [][]byte {
+		ran.Add(1)
+		return nil
+	})
+	if err := rt.Start(); err != nil {
+		return Record{}, err
+	}
+	defer rt.Shutdown()
+	var tap bundleTap
+	agg := parcelport.NewAggregator(&tap, 2, parcelport.AggConfig{FlushBytes: 1 << 20, FlushDelay: time.Hour, ColdIdle: time.Hour})
+	for i := 0; i < frames; i++ {
+		if !agg.SendParcel(0, serialization.Parcel{Source: 1, Dest: 0, Action: noop, Args: [][]byte{make([]byte, 64)}}) {
+			return Record{}, fmt.Errorf("SendParcel refused frame %d", i)
+		}
+	}
+	agg.Stop() // flushes the bundle into the tap
+	m := &serialization.Message{NonZeroCopy: tap.last}
+	l := rt.Locality(0)
+	cycle := func() error {
+		l.Deliver(m)
+		want += uint64(frames)
+		for ran.Load() < want {
+			runtime.Gosched()
+		}
+		return nil
+	}
+	for i := 0; i < 16; i++ { // warm the pooled delivery context
+		if err := cycle(); err != nil {
+			return Record{}, err
+		}
+	}
+	inline0 := l.InlineExecuted()
+	rec, err := measureOp(iters, cycle)
+	if got, all := l.InlineExecuted()-inline0, uint64(iters*frames); err == nil && got < all*9/10 {
+		err = fmt.Errorf("%d of %d parcels ran inline: the row did not measure the inline lane", got, all)
+	}
+	return rec, err
+}
+
 // spawnBatchRow measures amt.Scheduler.SpawnBatch for a bundle-sized burst.
 func spawnBatchRow(batch, iters int) (Record, error) {
 	s := amt.New(amt.Config{Workers: 1})
@@ -203,14 +267,16 @@ func spawnBatchRow(batch, iters int) (Record, error) {
 	return measureOp(iters, cycle)
 }
 
-// measureDeliver measures the receiver-datapath rows: bundled delivery at
-// three bundle sizes, then the batched spawn alone.
+// measureDeliver measures the receiver-datapath rows: multi-parcel message
+// delivery (spawned) at three sizes, one aggregation bundle delivered inline,
+// then the batched spawn alone.
 func measureDeliver(sc Scale) ([]Record, error) {
 	var rows []dpRow
 	for _, bundle := range []int{1, 8, 32} {
 		rows = append(rows, dpRow{fmt.Sprintf("deliver/bundle%d", bundle),
 			func(n int) (Record, error) { return deliverBundleRow(bundle, n) }})
 	}
+	rows = append(rows, dpRow{"deliver/hpxb32", func(n int) (Record, error) { return deliverHPXBRow(32, n) }})
 	for _, batch := range []int{8, 32} {
 		rows = append(rows, dpRow{fmt.Sprintf("spawn/batch%d", batch),
 			func(n int) (Record, error) { return spawnBatchRow(batch, n) }})

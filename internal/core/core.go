@@ -31,6 +31,7 @@ import (
 	"hpxgo/internal/parcelport/tcppp"
 	"hpxgo/internal/serialization"
 	"hpxgo/internal/trace"
+	"hpxgo/internal/wire"
 )
 
 // continuationAction is the reserved action id that completes Call futures.
@@ -73,11 +74,13 @@ type Config struct {
 	// AggMaxQueued caps buffered sub-messages per destination; reaching it
 	// forces a flush. Default parcelport.MaxPendingConnections.
 	AggMaxQueued int
-	// InlineBudget caps how many small parcels of one delivered message may
-	// run to completion directly on the draining goroutine (the inline
-	// lane) before the remainder spills to spawned tasks. Only actions
-	// registered with an inline hint (RegisterInlineAction/MarkActionInline)
-	// are eligible. Zero selects defaultInlineBudget (32); negative disables
+	// InlineBudget caps how many small parcels of one delivered message or
+	// bundle may run to completion directly on the draining goroutine (the
+	// inline lane) before the remainder spills to spawned tasks. Only
+	// actions registered with an inline hint (RegisterInlineAction/
+	// MarkActionInline) are eligible. Zero selects the default, resolved from
+	// the aggregation flush size so that one full bundle fits (see
+	// defaultInlineBudget: 114 at the default 4096 B); negative disables
 	// inline execution entirely (every parcel spawns).
 	InlineBudget int
 	// DrainBatch is the completion-drain budget: how many completion
@@ -155,7 +158,7 @@ func (c *Config) fillDefaults() {
 		}
 	}
 	if c.InlineBudget == 0 {
-		c.InlineBudget = defaultInlineBudget
+		c.InlineBudget = defaultInlineBudget(c.AggFlushBytes)
 	}
 	if c.LCIDevices <= 0 {
 		c.LCIDevices = 1
@@ -189,16 +192,14 @@ type Runtime struct {
 	// inlineTab is the sealed snapshot of the inline hints, published with
 	// actionTab. The receive path consults it per parcel, lock-free.
 	inlineTab atomic.Pointer[[]bool]
-	// actionSvc is the per-action inline service-time EWMA in ns (α = 1/4),
-	// sized to the sealed registry at Start. An action whose EWMA reaches
-	// inlineHeavyNs loses inline eligibility — the safety escape that keeps
-	// a mis-hinted action from stalling the completion drain. The latch is
-	// one-way: the EWMA is written only by runInlineBatch, and deliver
-	// gates admission to that batch on it, so a demoted action is never
-	// sampled again and stays demoted for the life of the runtime. From a
-	// light history one run of ≥80µs (4×20µs — a preemption is enough) does
-	// it, as does a first run of ≥20µs; PR 11's benchmark measured the
-	// consequence (CHANGES.md, flood_64b_agg core.inline_frac).
+	// actionSvc is the per-action service-time EWMA in ns (α = 1/4, samples
+	// clipped to inlineSampleClipNs; 0 = never sampled), sized to the sealed
+	// registry at Start. An action whose EWMA is at or above inlineHeavyNs is
+	// demoted: deliver spawns it instead of running it inline — the safety
+	// escape that keeps a mis-hinted action from stalling the completion
+	// drain. Both lanes feed it (runInlineBatch per run of parcels, the
+	// spawned path while the action is demoted), so the gate corrects
+	// itself in either direction; see observeService.
 	actionSvc []atomic.Int64
 
 	// Collectives subsystem (see collectives.go): reserved relay-action ids,
@@ -327,7 +328,7 @@ func (rt *Runtime) buildLocality(i int) (*Locality, error) {
 			// dedicated progress thread drives the age-based flush too.
 			lpp.SetProgressHook(agg.FlushStale)
 		}
-		loc.pp = agg
+		loc.pp, loc.agg = agg, agg
 	}
 	loc.layer = parcel.NewLayer(rt.cfg.Localities, parcel.Config{
 		ZeroCopyThreshold: rt.cfg.ZeroCopyThreshold,
@@ -335,10 +336,10 @@ func (rt *Runtime) buildLocality(i int) (*Locality, error) {
 		Immediate:         rt.ppCfg.Immediate,
 		MaxMessageBytes:   rt.cfg.MaxMessageBytes,
 	}, loc.pp.Send)
-	if agg, ok := loc.pp.(*parcelport.Aggregator); ok {
+	if loc.agg != nil {
 		// Warm-path shortcut: encode small parcels straight into the bundle
 		// buffer instead of through a per-message scratch.
-		loc.layer.SetParcelSender(agg.SendParcel)
+		loc.layer.SetParcelSender(loc.agg.SendParcel)
 	}
 	bg := loc.pp.BackgroundWork
 	if rt.cfg.DeliveryTimeout > 0 || rt.net.Config().Reliability {
@@ -389,11 +390,12 @@ func (rt *Runtime) MustRegisterAction(name string, fn ActionFunc) uint32 {
 // promises to be small and non-blocking (no future waits, no long compute,
 // no unbounded locks), so the receive path may run it to completion on the
 // draining goroutine instead of spawning a task. A hinted action that
-// nonetheless runs long is demoted to spawning by the service-time escape,
-// permanently — one slow run can do it and nothing re-admits the action
-// (see actionSvc); one that *blocks* stalls its drain goroutine until the
-// scheduler's other workers pick up the slack — the hint is a promise, not
-// a sandbox.
+// nonetheless runs long is demoted to spawning by the service-time escape
+// for as long as it keeps measuring heavy, and re-admitted once it measures
+// light again (see actionSvc); one that *blocks* stalls its drain goroutine
+// for that one run, until the scheduler's other workers pick up the slack,
+// and is demoted by the sample that run produces — the hint is a promise,
+// not a sandbox.
 func (rt *Runtime) RegisterInlineAction(name string, fn ActionFunc) (uint32, error) {
 	id, err := rt.RegisterAction(name, fn)
 	if err != nil {
@@ -581,10 +583,12 @@ type Locality struct {
 	id     int
 	sched  *amt.Scheduler
 	pp     parcelport.Parcelport
+	agg    *parcelport.Aggregator // pp when aggregation is on, else nil
 	layer  *parcel.Layer
 	lciDev *lci.Device // LCI transport only (stats)
-	// inlineBudget is the inline-lane count budget per delivered message,
-	// resolved from Config.InlineBudget at construction (0 = lane off).
+	// inlineBudget is the inline-lane count budget per delivered message or
+	// bundle, resolved from Config.InlineBudget at construction (0 = lane
+	// off).
 	inlineBudget int
 
 	contMu   sync.Mutex
@@ -601,8 +605,11 @@ type Locality struct {
 	nextReapNs      atomic.Int64 // rate-gates the continuation reaper
 	parcelsExecuted atomic.Uint64
 	decodeErrors    atomic.Uint64
+	unknownDrops    atomic.Uint64 // parcels dropped for an unregistered action id
 	inlineExecuted  atomic.Uint64 // parcels run on the inline lane
 	inlineSpilled   atomic.Uint64 // inline-eligible parcels demoted to spawn
+	inlineDemotions atomic.Uint64 // actions whose EWMA crossed up over inlineHeavyNs
+	inlineReadmits  atomic.Uint64 // actions whose EWMA came back under it
 
 	// delivPool recycles delivery contexts (parcel slab + task slots) so the
 	// steady-state receive path allocates nothing. See deliver.
@@ -629,9 +636,22 @@ func (l *Locality) DecodeErrors() uint64 { return l.decodeErrors.Load() }
 // (the inline lane of deliver).
 func (l *Locality) InlineExecuted() uint64 { return l.inlineExecuted.Load() }
 
-// InlineSpilled counts inline-eligible parcels that were demoted to spawned
-// tasks because the per-message time cap expired mid-drain.
+// InlineSpilled counts parcels admitted to an inline batch that were handed
+// to spawned tasks because the batch's wall cap expired mid-drain.
 func (l *Locality) InlineSpilled() uint64 { return l.inlineSpilled.Load() }
+
+// InlineDemotions counts the times this locality's samples moved a hinted
+// action's service EWMA over the heavy ceiling (state changes, not parcels).
+func (l *Locality) InlineDemotions() uint64 { return l.inlineDemotions.Load() }
+
+// InlineReadmissions counts the times this locality's samples brought a
+// demoted action's service EWMA back under the ceiling.
+func (l *Locality) InlineReadmissions() uint64 { return l.inlineReadmits.Load() }
+
+// UnknownActionDrops counts received parcels dropped because their action id
+// is not registered. A dropped parcel that carried a continuation leaves its
+// caller's future to the delivery timeout.
+func (l *Locality) UnknownActionDrops() uint64 { return l.unknownDrops.Load() }
 
 // PendingContinuations reports Call futures still awaiting their remote
 // results. A steadily growing value means calls are timing out (their table
@@ -782,13 +802,13 @@ func (l *Locality) reapDeadContinuations() bool {
 	return len(victims) > 0
 }
 
-// delivery is the pooled receive context of one HPX message: the parcel
-// slab the message decodes into, one reusable task slot per parcel (with a
-// pre-bound spawn closure, so per-parcel spawning allocates nothing), and
-// the message's buffer owner, released when the last task finishes. A
-// delivery returns to its locality's pool only at refcount zero, so the
-// pooled network buffers the decoded args alias stay valid for exactly as
-// long as any task can read them.
+// delivery is the pooled receive context of one received transfer (an HPX
+// message or a whole aggregation bundle): the parcel slab it decodes into,
+// one reusable task slot per parcel (with a pre-bound spawn closure, so
+// per-parcel spawning allocates nothing), and the transfer's buffer owner,
+// released when the last task finishes. A delivery returns to its locality's
+// pool only at refcount zero, so the pooled network buffers the decoded args
+// alias stay valid for exactly as long as any task can read them.
 type delivery struct {
 	l      *Locality
 	buf    serialization.DecodeBuf
@@ -800,33 +820,48 @@ type delivery struct {
 }
 
 // parcelTask is one parcel's reusable spawn slot. run is the method value
-// bound to exec, created once per slot and reused for every message.
+// bound to exec, created once per slot and reused for every delivery.
 type parcelTask struct {
-	d   *delivery
-	p   *serialization.Parcel
-	fn  ActionFunc
-	run func()
+	d  *delivery
+	p  *serialization.Parcel
+	fn ActionFunc
+	// sample makes the spawned path time fn and fold it into the action's
+	// service EWMA: set for parcels of a demoted hinted action (so a light
+	// action finds its way back to the inline lane) and for parcels an
+	// inline batch spilled.
+	sample bool
+	run    func()
 }
 
 // task returns slot i, growing the slot list on first use.
 func (d *delivery) task(i int) *parcelTask {
 	for len(d.tasks) <= i {
-		t := &parcelTask{}
+		t := &parcelTask{d: d}
 		t.run = t.exec
 		d.tasks = append(d.tasks, t)
 	}
 	return d.tasks[i]
 }
 
-// exec runs one parcel's action, then drops the delivery reference.
+// exec is the spawned path of one parcel: run it, account for it, drop its
+// delivery reference.
 func (t *parcelTask) exec() {
+	d := t.d
+	d.l.parcelsExecuted.Add(1) // before the action: whoever sees its effects sees it counted
+	t.invoke(t.sample, d.l.rt.tracer.Enabled())
+	d.unref(1)
+}
+
+// invoke runs one parcel's action and sends the reply its continuation asks
+// for. Both lanes call it; the accounting (counters, delivery reference) is
+// the caller's, so the inline lane can do it per run and per batch.
+func (t *parcelTask) invoke(sample, traced bool) {
 	d := t.d
 	l := d.l
 	p := t.p
-	fn := t.fn
-	t.d, t.p, t.fn = nil, nil, nil
-	l.parcelsExecuted.Add(1)
-	l.rt.tracer.Emit("action", "run", int64(p.Action))
+	if traced {
+		l.rt.tracer.Emit("action", "run", int64(p.Action))
+	}
 	if p.Action == continuationAction {
 		// runContinuation publishes args[1:] to the Call future, which the
 		// caller reads after this task is gone while the parcel slab is
@@ -839,7 +874,16 @@ func (t *parcelTask) exec() {
 			sanitizeInlineArgs(p.Args, l.rt.cfg.ZeroCopyThreshold)
 		}
 	}
-	results := fn(l, p.Args)
+	var results [][]byte
+	if sample {
+		// Worker-side and fn only: a mis-hinted action that blocks is
+		// measured here without a drain waiting on it.
+		t0 := time.Now()
+		results = t.fn(l, p.Args)
+		l.observeService(p.Action, time.Since(t0).Nanoseconds())
+	} else {
+		results = t.fn(l, p.Args)
+	}
 	if p.ContID != 0 {
 		var idBuf [8]byte
 		binary.LittleEndian.PutUint64(idBuf[:], p.ContID)
@@ -854,7 +898,6 @@ func (t *parcelTask) exec() {
 		}
 		_ = l.ApplyID(p.Source, continuationAction, args)
 	}
-	d.unref()
 }
 
 // sanitizeInlineArgs replaces every arg shorter than the zero-copy threshold
@@ -880,12 +923,17 @@ func sanitizeInlineArgs(args [][]byte, zcThreshold int) {
 	}
 }
 
-// unref drops one task reference; the last one releases the message buffers
-// and recycles the delivery context.
-func (d *delivery) unref() {
-	if d.refs.Add(-1) > 0 {
+// unref drops n task references; the last one releases the transfer's
+// buffers and recycles the delivery context.
+func (d *delivery) unref(n int) {
+	if d.refs.Add(-int32(n)) > 0 {
 		return
 	}
+	d.recycle()
+}
+
+// recycle releases the transfer's buffers and returns d to the pool.
+func (d *delivery) recycle() {
 	if d.owner != nil {
 		d.owner.Release()
 		d.owner = nil
@@ -900,28 +948,77 @@ func (d *delivery) unref() {
 func (l *Locality) Deliver(m *serialization.Message) { l.deliver(m) }
 
 // Inline-lane bounds. The count budget comes from Config.InlineBudget; the
-// rest cap the other two axes of the drain budget.
+// rest cap the other two axes of the drain budget and shape the escape.
 const (
-	// defaultInlineBudget is the Config.InlineBudget default: the common
-	// bundle size at full aggregation, so one typical bundle of small
-	// parcels runs entirely inline and anything beyond it spills to spawned
-	// tasks.
-	defaultInlineBudget = 32
 	// inlineMaxArgBytes is the per-parcel eligibility cutoff: a parcel
 	// whose summed arg bytes exceed it is not "small" and always spawns.
 	inlineMaxArgBytes = 1024
-	// inlineBytesBudget caps the summed arg bytes run inline per message,
+	// inlineBytesBudget caps the summed arg bytes run inline per delivery,
 	// so many just-under-cutoff parcels cannot add up to a long stall.
 	inlineBytesBudget = 16 * 1024
-	// inlineTimeBudget caps the wall time one message's inline batch may
-	// occupy the draining goroutine; the remainder demotes to SpawnBatch.
-	// Sized so a full default budget of light (<~2µs) actions fits.
+	// inlineTimeBudget caps the wall time one delivery's inline batch may
+	// occupy the draining goroutine; the remainder spills to SpawnBatch.
+	// Sized so a full default bundle of light (<~2µs) actions fits.
 	inlineTimeBudget = 100 * time.Microsecond
-	// inlineHeavyNs is the per-action service EWMA above which an action
-	// loses inline eligibility (one inline run stalls the drain by its full
-	// service time).
+	// inlineHeavyNs is the per-action service EWMA at which an action loses
+	// inline eligibility (one inline run stalls the drain by its full
+	// service time), and under which it gets it back.
 	inlineHeavyNs = 20_000
+	// inlineSampleClipNs bounds one sample's pull on the EWMA. At 2× the
+	// ceiling with α = 1/4, a single outlier — a preempted run — lifts a
+	// light action to at most half the ceiling; it takes three heavy
+	// samples in close succession to demote, and three light ones to come
+	// back from the clip.
+	inlineSampleClipNs = 2 * inlineHeavyNs
+	// inlineRunMax is the longest run of same-action parcels executed
+	// between two clock reads.
+	inlineRunMax = 8
 )
+
+// defaultInlineBudget is what a zero Config.InlineBudget resolves to: the
+// most parcels one size-flushed aggregation bundle can carry (a bundle leaves
+// at the first frame that takes it to flushBytes, and no frame is smaller
+// than an argument-less parcel's), so a full bundle of small parcels runs
+// entirely inline whatever their size. flushBytes is Config.AggFlushBytes;
+// zero means the aggregation default.
+func defaultInlineBudget(flushBytes int) int {
+	if flushBytes == 0 {
+		flushBytes = parcelport.DefaultAggFlushBytes
+	}
+	minFrame := wire.FrameHeaderSize + serialization.EncodedSizeInline(&serialization.Parcel{})
+	return flushBytes/minFrame + 1
+}
+
+// observeService folds one service-time sample of action aid into its EWMA.
+// The sample is clipped (inlineSampleClipNs), the first one seeds the
+// estimate. A crossing of the heavy ceiling in either direction is a state
+// change: it bumps this locality's demotion or re-admission counter and
+// emits a trace event — the CAS makes every crossing observed by exactly one
+// caller.
+func (l *Locality) observeService(aid uint32, ns int64) {
+	ns = max(1, min(ns, inlineSampleClipNs)) // 0 is "never sampled"
+	sv := &l.rt.actionSvc[aid]
+	for {
+		old := sv.Load()
+		est := ns
+		if old != 0 {
+			est = old + (ns-old)/4
+		}
+		if !sv.CompareAndSwap(old, est) {
+			continue
+		}
+		if heavy := est >= inlineHeavyNs; heavy != (old >= inlineHeavyNs) {
+			if heavy {
+				l.inlineDemotions.Add(1)
+				l.rt.tracer.Emit("inline", "demote", int64(aid))
+			} else {
+				l.inlineReadmits.Add(1)
+				l.rt.tracer.Emit("inline", "readmit", int64(aid))
+			}
+		}
+		return
+	}
+}
 
 // profilingLabels gates the per-delivery pprof label swap on the inline
 // lane. SetGoroutineLabels allocates, so the swap is off by default to keep
@@ -934,18 +1031,22 @@ var profilingLabels atomic.Bool
 // message while enabled.
 func EnableProfilingLabels(on bool) { profilingLabels.Store(on) }
 
-// deliver is the parcelport's delivery callback: decode the HPX message
-// into a pooled parcel slab, run the small inline-hinted parcels to
-// completion right here on the draining goroutine, and batch-spawn the
-// rest. In steady state the whole path — decode, dispatch, inline-execute
-// or spawn, buffer recycle — performs zero allocations (enforced by
-// TestDeliverBundleZeroAllocs and TestDeliverInlineBundleZeroAllocs).
+// deliver is the parcelport's delivery callback: decode the transfer — one
+// HPX message, or every frame of an aggregation bundle — into a pooled
+// parcel slab, run the small inline-hinted parcels to completion right here
+// on the draining goroutine, and batch-spawn the rest. A bundle is one
+// delivery: one pooled context, one owner reference, one pass over the
+// action and hint tables, one SpawnBatch and one inline batch, whatever its
+// frame count. In steady state the whole path — decode, dispatch,
+// inline-execute or spawn, buffer recycle — performs zero allocations
+// (enforced by TestDeliverBundleZeroAllocs, TestDeliverInlineBundleZeroAllocs
+// and TestDeliverHPXBBundleZeroAllocs).
 //
 // The inline lane is the run-to-completion optimization: a small parcel's
 // spawn handoff (runner pop, channel send, wakeup) costs more than its
 // action body, so eligible parcels skip the scheduler entirely. Eligibility
 // per parcel: the action carries the inline hint, its service-time EWMA is
-// below the heavy ceiling, the args are small, and the per-message count
+// below the heavy ceiling, the args are small, and the per-delivery count
 // and byte budgets have room. The spill batch spawns *first*, so heavy
 // work overlaps the inline runs instead of queueing behind them.
 func (l *Locality) deliver(m *serialization.Message) {
@@ -955,110 +1056,136 @@ func (l *Locality) deliver(m *serialization.Message) {
 	}
 	parcels, err := serialization.DecodeInto(&d.buf, m)
 	if err != nil {
-		// Corrupted message: count it, drop it, and still release its pooled
-		// buffers so they return to their pools instead of leaking.
+		// Corrupted transfer: count it and drop it — for a bundle, from the
+		// corrupt frame on; the frames before it are in parcels and deliver.
 		l.decodeErrors.Add(1)
 		l.rt.tracer.Emit("parcel", "decode-error", int64(l.id))
-		if m.Owner != nil {
-			m.Owner.Release()
-		}
-		l.delivPool.Put(d)
+	}
+	if frames := d.buf.Frames(); frames > 0 && l.agg != nil {
+		l.agg.NoteUnbundled(frames)
+	}
+	d.owner = m.Owner
+	if len(parcels) == 0 {
+		// Still release the pooled buffers so they return to their pools.
+		d.recycle()
 		return
 	}
 	l.rt.tracer.Emit("parcel", "deliver", int64(len(parcels)))
-	d.owner = m.Owner
-	runs := d.runs[:0]
-	inl := d.inline[:0]
+	// The registry is sealed before any parcelport starts (Runtime.Start).
+	actions := *l.rt.actionTab.Load()
 	var hints []bool
 	budget := l.inlineBudget
-	if tab := l.rt.inlineTab.Load(); tab != nil && budget > 0 {
-		hints = *tab
+	if budget > 0 {
+		hints = *l.rt.inlineTab.Load()
 	}
+	runs := d.runs[:0]
+	inl := d.inline[:0]
 	inlBytes := 0
 	n := 0
+	// Consecutive parcels of one action share one look at its EWMA.
+	lastAct, lastLight := ^uint32(0), false
 	for i := range parcels {
 		p := &parcels[i]
-		fn := l.rt.action(p.Action)
-		if fn == nil {
+		if int(p.Action) >= len(actions) || actions[p.Action] == nil {
+			l.unknownDrops.Add(1)
+			l.rt.tracer.Emit("parcel", "unknown-action", int64(p.Action))
 			continue
 		}
 		t := d.task(n)
-		t.d, t.p, t.fn = d, p, fn
+		t.p, t.fn, t.sample = p, actions[p.Action], false
 		n++
-		if len(inl) < budget && int(p.Action) < len(hints) && hints[p.Action] &&
-			l.rt.actionSvc[p.Action].Load() < inlineHeavyNs {
-			ab := 0
-			for _, a := range p.Args {
-				ab += len(a)
+		if int(p.Action) < len(hints) && hints[p.Action] {
+			if p.Action != lastAct {
+				lastAct, lastLight = p.Action, l.rt.actionSvc[p.Action].Load() < inlineHeavyNs
 			}
-			if ab <= inlineMaxArgBytes && inlBytes+ab <= inlineBytesBudget {
-				inlBytes += ab
-				inl = append(inl, t)
-				continue
+			if !lastLight {
+				t.sample = true
+			} else if len(inl) < budget {
+				ab := 0
+				for _, a := range p.Args {
+					ab += len(a)
+				}
+				if ab <= inlineMaxArgBytes && inlBytes+ab <= inlineBytesBudget {
+					inlBytes += ab
+					inl = append(inl, t)
+					continue
+				}
 			}
 		}
 		runs = append(runs, t.run)
 	}
 	d.runs, d.inline = runs, inl
 	if n == 0 {
-		if d.owner != nil {
-			d.owner.Release()
-			d.owner = nil
-		}
-		l.delivPool.Put(d)
+		d.recycle()
 		return
 	}
-	// One extra reference guards d for the duration of the inline loop:
-	// without it the last inline task would recycle d under our feet while
-	// we still iterate d.inline.
+	// One extra reference guards d for the duration of the inline batch:
+	// without it a spilled task finishing early could recycle d under our
+	// feet while we still iterate d.inline.
 	d.refs.Store(int32(n) + 1)
 	if len(runs) > 0 {
 		l.sched.SpawnBatch(runs)
 	}
+	ran := 0
 	if len(inl) > 0 {
 		if profilingLabels.Load() {
 			pprof.Do(context.Background(), pprof.Labels("lane", "inline-deliver"), func(context.Context) {
-				l.runInlineBatch(d)
+				ran = l.runInlineBatch(d)
 			})
 		} else {
-			l.runInlineBatch(d)
+			ran = l.runInlineBatch(d)
 		}
 	}
-	d.unref()
+	d.unref(ran + 1)
 }
 
-// runInlineBatch executes d.inline on the calling (draining) goroutine
-// under the per-message time cap, demoting the remainder to spawned tasks
-// when the cap expires. Each run's service time feeds the per-action EWMA
-// (the heavy escape).
-func (l *Locality) runInlineBatch(d *delivery) {
+// runInlineBatch executes d.inline on the calling (draining) goroutine and
+// returns how many parcels it ran; their delivery references are the
+// caller's to drop. The batch proceeds in runs of up to inlineRunMax parcels
+// of one action, shortened so that a run's expected service time stays
+// under the heavy ceiling (a never-sampled action runs alone). The clock is
+// read once per run: the run's mean feeds the action's EWMA, and the wall
+// cap is checked there; once it has expired the remainder of the batch
+// spills to spawned tasks. Scheduler and locality counters are bumped per
+// run or per batch, never per parcel.
+func (l *Locality) runInlineBatch(d *delivery) int {
 	inl := d.inline
-	t0 := time.Now()
-	deadline := t0.Add(inlineTimeBudget)
-	for i, t := range inl {
-		if t0.After(deadline) {
+	traced := l.rt.tracer.Enabled()
+	start := time.Now()
+	t0 := start
+	i := 0
+	for i < len(inl) {
+		aid := inl[i].p.Action
+		maxRun := 1
+		if est := l.rt.actionSvc[aid].Load(); est > 0 {
+			maxRun = int(min(inlineRunMax, max(1, inlineHeavyNs/est)))
+		}
+		j := i + 1
+		for j < len(inl) && j-i < maxRun && inl[j].p.Action == aid {
+			j++
+		}
+		l.sched.BeginInline(j - i)
+		l.parcelsExecuted.Add(uint64(j - i)) // before the actions, as on the spawned path
+		for _, t := range inl[i:j] {
+			t.invoke(false, traced)
+		}
+		t1 := time.Now()
+		l.observeService(aid, t1.Sub(t0).Nanoseconds()/int64(j-i))
+		t0 = t1
+		i = j
+		if i < len(inl) && t1.Sub(start) > inlineTimeBudget {
 			rest := d.runs[:0]
 			for _, u := range inl[i:] {
+				u.sample = true
 				rest = append(rest, u.run)
 			}
 			d.runs = rest
 			l.sched.SpawnBatch(rest)
-			l.inlineSpilled.Add(uint64(len(inl) - i))
-			return
-		}
-		aid := t.p.Action
-		l.sched.RunInline(t.run)
-		t1 := time.Now()
-		svc := t1.Sub(t0).Nanoseconds()
-		t0 = t1
-		l.inlineExecuted.Add(1)
-		if int(aid) < len(l.rt.actionSvc) {
-			sv := &l.rt.actionSvc[aid]
-			if old := sv.Load(); old == 0 {
-				sv.Store(svc)
-			} else {
-				sv.Store(old + (svc-old)/4)
-			}
+			l.inlineSpilled.Add(uint64(len(rest)))
+			break
 		}
 	}
+	l.inlineExecuted.Add(uint64(i))
+	l.sched.EndInline(i) // last: a quiescent scheduler implies final counters
+	return i
 }

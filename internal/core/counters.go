@@ -17,15 +17,18 @@ import (
 func (rt *Runtime) StatsText() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "runtime counters (%s, %d localities)\n", rt.ParcelportName(), rt.Localities())
+	service := rt.serviceText() // the EWMAs are runtime-wide; the crossings are counted per locality
 	for i, loc := range rt.locs {
 		fmt.Fprintf(&b, "locality %d:\n", i)
 		ls := loc.layer.Stats()
-		fmt.Fprintf(&b, "  parcels sent %d in %d messages (%d aggregated, %d cache-exhausted), actions run %d, decode errors %d\n",
-			ls.ParcelsSent, ls.MessagesSent, ls.AggregatedSends, ls.CacheExhausted, loc.ParcelsExecuted(), loc.DecodeErrors())
+		fmt.Fprintf(&b, "  parcels sent %d in %d messages (%d aggregated, %d cache-exhausted), actions run %d, decode errors %d, unknown-action drops %d\n",
+			ls.ParcelsSent, ls.MessagesSent, ls.AggregatedSends, ls.CacheExhausted, loc.ParcelsExecuted(), loc.DecodeErrors(), loc.UnknownActionDrops())
 		fmt.Fprintf(&b, "  inline lane: %d run-to-completion, %d demoted to spawn, %d spawned tasks total\n",
 			loc.InlineExecuted(), loc.InlineSpilled(), loc.sched.Executed())
+		fmt.Fprintf(&b, "  inline escape: %d demotions, %d re-admissions; service EWMA ns:%s\n",
+			loc.InlineDemotions(), loc.InlineReadmissions(), service)
 		pport := loc.pp
-		if agg, ok := pport.(*parcelport.Aggregator); ok {
+		if agg := loc.agg; agg != nil {
 			as := agg.Stats()
 			fmt.Fprintf(&b, "  aggregation: %d msgs in %d bundles (+%d direct, %d cold), flushes %d size / %d age / %d cap / %d order / %d stop, %d unbundled\n",
 				as.BundledMessages, as.Bundles, as.DirectSends, as.ColdSends,
@@ -85,6 +88,29 @@ func (rt *Runtime) StatsText() string {
 			}
 			fmt.Fprintf(&b, "  peers (health/rtt_ns/egress_depth): %s\n", strings.Join(peers, " "))
 		}
+	}
+	return b.String()
+}
+
+// serviceText lists every inline-hinted action that has been sampled with
+// its current service EWMA, marking the ones the escape holds demoted.
+func (rt *Runtime) serviceText() string {
+	var b strings.Builder
+	rt.regMu.RLock()
+	defer rt.regMu.RUnlock()
+	for id, hinted := range rt.inline {
+		if !hinted || id >= len(rt.actionSvc) {
+			continue
+		}
+		switch est := rt.actionSvc[id].Load(); {
+		case est >= inlineHeavyNs:
+			fmt.Fprintf(&b, " %s=%d(demoted)", rt.names[id], est)
+		case est > 0:
+			fmt.Fprintf(&b, " %s=%d", rt.names[id], est)
+		}
+	}
+	if b.Len() == 0 {
+		return " none sampled"
 	}
 	return b.String()
 }

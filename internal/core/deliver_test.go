@@ -104,7 +104,8 @@ func TestDeliverDecodeError(t *testing.T) {
 }
 
 // TestDeliverUnknownActionReleasesOwner: parcels whose action id is
-// unregistered are skipped without wedging the delivery or leaking the owner.
+// unregistered are dropped and counted, without wedging the delivery or
+// leaking the owner.
 func TestDeliverUnknownActionReleasesOwner(t *testing.T) {
 	rt, err := NewRuntime(Config{Localities: 2, WorkersPerLocality: 1, Parcelport: "lci"})
 	if err != nil {
@@ -121,5 +122,8 @@ func TestDeliverUnknownActionReleasesOwner(t *testing.T) {
 	l.deliver(m)
 	if got := owner.releases.Load(); got != 1 {
 		t.Fatalf("owner releases = %d, want 1 (no runnable parcel must still release)", got)
+	}
+	if got := l.UnknownActionDrops(); got != 4 {
+		t.Fatalf("UnknownActionDrops = %d, want 4 (every dropped parcel is counted)", got)
 	}
 }

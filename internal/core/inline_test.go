@@ -113,10 +113,11 @@ func TestInlineBudgetCapsPerMessage(t *testing.T) {
 }
 
 // TestInlineHeavyActionDemoted is the safety escape: an inline-hinted
-// action that in fact runs long first trips the per-message time cap (the
-// rest of its batch demotes to spawned tasks mid-flight), then loses
-// eligibility entirely once its service-time EWMA crosses the heavy
-// ceiling — one slow action cannot keep stalling the completion drain.
+// action that in fact runs long spills the rest of its batch to spawned
+// tasks after its first run and loses eligibility — its first sample seeds
+// the service EWMA over the heavy ceiling, and every spawned run it is
+// sampled on keeps it there — so one slow action cannot keep stalling the
+// completion drain.
 func TestInlineHeavyActionDemoted(t *testing.T) {
 	rt, err := NewRuntime(Config{Localities: 2, WorkersPerLocality: 2, Parcelport: "lci"})
 	if err != nil {
@@ -138,9 +139,10 @@ func TestInlineHeavyActionDemoted(t *testing.T) {
 	for ran.Load() < bundle {
 		runtime.Gosched()
 	}
-	// The first run exceeds the 100µs time cap, so the remaining three demote.
+	// The first run measures heavy (and exceeds the 100µs wall cap), so the
+	// remaining three spill.
 	if got := l.InlineSpilled(); got == 0 {
-		t.Fatal("time cap never demoted a heavy inline batch")
+		t.Fatal("a heavy inline batch never spilled")
 	}
 	inlineAfterFirst := l.InlineExecuted()
 	if inlineAfterFirst == 0 {
@@ -156,6 +158,277 @@ func TestInlineHeavyActionDemoted(t *testing.T) {
 	}
 	if got := l.InlineExecuted(); got != inlineAfterFirst {
 		t.Fatalf("heavy action still ran inline after EWMA learned it: %d -> %d", inlineAfterFirst, got)
+	}
+	if d, r := l.InlineDemotions(), l.InlineReadmissions(); d != 1 || r != 0 {
+		t.Fatalf("demotions %d, re-admissions %d; want 1, 0", d, r)
+	}
+}
+
+// spin burns d of CPU without yielding, the way a compute-heavy action does.
+func spin(d time.Duration) {
+	for t0 := time.Now(); time.Since(t0) < d; {
+	}
+}
+
+// demoted reports whether the escape currently holds act off the inline
+// lane. The tests assert on this state, and on counter *deltas* past a
+// warm-up, because a cold first run (or any run under the race detector) may
+// legitimately measure heavy and be corrected a few samples later.
+func demoted(rt *Runtime, act uint32) bool { return rt.actionSvc[act].Load() >= inlineHeavyNs }
+
+// warmLight runs act, in its light mode, until it holds the inline lane.
+func warmLight(t *testing.T, l *Locality, ran *atomic.Uint64, act uint32) {
+	t.Helper()
+	deliverParcels(l, ran, act, 200, 40)
+	for i := 0; demoted(l.rt, act); i++ {
+		if i == 100 {
+			t.Fatal("a light action never settled on the inline lane")
+		}
+		deliverParcels(l, ran, act, 8, 1)
+	}
+}
+
+// deliverParcels feeds n parcels of act through deliver in messages of per
+// parcels each and waits until all of them ran, on whichever lane.
+func deliverParcels(l *Locality, ran *atomic.Uint64, act uint32, n, per int) {
+	want := ran.Load() + uint64(n)
+	m := benchBundle(per, 64, act)
+	for i := 0; i < n; i += per {
+		l.deliver(m)
+	}
+	for ran.Load() < want {
+		runtime.Gosched()
+	}
+}
+
+// TestInlineOutlierDoesNotLatch is escape test (a): an action that is light
+// except for one 200µs run — a preempted drain looks exactly like that —
+// keeps the inline lane. One clipped outlier cannot lift a light EWMA to the
+// heavy ceiling, so nothing is demoted and the next 1000 parcels stay inline.
+func TestInlineOutlierDoesNotLatch(t *testing.T) {
+	rt, err := NewRuntime(Config{Localities: 2, WorkersPerLocality: 2, Parcelport: "lci"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ran atomic.Uint64
+	var slowOnce atomic.Bool
+	act := rt.MustRegisterInlineAction("inline_outlier", func(*Locality, [][]byte) [][]byte {
+		if slowOnce.CompareAndSwap(true, false) {
+			spin(200 * time.Microsecond)
+		}
+		ran.Add(1)
+		return nil
+	})
+	if err := rt.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer rt.Shutdown()
+	l := rt.Locality(0)
+	warmLight(t, l, &ran, act) // a light history
+	slowOnce.Store(true)
+	deliverParcels(l, &ran, act, 40, 40) // one slow run; the rest of its batch spills
+	if slowOnce.Load() {
+		t.Fatal("the slow run never happened")
+	}
+	before := l.InlineExecuted()
+	deliverParcels(l, &ran, act, 1000, 8) // small messages: a tripped wall cap spills at most 7
+	if got := l.InlineExecuted() - before; got < 900 {
+		t.Fatalf("%d of the 1000 parcels after one slow run ran inline, want >= 900 (demotions %d, re-admissions %d)",
+			got, l.InlineDemotions(), l.InlineReadmissions())
+	}
+}
+
+// TestInlineRecoversFromDemotion: the escape is not a latch. An action
+// demoted while it really was heavy is sampled on the spawned path, and once
+// it runs light again a handful of those samples re-admit it.
+func TestInlineRecoversFromDemotion(t *testing.T) {
+	rt, err := NewRuntime(Config{Localities: 2, WorkersPerLocality: 2, Parcelport: "lci"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ran atomic.Uint64
+	var heavy atomic.Bool
+	act := rt.MustRegisterInlineAction("inline_phases", func(*Locality, [][]byte) [][]byte {
+		if heavy.Load() {
+			spin(50 * time.Microsecond)
+		}
+		ran.Add(1)
+		return nil
+	})
+	if err := rt.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer rt.Shutdown()
+	rt.Trace().Enable(true)
+	l := rt.Locality(0)
+	heavy.Store(true)
+	deliverParcels(l, &ran, act, 16, 1)
+	if !demoted(rt, act) || l.InlineDemotions() != 1 || l.InlineReadmissions() != 0 {
+		t.Fatalf("after 16 heavy runs: demoted %v, %d demotions, %d re-admissions; want true, 1, 0",
+			demoted(rt, act), l.InlineDemotions(), l.InlineReadmissions())
+	}
+	heavy.Store(false)
+	// Demoted parcels spawn; each is one light sample.
+	deliverParcels(l, &ran, act, 16, 1)
+	l.sched.WaitIdle(time.Second) // a sample lands after its action returns
+	if demoted(rt, act) || l.InlineReadmissions() == 0 {
+		t.Fatalf("after 16 light spawned runs: demoted %v, %d re-admissions; want false, >= 1",
+			demoted(rt, act), l.InlineReadmissions())
+	}
+	warmLight(t, l, &ran, act) // let the estimate settle well under the ceiling
+	before := l.InlineExecuted()
+	deliverParcels(l, &ran, act, 1000, 8)
+	if got := l.InlineExecuted() - before; got < 900 {
+		t.Fatalf("%d of 1000 parcels ran inline after re-admission, want >= 900", got)
+	}
+	var demote, readmit bool
+	for _, e := range rt.Trace().Dump() {
+		if e.Cat == "inline" && e.Arg == int64(act) {
+			demote = demote || e.Label == "demote"
+			readmit = readmit || e.Label == "readmit"
+		}
+	}
+	if !demote || !readmit {
+		t.Fatalf("trace events with the action id: inline/demote %v, inline/readmit %v; want both", demote, readmit)
+	}
+	if txt := rt.StatsText(); !strings.Contains(txt, " demotions, ") || !strings.Contains(txt, "inline_phases=") {
+		t.Fatalf("StatsText does not report the escape:\n%s", txt)
+	}
+}
+
+// TestInlinePersistentlyHeavyStaysSpawned is escape test (b): an action
+// with a light history that turns to spinning 50µs on every run is demoted
+// within 8 runs, and then stays spawned — its spawned samples keep the EWMA
+// over the ceiling.
+func TestInlinePersistentlyHeavyStaysSpawned(t *testing.T) {
+	rt, err := NewRuntime(Config{Localities: 2, WorkersPerLocality: 2, Parcelport: "lci"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ran atomic.Uint64
+	var heavy atomic.Bool
+	act := rt.MustRegisterInlineAction("inline_turns_heavy", func(*Locality, [][]byte) [][]byte {
+		if heavy.Load() {
+			spin(50 * time.Microsecond)
+		}
+		ran.Add(1)
+		return nil
+	})
+	if err := rt.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer rt.Shutdown()
+	l := rt.Locality(0)
+	warmLight(t, l, &ran, act)
+	d0, r0 := l.InlineDemotions(), l.InlineReadmissions()
+	heavy.Store(true)
+	runs := 0
+	for !demoted(rt, act) && runs < 8 {
+		deliverParcels(l, &ran, act, 1, 1)
+		runs++
+	}
+	if !demoted(rt, act) {
+		t.Fatalf("a 50µs action was not demoted within %d runs", runs)
+	}
+	before := l.InlineExecuted()
+	deliverParcels(l, &ran, act, 1000, 8)
+	l.sched.WaitIdle(time.Second)
+	if got := l.InlineExecuted() - before; got > 50 {
+		t.Fatalf("%d of 1000 parcels of a persistently heavy action ran inline, want <= 50 (>= 95%% spawned)", got)
+	}
+	if d, r := l.InlineDemotions()-d0, l.InlineReadmissions()-r0; !demoted(rt, act) || d != 1 || r != 0 {
+		t.Fatalf("turning heavy: demoted %v, %d demotions, %d re-admissions; want true, 1, 0", demoted(rt, act), d, r)
+	}
+	if txt := rt.StatsText(); !strings.Contains(txt, "inline_turns_heavy=") || !strings.Contains(txt, "(demoted)") {
+		t.Fatalf("StatsText does not show the demoted action's EWMA:\n%s", txt)
+	}
+}
+
+// TestInlineBlockingActionDemoted is escape test (c): a hinted action that
+// *blocks* costs its drain goroutine that one run — other parcels keep
+// completing meanwhile — and the sample that run produces demotes it. From
+// then on it blocks spawned runners, not drains, and is never re-admitted
+// while its spawned samples stay heavy.
+func TestInlineBlockingActionDemoted(t *testing.T) {
+	rt, err := NewRuntime(Config{Localities: 2, WorkersPerLocality: 2, Parcelport: "lci"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rt.Shutdown()
+	const blockers = 21                      // one admitted inline, twenty spawned
+	started := make(chan struct{}, blockers) // one send per blocker run: never blocks
+	gate := make(chan struct{})
+	var blocked, light atomic.Uint64
+	blocker := rt.MustRegisterInlineAction("inline_blocker", func(*Locality, [][]byte) [][]byte {
+		started <- struct{}{}
+		<-gate
+		blocked.Add(1)
+		return nil
+	})
+	lightAct := rt.MustRegisterInlineAction("inline_bystander", func(*Locality, [][]byte) [][]byte {
+		light.Add(1)
+		return nil
+	})
+	if err := rt.Start(); err != nil {
+		t.Fatal(err)
+	}
+	src, dst := rt.Locality(0), rt.Locality(1)
+	await := func(what string, cond func() bool) {
+		t.Helper()
+		for deadline := time.Now().Add(20 * time.Second); !cond(); runtime.Gosched() {
+			if time.Now().After(deadline) {
+				t.Fatalf("timed out waiting for %s", what)
+			}
+		}
+	}
+	bystanders := func(n int) {
+		t.Helper()
+		want := light.Load() + uint64(n)
+		for i := 0; i < n; i++ {
+			if err := src.ApplyID(1, lightAct, [][]byte{{1}}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		await("bystander parcels to complete beside a blocked action", func() bool { return light.Load() >= want })
+	}
+	block := func() {
+		t.Helper()
+		if err := src.ApplyID(1, blocker, nil); err != nil {
+			t.Fatal(err)
+		}
+		select {
+		case <-started:
+		case <-time.After(20 * time.Second):
+			t.Fatal("blocking action never started")
+		}
+	}
+	// The first run is admitted inline and blocks its drain goroutine. The
+	// locality's other worker keeps draining: nothing is wedged.
+	block()
+	bystanders(200)
+	gate <- struct{}{}
+	await("the blocked run's sample to demote the action", func() bool { return demoted(rt, blocker) })
+	if got := blocked.Load(); got != 1 {
+		t.Fatalf("blocked runs = %d, want 1", got)
+	}
+	// Every further run is spawned and held for longer than the heavy
+	// ceiling: drains stay free, samples stay heavy, no re-admission.
+	bystanders(50) // settle, so only blockers move the inline counter below
+	dst.sched.WaitIdle(time.Second)
+	inline0 := dst.InlineExecuted()
+	for i := 1; i < blockers; i++ {
+		block()
+		time.Sleep(100 * time.Microsecond)
+		gate <- struct{}{}
+	}
+	await("the spawned blockers to finish", func() bool { return blocked.Load() == blockers })
+	dst.sched.WaitIdle(time.Second)
+	if got := dst.InlineExecuted() - inline0; got != 0 {
+		t.Fatalf("%d runs of a demoted blocking action were admitted inline", got)
+	}
+	bystanders(200)
+	if !demoted(rt, blocker) || dst.InlineDemotions() == 0 {
+		t.Fatalf("a blocking action was re-admitted: demoted %v, %d demotions", demoted(rt, blocker), dst.InlineDemotions())
 	}
 }
 
@@ -396,11 +669,12 @@ func TestInlineConcurrentDeliver(t *testing.T) {
 	}
 }
 
-// TestDeliverInlineBundleZeroAllocs is the inline lane's allocation gate:
-// delivering a full default-budget bundle (32 small parcels, all run to
-// completion inline) must not allocate once pools are warm — the lane adds
-// budget checks and EWMA updates to the datapath, none of which may touch
-// the heap.
+// TestDeliverInlineBundleZeroAllocs is the inline lane's allocation gate
+// for a multi-parcel *message* (the parcel layer's own aggregation; the
+// bundle shape is TestDeliverHPXBBundleZeroAllocs): delivering 32 small
+// parcels, all run to completion inline, must not allocate once pools are
+// warm — the lane adds budget checks and EWMA updates to the datapath, none
+// of which may touch the heap.
 func TestDeliverInlineBundleZeroAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-detector instrumentation allocates; gate runs in non-race builds")
@@ -419,27 +693,31 @@ func TestDeliverInlineBundleZeroAllocs(t *testing.T) {
 	}
 	defer rt.Shutdown()
 	l := rt.Locality(0)
-	const bundle = 32 // the full default inline budget
+	const bundle = 32
 	m := benchBundle(bundle, 64, act)
 	owner := &stubOwner{}
 	m.Owner = owner
+	// Inline delivery is synchronous (TestInlineDeliveryRunsToCompletion)
+	// except when a preempted drain trips the wall cap and the rest of that
+	// one batch spills; wait that out rather than fail on it.
 	deliverOnce := func() {
 		want := ran.Load() + bundle
 		rel := owner.releases.Load() + 1
 		l.deliver(m)
-		if ran.Load() != want || owner.releases.Load() != rel {
-			t.Fatalf("inline delivery was not synchronous: ran %d want %d, releases %d want %d",
-				ran.Load(), want, owner.releases.Load(), rel)
+		for ran.Load() < want || owner.releases.Load() < rel {
+			runtime.Gosched()
 		}
 	}
 	for i := 0; i < 8; i++ {
 		deliverOnce()
 	}
-	avg := testing.AllocsPerRun(50, deliverOnce)
+	inline0 := l.InlineExecuted()
+	const runs = 50
+	avg := testing.AllocsPerRun(runs, deliverOnce)
 	if avg != 0 {
 		t.Fatalf("inline delivery of a warm %d-parcel bundle allocates %.1f times per run, want 0", bundle, avg)
 	}
-	if got := l.InlineExecuted(); got == 0 {
-		t.Fatal("gate measured the spawn path, not the inline lane")
+	if got, all := l.InlineExecuted()-inline0, uint64((runs+1)*bundle); got < all*9/10 {
+		t.Fatalf("%d of %d parcels ran inline: the gate measured the spawn path, not the inline lane", got, all)
 	}
 }

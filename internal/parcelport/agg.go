@@ -86,8 +86,8 @@ type aggDest struct {
 
 // Aggregator is the sender-side parcel aggregation layer: a Parcelport
 // decorator that packs small same-destination messages into one wire
-// bundle per fabric transfer and unbundles on the receive side before
-// delivery. Large messages, and anything carrying zero-copy chunks, pass
+// bundle per fabric transfer; the receiver's one decode unpacks it (see
+// Start). Large messages, and anything carrying zero-copy chunks, pass
 // through untouched (after flushing the destination buffer, preserving
 // rough per-destination FIFO order).
 //
@@ -96,11 +96,10 @@ type aggDest struct {
 // retransmission unit, exactly-once delivery per bundle and therefore per
 // sub-message.
 type Aggregator struct {
-	inner   Parcelport
-	cfg     AggConfig
-	start   time.Time
-	deliver DeliverFunc
-	dests   []*aggDest
+	inner Parcelport
+	cfg   AggConfig
+	start time.Time
+	dests []*aggDest
 
 	stats struct {
 		bundled, bundles, direct, cold                  atomic.Uint64
@@ -155,12 +154,15 @@ func (a *Aggregator) QueuedSubMessages(dst int) int {
 
 func (a *Aggregator) nowNs() int64 { return int64(time.Since(a.start)) }
 
-// Start installs the unbundling delivery wrapper and starts the inner
-// parcelport.
-func (a *Aggregator) Start(deliver DeliverFunc) error {
-	a.deliver = deliver
-	return a.inner.Start(a.onDeliver)
-}
+// Start starts the inner parcelport with the caller's delivery callback
+// untouched: a received bundle is an ordinary message to every layer below
+// the decode (serialization.DecodeInto unpacks it), so the receive side of
+// aggregation is one counter, credited through NoteUnbundled.
+func (a *Aggregator) Start(deliver DeliverFunc) error { return a.inner.Start(deliver) }
+
+// NoteUnbundled credits frames sub-messages unpacked from one received
+// bundle; the receiver calls it once per decoded bundle.
+func (a *Aggregator) NoteUnbundled(frames int) { a.stats.unbundle.Add(uint64(frames)) }
 
 // Stop flushes every destination buffer and stops the inner parcelport.
 // Shutdown drains credit StopFlushes, not AgeFlushes: the buffers never
@@ -361,34 +363,4 @@ func (a *Aggregator) BackgroundWork(workerID int) bool {
 		did = true
 	}
 	return did
-}
-
-// onDeliver unbundles received bundles into their sub-messages; everything
-// else is delivered as-is.
-func (a *Aggregator) onDeliver(m *serialization.Message) {
-	if len(m.ZeroCopy) != 0 || !wire.IsBundle(m.NonZeroCopy) {
-		a.deliver(m)
-		return
-	}
-	// A malformed bundle stops at the corruption point: frames before it
-	// deliver, the rest drop (same policy as a corrupted plain message).
-	// One Message struct serves every frame: delivery decodes synchronously
-	// and retains only the underlying bytes, never the struct. Every frame
-	// aliases the bundle buffer, so each sub-message shares the bundle's
-	// owner: one reference per frame, plus releasing the arrival reference
-	// once all frames are handed off.
-	owner := m.Owner
-	var sub serialization.Message
-	_ = wire.ForEachFrame(m.NonZeroCopy, func(frame []byte) error {
-		a.stats.unbundle.Add(1)
-		if owner != nil {
-			owner.Retain()
-		}
-		sub = serialization.Message{NonZeroCopy: frame, Owner: owner}
-		a.deliver(&sub)
-		return nil
-	})
-	if owner != nil {
-		owner.Release()
-	}
 }

@@ -68,18 +68,20 @@ func msgOf(payload []byte) *serialization.Message {
 	return &serialization.Message{NonZeroCopy: append([]byte(nil), payload...)}
 }
 
+// TestAggregatorBundlesSmallMessages: sub-messages handed to Send coalesce
+// into one bundle transfer, and what the inner port received decodes, through
+// the receiver's one decode, to the parcels that went in.
 func TestAggregatorBundlesSmallMessages(t *testing.T) {
 	inner := &fakePP{}
 	a := warmAgg(inner, 2, AggConfig{FlushBytes: 1 << 20})
-	var delivered [][]byte
-	if err := a.Start(func(m *serialization.Message) {
-		delivered = append(delivered, append([]byte(nil), m.NonZeroCopy...))
-	}); err != nil {
+	if err := a.Start(func(*serialization.Message) {}); err != nil {
 		t.Fatal(err)
 	}
 	done := 0
 	for i := 0; i < 5; i++ {
-		m := msgOf([]byte{byte(i), 0xee})
+		m := serialization.EncodeOne(&serialization.Parcel{
+			Source: 0, Dest: 1, Action: uint32(i), Args: [][]byte{{byte(i), 0xee}},
+		}, 0)
 		m.OnSent = func() { done++ }
 		a.Send(1, m)
 	}
@@ -100,18 +102,43 @@ func TestAggregatorBundlesSmallMessages(t *testing.T) {
 	if !wire.IsBundle(sends[0].m.NonZeroCopy) {
 		t.Fatal("flushed transfer is not a bundle")
 	}
-	inner.loopback()
-	if len(delivered) != 5 {
-		t.Fatalf("unbundled %d sub-messages, want 5", len(delivered))
+	var buf serialization.DecodeBuf
+	ps, err := serialization.DecodeInto(&buf, sends[0].m)
+	if err != nil || len(ps) != 5 || buf.Frames() != 5 {
+		t.Fatalf("decoded %d parcels in %d frames, err %v; want 5 in 5", len(ps), buf.Frames(), err)
 	}
-	for i, d := range delivered {
-		if len(d) != 2 || d[0] != byte(i) {
-			t.Fatalf("sub-message %d = %v", i, d)
+	for i, p := range ps {
+		if p.Action != uint32(i) || len(p.Args) != 1 || len(p.Args[0]) != 2 || p.Args[0][0] != byte(i) {
+			t.Fatalf("parcel %d = %+v", i, p)
 		}
 	}
+	// The receiver credits the frames once per decoded bundle.
+	a.NoteUnbundled(buf.Frames())
 	st := a.Stats()
 	if st.BundledMessages != 5 || st.Bundles != 1 || st.Unbundled != 5 {
 		t.Fatalf("stats = %+v", st)
+	}
+}
+
+// TestAggregatorStartPassesDeliverThrough: the aggregation layer adds
+// nothing to the receive path — the inner port gets the caller's callback,
+// and a bundle reaches it as the one transfer it arrived as.
+func TestAggregatorStartPassesDeliverThrough(t *testing.T) {
+	inner := &fakePP{}
+	a := warmAgg(inner, 2, AggConfig{FlushBytes: 1 << 20})
+	var got []*serialization.Message
+	if err := a.Start(func(m *serialization.Message) { got = append(got, m) }); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		if !a.SendParcel(1, serialization.Parcel{Source: 0, Dest: 1, Action: 7}) {
+			t.Fatal("SendParcel rejected a small parcel for a warm destination")
+		}
+	}
+	a.Stop()
+	inner.loopback()
+	if len(got) != 1 || wire.BundleFrameCount(got[0].NonZeroCopy) != 3 {
+		t.Fatalf("deliver saw %d transfers, want the one 3-frame bundle", len(got))
 	}
 }
 
@@ -282,15 +309,7 @@ func TestAggregatorName(t *testing.T) {
 func TestAggregatorSendParcelDirectEncode(t *testing.T) {
 	inner := &fakePP{}
 	a := warmAgg(inner, 2, AggConfig{FlushBytes: 1 << 20})
-	var delivered []*serialization.Parcel
-	if err := a.Start(func(m *serialization.Message) {
-		ps, err := serialization.Decode(m)
-		if err != nil {
-			t.Errorf("decode: %v", err)
-			return
-		}
-		delivered = append(delivered, ps...)
-	}); err != nil {
+	if err := a.Start(func(*serialization.Message) {}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -320,9 +339,9 @@ func TestAggregatorSendParcelDirectEncode(t *testing.T) {
 		t.Fatalf("flush produced %d transfers (bundle=%v), want 1 bundle",
 			len(sends), len(sends) == 1 && wire.IsBundle(sends[0].m.NonZeroCopy))
 	}
-	inner.loopback()
-	if len(delivered) != 3 {
-		t.Fatalf("decoded %d parcels, want 3", len(delivered))
+	delivered, err := serialization.Decode(sends[0].m)
+	if err != nil || len(delivered) != 3 {
+		t.Fatalf("decoded %d parcels, err %v; want 3", len(delivered), err)
 	}
 	if p := delivered[0]; p.Action != 7 || string(p.Args[0]) != "alpha" {
 		t.Fatalf("parcel 0 = %+v", p)

@@ -3,6 +3,8 @@ package serialization
 import (
 	"bytes"
 	"testing"
+
+	"hpxgo/internal/wire"
 )
 
 // FuzzDecode feeds arbitrary bytes to the message decoder: it must never
@@ -37,6 +39,43 @@ func FuzzDecode(f *testing.F) {
 			for j := range ps[i].Args {
 				if !bytes.Equal(ps[i].Args[j], ps2[i].Args[j]) {
 					t.Fatal("arg changed across round trip")
+				}
+			}
+		}
+	})
+}
+
+// FuzzDecodeBundle feeds arbitrary bytes to the one decode as a received
+// transfer, seeded with good, partly good and bad HPXB bundles. It must never
+// panic; whatever prefix it returns must be whole messages (every parcel
+// re-encodes and decodes to itself), and Frames must agree with the bundle
+// header: never more than it announces, all of them when there is no error.
+func FuzzDecodeBundle(f *testing.F) {
+	for _, tc := range bundleCases() {
+		f.Add(tc.bytes)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var buf DecodeBuf
+		ps, err := DecodeInto(&buf, &Message{NonZeroCopy: data})
+		if !wire.IsBundle(data) {
+			if buf.Frames() != 0 {
+				t.Fatalf("Frames() = %d for a non-bundle", buf.Frames())
+			}
+			return
+		}
+		if buf.Frames() > wire.BundleFrameCount(data) || (err == nil && buf.Frames() != wire.BundleFrameCount(data)) {
+			t.Fatalf("Frames() = %d of a %d-frame bundle, err %v", buf.Frames(), wire.BundleFrameCount(data), err)
+		}
+		for i := range ps {
+			one := EncodeOne(&ps[i], inlineAll)
+			back, derr := Decode(one)
+			if derr != nil || len(back) != 1 || back[0].Action != ps[i].Action ||
+				back[0].ContID != ps[i].ContID || len(back[0].Args) != len(ps[i].Args) {
+				t.Fatalf("parcel %d does not survive a round trip: %v", i, derr)
+			}
+			for j := range ps[i].Args {
+				if !bytes.Equal(back[0].Args[j], ps[i].Args[j]) {
+					t.Fatalf("parcel %d arg %d changed across round trip", i, j)
 				}
 			}
 		}

@@ -248,140 +248,174 @@ type DecodeBuf struct {
 	parcels []Parcel
 	args    [][]byte
 	spans   []int // prefix offsets into args; len(parcels)+1 entries
+	frames  int   // bundle frames the last DecodeInto decoded
 }
 
-// DecodeInto reconstructs the parcels of a message into buf's reused
-// storage. It is Decode without the per-call allocations: the returned slice
-// and every Parcel.Args window alias buf and stay valid only until the next
-// DecodeInto on the same buf. Argument bytes alias m's chunks exactly as
-// with Decode (inline args point into m.NonZeroCopy, zero-copy args into
-// m.ZeroCopy), so the message buffers must outlive any use of the parcels.
-func DecodeInto(buf *DecodeBuf, m *Message) (out []Parcel, err error) {
-	parcels := buf.parcels[:0]
-	args := buf.args[:0]
-	spans := append(buf.spans[:0], 0)
-	// Hand the (possibly grown) storage back to buf on every path so its
-	// capacity is never abandoned.
-	defer func() {
-		buf.parcels, buf.args, buf.spans = parcels, args, spans
-	}()
-	r := reader{bytes: m.NonZeroCopy}
-	magic, err := r.u32()
-	if err != nil {
+// Frames reports how many aggregation-bundle frames (sub-messages) the last
+// DecodeInto on b decoded successfully; 0 when the input was a plain message.
+func (b *DecodeBuf) Frames() int { return b.frames }
+
+// DecodeInto reconstructs the parcels of a received transfer into buf's
+// reused storage: a plain HPX message, or an aggregation bundle ("HPXB",
+// package wire) whose frames are each one HPX message — every frame decodes
+// into the same slab, so the caller sees one parcel list per transfer. It is
+// Decode without the per-call allocations: the returned slice and every
+// Parcel.Args window alias buf and stay valid only until the next DecodeInto
+// on the same buf. Argument bytes alias m's chunks (inline args point into
+// m.NonZeroCopy, zero-copy args into m.ZeroCopy), so the message buffers
+// must outlive any use of the parcels.
+//
+// A message decodes whole or not at all. A bundle stops at its first corrupt
+// frame: the parcels of the frames before it are returned *together with*
+// the error, the rest of the bundle is dropped.
+func DecodeInto(buf *DecodeBuf, m *Message) ([]Parcel, error) {
+	buf.parcels = buf.parcels[:0]
+	buf.args = buf.args[:0]
+	buf.spans = append(buf.spans[:0], 0)
+	buf.frames = 0
+	var err error
+	if len(m.ZeroCopy) == 0 && wire.IsBundle(m.NonZeroCopy) {
+		err = wire.ForEachFrame(m.NonZeroCopy, func(frame []byte) error {
+			np, na := len(buf.parcels), len(buf.args)
+			if err := buf.appendMessage(frame, nil, nil); err != nil {
+				// A frame contributes all of its parcels or none.
+				buf.parcels, buf.args, buf.spans = buf.parcels[:np], buf.args[:na], buf.spans[:np+1]
+				return err
+			}
+			buf.frames++
+			return nil
+		})
+	} else if err = buf.appendMessage(m.NonZeroCopy, m.Transmission, m.ZeroCopy); err != nil {
 		return nil, err
 	}
+	if err != nil && len(buf.parcels) == 0 {
+		return nil, err
+	}
+	// Args windows are assigned in a final pass: appending to args may have
+	// reallocated its backing array mid-decode, which would have invalidated
+	// windows taken earlier.
+	for i := range buf.parcels {
+		s, e := buf.spans[i], buf.spans[i+1]
+		buf.parcels[i].Args = buf.args[s:e:e]
+	}
+	return buf.parcels, err
+}
+
+// appendMessage decodes one HPX message (non-zero-copy chunk nzc, with its
+// transmission and zero-copy chunks, if any) onto the end of b's slab. On
+// error the slab holds a partial message; the caller discards it.
+func (b *DecodeBuf) appendMessage(nzc, trans []byte, zc [][]byte) error {
+	r := reader{bytes: nzc}
+	magic, err := r.u32()
+	if err != nil {
+		return err
+	}
 	if magic != messageMagic {
-		return nil, ErrBadMagic
+		return ErrBadMagic
 	}
 	// Validate the transmission chunk when zero-copy chunks exist.
-	if len(m.ZeroCopy) > 0 {
-		tr := reader{bytes: m.Transmission}
+	if len(zc) > 0 {
+		tr := reader{bytes: trans}
 		n, err := tr.u32()
 		if err != nil {
-			return nil, fmt.Errorf("%w (transmission chunk)", err)
+			return fmt.Errorf("%w (transmission chunk)", err)
 		}
-		if int(n) != len(m.ZeroCopy) {
-			return nil, fmt.Errorf("%w: transmission chunk lists %d chunks, message has %d", ErrChunk, n, len(m.ZeroCopy))
+		if int(n) != len(zc) {
+			return fmt.Errorf("%w: transmission chunk lists %d chunks, message has %d", ErrChunk, n, len(zc))
 		}
 		for i := 0; i < int(n); i++ {
 			idx, err := tr.u32()
 			if err != nil {
-				return nil, err
+				return err
 			}
 			length, err := tr.u64()
 			if err != nil {
-				return nil, err
+				return err
 			}
-			if int(idx) >= len(m.ZeroCopy) || uint64(len(m.ZeroCopy[idx])) != length {
-				return nil, fmt.Errorf("%w: chunk %d length mismatch", ErrChunk, idx)
+			if int(idx) >= len(zc) || uint64(len(zc[idx])) != length {
+				return fmt.Errorf("%w: chunk %d length mismatch", ErrChunk, idx)
 			}
 		}
 	}
 	count, err := r.u32()
 	if err != nil {
-		return nil, err
+		return err
 	}
 	// Plausibility: each parcel needs at least its fixed metadata, so a
 	// count implying more bytes than remain is corrupt. This also stops
 	// attacker-controlled counts from driving huge allocations.
 	const parcelFixedBytes = 4 + 4 + 4 + 8 + 4
 	if int64(count)*parcelFixedBytes > int64(r.remaining()) {
-		return nil, fmt.Errorf("%w: %d parcels in %d bytes", ErrTruncated, count, r.remaining())
+		return fmt.Errorf("%w: %d parcels in %d bytes", ErrTruncated, count, r.remaining())
 	}
 	for pi := uint32(0); pi < count; pi++ {
-		parcels = append(parcels, Parcel{})
-		p := &parcels[len(parcels)-1]
+		b.parcels = append(b.parcels, Parcel{})
+		p := &b.parcels[len(b.parcels)-1]
 		if p.Action, err = r.u32(); err != nil {
-			return nil, err
+			return err
 		}
 		var v uint32
 		if v, err = r.u32(); err != nil {
-			return nil, err
+			return err
 		}
 		p.Source = int(int32(v))
 		if v, err = r.u32(); err != nil {
-			return nil, err
+			return err
 		}
 		p.Dest = int(int32(v))
 		if p.ContID, err = r.u64(); err != nil {
-			return nil, err
+			return err
 		}
 		var nargs uint32
 		if nargs, err = r.u32(); err != nil {
-			return nil, err
+			return err
 		}
 		// Each argument costs at least its kind byte plus a length/index.
 		if int64(nargs)*5 > int64(r.remaining()) {
-			return nil, fmt.Errorf("%w: %d args in %d bytes", ErrTruncated, nargs, r.remaining())
+			return fmt.Errorf("%w: %d args in %d bytes", ErrTruncated, nargs, r.remaining())
 		}
 		for ai := uint32(0); ai < nargs; ai++ {
 			kind, err := r.b()
 			if err != nil {
-				return nil, err
+				return err
 			}
 			switch kind {
 			case argInline:
 				n, err := r.u32()
 				if err != nil {
-					return nil, err
+					return err
 				}
 				a, err := r.take(int(n))
 				if err != nil {
-					return nil, err
+					return err
 				}
-				args = append(args, a)
+				b.args = append(b.args, a)
 			case argZeroCopy:
 				idx, err := r.u32()
 				if err != nil {
-					return nil, err
+					return err
 				}
-				if int(idx) >= len(m.ZeroCopy) {
-					return nil, fmt.Errorf("%w: reference to chunk %d of %d", ErrChunk, idx, len(m.ZeroCopy))
+				if int(idx) >= len(zc) {
+					return fmt.Errorf("%w: reference to chunk %d of %d", ErrChunk, idx, len(zc))
 				}
-				args = append(args, m.ZeroCopy[idx])
+				b.args = append(b.args, zc[idx])
 			default:
-				return nil, fmt.Errorf("serialization: unknown argument kind %d", kind)
+				return fmt.Errorf("serialization: unknown argument kind %d", kind)
 			}
 		}
-		spans = append(spans, len(args))
+		b.spans = append(b.spans, len(b.args))
 	}
-	// Args windows are assigned in a final pass: appending to args may have
-	// reallocated its backing array mid-decode, which would have invalidated
-	// windows taken earlier.
-	for i := range parcels {
-		s, e := spans[i], spans[i+1]
-		parcels[i].Args = args[s:e:e]
-	}
-	return parcels, nil
+	return nil
 }
 
-// Decode reconstructs the parcels of a message. Zero-copy arguments alias
-// m.ZeroCopy chunks. It validates chunk counts and lengths against the
+// Decode reconstructs the parcels of a message or aggregation bundle (see
+// DecodeInto, whose partial-bundle contract it shares). Zero-copy arguments
+// alias m.ZeroCopy chunks. It validates chunk counts and lengths against the
 // transmission chunk. Allocation-sensitive callers use DecodeInto instead.
 func Decode(m *Message) ([]*Parcel, error) {
 	var buf DecodeBuf
 	ps, err := DecodeInto(&buf, m)
-	if err != nil {
+	if ps == nil {
 		return nil, err
 	}
 	// Detach the parcels from buf's shared storage so they have independent
@@ -392,7 +426,7 @@ func Decode(m *Message) ([]*Parcel, error) {
 		p.Args = append(make([][]byte, 0, len(p.Args)), p.Args...)
 		out[i] = &p
 	}
-	return out, nil
+	return out, err
 }
 
 // ParseTransmissionSizes extracts the zero-copy chunk lengths from a
