@@ -104,6 +104,7 @@ fuzz:
 	$(GO) test ./internal/serialization/ -fuzz FuzzParseTransmissionSizes -fuzztime 15s
 	$(GO) test ./internal/parcelport/ -fuzz FuzzDecodeHeader -fuzztime 15s
 	$(GO) test ./internal/lci/ -fuzz FuzzChunkedReassembly -fuzztime 15s
+	$(GO) test ./internal/serve/ -fuzz FuzzParseReply -fuzztime 15s
 
 examples:
 	$(GO) test . -run TestExamplesRun -v

@@ -54,7 +54,7 @@ func main() {
 	inline := flag.Bool("inline", true, "run small non-blocking actions inline on the draining goroutine")
 	inlinebudget := flag.Int("inlinebudget", 0, "inline-lane per-drain budget (0 = default; ignored with -inline=false)")
 	aggsize := flag.Int("aggsize", 0, "aggregation flush size threshold in bytes (0 = default)")
-	aggdelay := flag.Duration("aggdelay", 0, "aggregation flush age deadline (0 = default)")
+	aggdelay := flag.Duration("aggdelay", 0, "upper bound on a buffered message's age under aggregation (0 = default)")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	mutexprofile := flag.String("mutexprofile", "", "write a mutex-contention profile to this file")
 	blockprofile := flag.String("blockprofile", "", "write a blocking profile to this file")

@@ -207,7 +207,7 @@ func deliverHPXBRow(frames, iters int) (Record, error) {
 	}
 	defer rt.Shutdown()
 	var tap bundleTap
-	agg := parcelport.NewAggregator(&tap, 2, parcelport.AggConfig{FlushBytes: 1 << 20, FlushDelay: time.Hour, ColdIdle: time.Hour})
+	agg := parcelport.NewAggregator(&tap, 2, parcelport.AggConfig{FlushBytes: 1 << 20, FlushDelay: time.Hour})
 	for i := 0; i < frames; i++ {
 		if !agg.SendParcel(0, serialization.Parcel{Source: 1, Dest: 0, Action: noop, Args: [][]byte{make([]byte, 64)}}) {
 			return Record{}, fmt.Errorf("SendParcel refused frame %d", i)

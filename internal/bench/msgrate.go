@@ -29,7 +29,7 @@ type MsgRateParams struct {
 	Agg bool
 	// AggSize overrides the aggregation flush size threshold (bytes).
 	AggSize int
-	// AggDelay overrides the aggregation flush age deadline.
+	// AggDelay overrides the upper bound on a buffered message's age.
 	AggDelay time.Duration
 	// InlineOff disables the receiver's inline-execution lane (spawn-always,
 	// the pre-inline behavior); the default runs small sink actions to

@@ -41,7 +41,7 @@ func aggBundle(t testing.TB, n, argBytes int, action uint32, viaSend bool) []byt
 	t.Helper()
 	var port capturePort
 	a := parcelport.NewAggregator(&port, 2, parcelport.AggConfig{
-		FlushBytes: 1 << 20, MaxSub: 1 << 19, FlushDelay: time.Hour, ColdIdle: time.Hour,
+		FlushBytes: 1 << 20, MaxSub: 1 << 19, FlushDelay: time.Hour,
 	})
 	for i := 0; i < n; i++ {
 		p := indexedParcel(i, argBytes, action)

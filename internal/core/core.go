@@ -69,7 +69,8 @@ type Config struct {
 	Aggregation bool
 	// AggFlushBytes is the aggregation flush size threshold (default 4096).
 	AggFlushBytes int
-	// AggFlushDelay bounds how long a buffered message may wait (default 50µs).
+	// AggFlushDelay is the upper bound on a buffered message's age (default
+	// 50µs); a bundle normally leaves as soon as its producer goes quiet.
 	AggFlushDelay time.Duration
 	// AggMaxQueued caps buffered sub-messages per destination; reaching it
 	// forces a flush. Default parcelport.MaxPendingConnections.
@@ -325,7 +326,7 @@ func (rt *Runtime) buildLocality(i int) (*Locality, error) {
 		})
 		if lpp, ok := loc.pp.(*lcipp.Parcelport); ok && rt.ppCfg.Progress == parcelport.PinnedProgress {
 			// In pin mode idle workers may all be busy with tasks, so the
-			// dedicated progress thread drives the age-based flush too.
+			// dedicated progress thread drives the quiet/age flush too.
 			lpp.SetProgressHook(agg.FlushStale)
 		}
 		loc.pp, loc.agg = agg, agg
@@ -337,7 +338,7 @@ func (rt *Runtime) buildLocality(i int) (*Locality, error) {
 		MaxMessageBytes:   rt.cfg.MaxMessageBytes,
 	}, loc.pp.Send)
 	if loc.agg != nil {
-		// Warm-path shortcut: encode small parcels straight into the bundle
+		// Bundled fast path: encode small parcels straight into the bundle
 		// buffer instead of through a per-message scratch.
 		loc.layer.SetParcelSender(loc.agg.SendParcel)
 	}

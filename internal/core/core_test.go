@@ -368,6 +368,7 @@ func TestStatsTextCoversTransports(t *testing.T) {
 		{"lci", "lci parcelport"},
 		{"mpi_i", "mpi library"},
 		{"tcp", "tcp parcelport"},
+		{"lci_agg", "direct), flushes 1 quiet / 0 size / 0 age / 0 cap / 0 order / 0 stop"},
 	} {
 		rt := newRuntime(t, tc.pp, 2)
 		if _, err := rt.Locality(0).Call(1, "echo", []byte("x")).GetTimeout(20 * time.Second); err != nil {

@@ -30,9 +30,9 @@ func (rt *Runtime) StatsText() string {
 		pport := loc.pp
 		if agg := loc.agg; agg != nil {
 			as := agg.Stats()
-			fmt.Fprintf(&b, "  aggregation: %d msgs in %d bundles (+%d direct, %d cold), flushes %d size / %d age / %d cap / %d order / %d stop, %d unbundled\n",
-				as.BundledMessages, as.Bundles, as.DirectSends, as.ColdSends,
-				as.SizeFlushes, as.AgeFlushes, as.CapFlushes, as.OrderFlushes, as.StopFlushes, as.Unbundled)
+			fmt.Fprintf(&b, "  aggregation: %d msgs in %d bundles (+%d direct), flushes %d quiet / %d size / %d age / %d cap / %d order / %d stop, %d unbundled\n",
+				as.BundledMessages, as.Bundles, as.DirectSends,
+				as.QuietFlushes, as.SizeFlushes, as.AgeFlushes, as.CapFlushes, as.OrderFlushes, as.StopFlushes, as.Unbundled)
 			pport = agg.Inner()
 		}
 		switch pp := pport.(type) {

@@ -10,26 +10,28 @@ import (
 )
 
 // Aggregation defaults. FlushBytes roughly matches one fabric packet of
-// small messages; FlushDelay bounds the latency a buffered message can pay
-// waiting for company.
+// small messages; FlushDelay caps the age of a frame whose producer never
+// pauses for a whole quiet gap.
 const (
 	DefaultAggFlushBytes = 4096
 	DefaultAggFlushDelay = 50 * time.Microsecond
 )
+
+// aggQuietGap is how long a destination must see no append before FlushStale
+// releases its bundle: one stand-alone send on the direct path costs that
+// (1.18 µs at flood_64b_direct's 845 K/s), so a later partner saved nothing.
+// A constant, not a knob: flat from 0.2 µs to 2 µs (DESIGN.md §7).
+const aggQuietGap = int64(time.Microsecond)
 
 // AggConfig tunes the sender-side aggregation layer.
 type AggConfig struct {
 	// FlushBytes flushes a destination buffer once it reaches this size.
 	// Default 4096.
 	FlushBytes int
-	// FlushDelay bounds how long a buffered message may age before the
-	// buffer is flushed by background work or the progress thread.
-	// Default 50µs.
+	// FlushDelay is the upper bound on a buffered message's age; it fires
+	// only under a trickle that never pauses for aggQuietGap, which is what
+	// normally releases a bundle. Default 50µs.
 	FlushDelay time.Duration
-	// ColdIdle is the idle gap after which a destination counts as cold:
-	// the next message bypasses the buffer (no batching partner is in
-	// sight, so buffering would only add latency). Default 4× FlushDelay.
-	ColdIdle time.Duration
 	// MaxSub caps the size of a sub-message eligible for bundling; larger
 	// messages (and any message with zero-copy chunks) pass through.
 	// Default FlushBytes/2.
@@ -47,9 +49,6 @@ func (c *AggConfig) fillDefaults() {
 	if c.FlushDelay <= 0 {
 		c.FlushDelay = DefaultAggFlushDelay
 	}
-	if c.ColdIdle <= 0 {
-		c.ColdIdle = 4 * c.FlushDelay
-	}
 	if c.MaxSub <= 0 {
 		c.MaxSub = c.FlushBytes / 2
 	}
@@ -63,9 +62,9 @@ type AggStats struct {
 	BundledMessages uint64 // sub-messages packed into bundles
 	Bundles         uint64 // bundle transfers handed to the inner parcelport
 	DirectSends     uint64 // messages passed through unbundled
-	ColdSends       uint64 // direct sends taken because the destination was cold
 	SizeFlushes     uint64 // buffers flushed by FlushBytes
-	AgeFlushes      uint64 // buffers flushed by FlushDelay (background/progress)
+	QuietFlushes    uint64 // buffers flushed because the producer went quiet
+	AgeFlushes      uint64 // buffers flushed by the FlushDelay age cap
 	CapFlushes      uint64 // buffers flushed by the MaxQueued backpressure cap
 	OrderFlushes    uint64 // buffers flushed ahead of a passthrough message
 	StopFlushes     uint64 // buffers drained by Stop at shutdown
@@ -74,14 +73,14 @@ type AggStats struct {
 
 // aggDest is the per-destination coalescing buffer.
 type aggDest struct {
-	mu      sync.Mutex
-	buf     []byte // nil when empty; otherwise a growing wire bundle
-	count   int    // frames in buf
-	firstNs int64  // when the oldest buffered frame arrived
-	lastNs  int64  // when this destination last saw traffic
-	// pending mirrors count != 0 so FlushStale can skip idle destinations
-	// without taking their locks.
-	pending atomic.Bool
+	mu    sync.Mutex
+	buf   []byte // nil when empty; otherwise a growing wire bundle
+	count int    // frames in buf
+	// firstNs (oldest buffered frame), lastNs (latest append) and pending
+	// (count != 0) are written under mu and read by FlushStale without it: a
+	// poller finds "idle" or "not quiet yet" off the sender's lock.
+	firstNs, lastNs atomic.Int64
+	pending         atomic.Bool
 }
 
 // Aggregator is the sender-side parcel aggregation layer: a Parcelport
@@ -98,12 +97,12 @@ type aggDest struct {
 type Aggregator struct {
 	inner Parcelport
 	cfg   AggConfig
-	start time.Time
+	now   func() int64 // monotonic ns; tests substitute a fake
 	dests []*aggDest
 
 	stats struct {
-		bundled, bundles, direct, cold                  atomic.Uint64
-		sizeFl, ageFl, capFl, orderFl, stopFl, unbundle atomic.Uint64
+		bundled, bundles, direct, unbundle             atomic.Uint64
+		sizeFl, quietFl, ageFl, capFl, orderFl, stopFl atomic.Uint64
 	}
 }
 
@@ -111,7 +110,8 @@ type Aggregator struct {
 // destinations.
 func NewAggregator(inner Parcelport, numDest int, cfg AggConfig) *Aggregator {
 	cfg.fillDefaults()
-	a := &Aggregator{inner: inner, cfg: cfg, start: time.Now()}
+	start := time.Now()
+	a := &Aggregator{inner: inner, cfg: cfg, now: func() int64 { return int64(time.Since(start)) }}
 	a.dests = make([]*aggDest, numDest)
 	for i := range a.dests {
 		a.dests[i] = &aggDest{}
@@ -131,8 +131,8 @@ func (a *Aggregator) Stats() AggStats {
 		BundledMessages: a.stats.bundled.Load(),
 		Bundles:         a.stats.bundles.Load(),
 		DirectSends:     a.stats.direct.Load(),
-		ColdSends:       a.stats.cold.Load(),
 		SizeFlushes:     a.stats.sizeFl.Load(),
+		QuietFlushes:    a.stats.quietFl.Load(),
 		AgeFlushes:      a.stats.ageFl.Load(),
 		CapFlushes:      a.stats.capFl.Load(),
 		OrderFlushes:    a.stats.orderFl.Load(),
@@ -152,8 +152,6 @@ func (a *Aggregator) QueuedSubMessages(dst int) int {
 	return d.count
 }
 
-func (a *Aggregator) nowNs() int64 { return int64(time.Since(a.start)) }
-
 // Start starts the inner parcelport with the caller's delivery callback
 // untouched: a received bundle is an ordinary message to every layer below
 // the decode (serialization.DecodeInto unpacks it), so the receive side of
@@ -165,9 +163,8 @@ func (a *Aggregator) Start(deliver DeliverFunc) error { return a.inner.Start(del
 func (a *Aggregator) NoteUnbundled(frames int) { a.stats.unbundle.Add(uint64(frames)) }
 
 // Stop flushes every destination buffer and stops the inner parcelport.
-// Shutdown drains credit StopFlushes, not AgeFlushes: the buffers never
-// reached FlushDelay, and folding them into the age counter would pollute
-// the expiry statistics.
+// Shutdown drains credit StopFlushes: no poller judged these buffers quiet
+// or expired, and folding them into either counter would pollute it.
 func (a *Aggregator) Stop() {
 	for dst := range a.dests {
 		a.flushDest(dst, &a.stats.stopFl)
@@ -183,8 +180,8 @@ func (a *Aggregator) bundleable(m *serialization.Message) bool {
 		len(m.NonZeroCopy) > 0 && len(m.NonZeroCopy) <= a.cfg.MaxSub
 }
 
-// Send coalesces m into dst's buffer or passes it through, flushing per the
-// AggConfig policy (size, backpressure cap, cold destination).
+// Send coalesces m into dst's buffer, flushing on size or the backpressure
+// cap, or passes an unbundleable message through behind its predecessors.
 func (a *Aggregator) Send(dst int, m *serialization.Message) {
 	if dst < 0 || dst >= len(a.dests) {
 		a.inner.Send(dst, m)
@@ -199,19 +196,8 @@ func (a *Aggregator) Send(dst int, m *serialization.Message) {
 		return
 	}
 	d := a.dests[dst]
-	now := a.nowNs()
+	now := a.now()
 	d.mu.Lock()
-	if d.count == 0 && now-d.lastNs > int64(a.cfg.ColdIdle) {
-		// Cold destination: nothing buffered and no batching partner in
-		// sight — send immediately rather than paying the flush delay for
-		// nothing.
-		d.lastNs = now
-		d.mu.Unlock()
-		a.stats.direct.Add(1)
-		a.stats.cold.Add(1)
-		a.inner.Send(dst, m)
-		return
-	}
 	a.ensureBufLocked(d)
 	d.buf = wire.AppendFrame(d.buf, m.NonZeroCopy)
 	out, counter := a.noteAppendLocked(d, now)
@@ -231,9 +217,8 @@ func (a *Aggregator) Send(dst int, m *serialization.Message) {
 // per-message encode scratch entirely: no scratch allocation, no copy, no
 // Message wrapper — the steady-state bundled fast path. It returns false
 // when the parcel must take the ordinary encode-then-Send path instead
-// (out-of-range destination, too big to bundle, or a cold destination,
-// where Send's direct-send policy applies). The caller guarantees every
-// argument is below its zero-copy threshold.
+// (out-of-range destination or too big to bundle). The caller guarantees
+// every argument is below its zero-copy threshold.
 func (a *Aggregator) SendParcel(dst int, p serialization.Parcel) bool {
 	if dst < 0 || dst >= len(a.dests) {
 		return false
@@ -243,12 +228,8 @@ func (a *Aggregator) SendParcel(dst int, p serialization.Parcel) bool {
 		return false
 	}
 	d := a.dests[dst]
-	now := a.nowNs()
+	now := a.now()
 	d.mu.Lock()
-	if d.count == 0 && now-d.lastNs > int64(a.cfg.ColdIdle) {
-		d.mu.Unlock()
-		return false
-	}
 	a.ensureBufLocked(d)
 	d.buf = serialization.AppendEncodeInline(wire.AppendFrameHeader(d.buf, need), &p)
 	out, counter := a.noteAppendLocked(d, now)
@@ -278,11 +259,11 @@ func (a *Aggregator) ensureBufLocked(d *aggDest) {
 // unlocking.
 func (a *Aggregator) noteAppendLocked(d *aggDest, now int64) (*serialization.Message, *atomic.Uint64) {
 	d.count++
+	d.lastNs.Store(now)
 	if d.count == 1 {
-		d.firstNs = now
+		d.firstNs.Store(now)
 		d.pending.Store(true)
 	}
-	d.lastNs = now
 	switch {
 	case len(d.buf) >= a.cfg.FlushBytes:
 		return d.takeLocked(), &a.stats.sizeFl
@@ -315,7 +296,6 @@ func (a *Aggregator) flushDest(dst int, counter *atomic.Uint64) {
 	var out *serialization.Message
 	if d.count > 0 {
 		out = d.takeLocked()
-		d.lastNs = a.nowNs()
 	}
 	d.mu.Unlock()
 	if out != nil {
@@ -329,25 +309,45 @@ func (a *Aggregator) sendBundle(dst int, out *serialization.Message) {
 	a.inner.Send(dst, out)
 }
 
-// FlushStale flushes every destination whose oldest buffered message has
-// aged past FlushDelay. Driven from BackgroundWork and, in lci pin mode,
-// from the dedicated progress thread. Reports whether anything flushed.
+// staleCounter names the rule that makes d's buffer due at now, as the
+// counter to credit; nil when neither does.
+func (a *Aggregator) staleCounter(d *aggDest, now int64) *atomic.Uint64 {
+	switch {
+	case now-d.lastNs.Load() >= aggQuietGap:
+		return &a.stats.quietFl
+	case now-d.firstNs.Load() >= int64(a.cfg.FlushDelay):
+		return &a.stats.ageFl
+	}
+	return nil
+}
+
+// FlushStale flushes every destination whose producer has gone quiet (no
+// append for aggQuietGap: nobody is coming to share the transfer) or whose
+// oldest frame has aged to FlushDelay. Driven from BackgroundWork and, in
+// lci pin mode, from the dedicated progress thread: a pass takes no lock on
+// a destination still being filled and reads no clock when nothing is
+// pending. Reports whether anything flushed.
 func (a *Aggregator) FlushStale() bool {
-	now := a.nowNs()
-	did := false
+	now, did := int64(-1), false
 	for dst, d := range a.dests {
 		if !d.pending.Load() {
 			continue
 		}
+		if now < 0 {
+			now = a.now()
+		}
+		if a.staleCounter(d, now) == nil {
+			continue
+		}
 		d.mu.Lock()
 		var out *serialization.Message
-		if d.count > 0 && now-d.firstNs >= int64(a.cfg.FlushDelay) {
+		counter := a.staleCounter(d, now) // the sender may have appended since
+		if d.count > 0 && counter != nil {
 			out = d.takeLocked()
-			d.lastNs = now
 		}
 		d.mu.Unlock()
 		if out != nil {
-			a.stats.ageFl.Add(1)
+			counter.Add(1)
 			a.sendBundle(dst, out)
 			did = true
 		}
@@ -355,7 +355,7 @@ func (a *Aggregator) FlushStale() bool {
 	return did
 }
 
-// BackgroundWork ages out stale buffers and runs the inner parcelport's
+// BackgroundWork flushes stale buffers and runs the inner parcelport's
 // background work.
 func (a *Aggregator) BackgroundWork(workerID int) bool {
 	did := a.FlushStale()

@@ -2,6 +2,7 @@ package parcelport
 
 import (
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -52,16 +53,15 @@ func (f *fakePP) loopback() {
 	}
 }
 
-// warmAgg returns an aggregator whose destinations never read as cold, so
-// tests exercise the buffering path deterministically.
-func warmAgg(inner Parcelport, dests int, cfg AggConfig) *Aggregator {
-	if cfg.ColdIdle == 0 {
-		cfg.ColdIdle = time.Hour
-	}
-	if cfg.FlushDelay == 0 {
-		cfg.FlushDelay = time.Hour
-	}
-	return NewAggregator(inner, dests, cfg)
+// fakeClock replaces an aggregator's clock: time moves only when the test
+// advances it, and every read is counted.
+type fakeClock struct {
+	ns    int64
+	reads int
+}
+
+func (c *fakeClock) install(a *Aggregator) {
+	a.now = func() int64 { c.reads++; return c.ns }
 }
 
 func msgOf(payload []byte) *serialization.Message {
@@ -73,7 +73,7 @@ func msgOf(payload []byte) *serialization.Message {
 // the receiver's one decode, to the parcels that went in.
 func TestAggregatorBundlesSmallMessages(t *testing.T) {
 	inner := &fakePP{}
-	a := warmAgg(inner, 2, AggConfig{FlushBytes: 1 << 20})
+	a := NewAggregator(inner, 2, AggConfig{FlushBytes: 1 << 20})
 	if err := a.Start(func(*serialization.Message) {}); err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +125,7 @@ func TestAggregatorBundlesSmallMessages(t *testing.T) {
 // and a bundle reaches it as the one transfer it arrived as.
 func TestAggregatorStartPassesDeliverThrough(t *testing.T) {
 	inner := &fakePP{}
-	a := warmAgg(inner, 2, AggConfig{FlushBytes: 1 << 20})
+	a := NewAggregator(inner, 2, AggConfig{FlushBytes: 1 << 20})
 	var got []*serialization.Message
 	if err := a.Start(func(m *serialization.Message) { got = append(got, m) }); err != nil {
 		t.Fatal(err)
@@ -144,7 +144,7 @@ func TestAggregatorStartPassesDeliverThrough(t *testing.T) {
 
 func TestAggregatorSizeFlush(t *testing.T) {
 	inner := &fakePP{}
-	a := warmAgg(inner, 1, AggConfig{FlushBytes: 64, MaxSub: 32})
+	a := NewAggregator(inner, 1, AggConfig{FlushBytes: 64, MaxSub: 32})
 	if err := a.Start(func(*serialization.Message) {}); err != nil {
 		t.Fatal(err)
 	}
@@ -165,38 +165,123 @@ func TestAggregatorSizeFlush(t *testing.T) {
 	}
 }
 
-func TestAggregatorAgeFlushViaBackgroundWork(t *testing.T) {
+// TestAggregatorFlushRule pins the one flush rule on a fake clock: a bundle
+// leaves when its producer has been quiet for aggQuietGap, by size while the
+// producer keeps appending, and by the FlushDelay cap under a trickle that
+// never pauses for a whole gap and never fills the buffer.
+func TestAggregatorFlushRule(t *testing.T) {
+	type flushes struct{ size, quiet, age, bundles uint64 }
+	const gap = aggQuietGap
+	cases := []struct {
+		name    string
+		cfg     AggConfig
+		appends int     // 20 B messages, each followed by...
+		step    int64   // ...this clock advance and a FlushStale pass
+		during  flushes // counters after the last of those passes
+		tail    int64   // one more advance and pass
+		after   flushes
+	}{
+		{
+			name:    "lone frame waits out one quiet gap, no less",
+			cfg:     AggConfig{FlushBytes: 1 << 20, FlushDelay: time.Hour},
+			appends: 1, step: gap - 1,
+			tail: 1, after: flushes{quiet: 1, bundles: 1},
+		},
+		{
+			// 8 B bundle header + 3 × (4 B + 20 B) crosses 64 B.
+			name:    "appends every gap/2 leave by size only",
+			cfg:     AggConfig{FlushBytes: 64, MaxSub: 32, FlushDelay: time.Hour},
+			appends: 9, step: gap / 2,
+			during: flushes{size: 3, bundles: 3},
+			tail:   gap, after: flushes{size: 3, bundles: 3},
+		},
+		{
+			// The 20th pass finds the first frame 20 × gap/2 old.
+			name:    "sub-gap trickle leaves at the age cap",
+			cfg:     AggConfig{FlushBytes: 1 << 20, FlushDelay: time.Duration(10 * gap)},
+			appends: 20, step: gap / 2,
+			during: flushes{age: 1, bundles: 1},
+			tail:   gap, after: flushes{age: 1, bundles: 1},
+		},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			inner := &fakePP{}
+			a := NewAggregator(inner, 1, tc.cfg)
+			clk := &fakeClock{ns: 100}
+			clk.install(a)
+			got := func() flushes {
+				st := a.Stats()
+				return flushes{st.SizeFlushes, st.QuietFlushes, st.AgeFlushes, st.Bundles}
+			}
+			for i := 0; i < tc.appends; i++ {
+				a.Send(0, msgOf(make([]byte, 20)))
+				clk.ns += tc.step
+				a.FlushStale()
+			}
+			if f := got(); f != tc.during {
+				t.Fatalf("while appending: flushes %+v, want %+v", f, tc.during)
+			}
+			clk.ns += tc.tail
+			a.FlushStale()
+			if f := got(); f != tc.after {
+				t.Fatalf("after the tail: flushes %+v, want %+v", f, tc.after)
+			}
+			if q, st := a.QueuedSubMessages(0), a.Stats(); q != 0 || st.BundledMessages != uint64(tc.appends) {
+				t.Fatalf("%d frames still queued, %d bundled of %d", q, st.BundledMessages, tc.appends)
+			}
+		})
+	}
+}
+
+// TestAggregatorFlushStaleIdleReadsNoClock: a pass with nothing pending
+// costs one atomic load per destination and no clock read; a pass with work
+// reads the clock once however many destinations are pending.
+func TestAggregatorFlushStaleIdleReadsNoClock(t *testing.T) {
+	a := NewAggregator(&fakePP{}, 3, AggConfig{})
+	clk := &fakeClock{}
+	clk.install(a)
+	if a.FlushStale() || clk.reads != 0 {
+		t.Fatalf("idle pass flushed or read the clock (%d reads)", clk.reads)
+	}
+	a.Send(0, msgOf([]byte("a")))
+	a.Send(2, msgOf([]byte("b")))
+	clk.reads = 0
+	if a.FlushStale() || clk.reads != 1 {
+		t.Fatalf("pass over 2 pending destinations: %d clock reads, want 1 and no flush yet", clk.reads)
+	}
+}
+
+func TestAggregatorQuietFlushViaBackgroundWork(t *testing.T) {
 	inner := &fakePP{}
-	a := NewAggregator(inner, 1, AggConfig{
-		FlushBytes: 1 << 20,
-		FlushDelay: time.Nanosecond,
-		ColdIdle:   time.Hour,
-	})
+	a := NewAggregator(inner, 1, AggConfig{FlushBytes: 1 << 20})
+	clk := &fakeClock{}
+	clk.install(a)
 	if err := a.Start(func(*serialization.Message) {}); err != nil {
 		t.Fatal(err)
 	}
 	a.Send(0, msgOf([]byte("lonely")))
-	if len(inner.sends()) != 0 {
-		t.Fatal("message flushed before its age deadline")
+	if a.BackgroundWork(0) || len(inner.sends()) != 0 {
+		t.Fatal("message flushed while its producer could still be appending")
 	}
-	time.Sleep(time.Millisecond)
+	clk.ns += aggQuietGap
 	if !a.BackgroundWork(0) {
-		t.Fatal("BackgroundWork reported no work despite a stale buffer")
+		t.Fatal("BackgroundWork reported no work despite a quiet buffer")
 	}
 	if len(inner.sends()) != 1 {
-		t.Fatalf("age flush produced %d transfers", len(inner.sends()))
+		t.Fatalf("quiet flush produced %d transfers", len(inner.sends()))
 	}
-	if a.Stats().AgeFlushes == 0 {
-		t.Fatal("AgeFlushes counter never bumped")
+	if st := a.Stats(); st.QuietFlushes != 1 || st.AgeFlushes != 0 {
+		t.Fatalf("stats = %+v", st)
 	}
-	if inner.bg == 0 {
+	if inner.bg != 2 {
 		t.Fatal("inner BackgroundWork not chained")
 	}
 }
 
 func TestAggregatorCapBackpressure(t *testing.T) {
 	inner := &fakePP{}
-	a := warmAgg(inner, 1, AggConfig{FlushBytes: 1 << 20, MaxQueued: 3})
+	a := NewAggregator(inner, 1, AggConfig{FlushBytes: 1 << 20, MaxQueued: 3})
 	if err := a.Start(func(*serialization.Message) {}); err != nil {
 		t.Fatal(err)
 	}
@@ -214,31 +299,35 @@ func TestAggregatorCapBackpressure(t *testing.T) {
 	}
 }
 
-func TestAggregatorColdPassthrough(t *testing.T) {
+// TestAggregatorLoneMessageAfterSilence: however long a destination has been
+// silent, a small message is buffered, never sent directly on a guess that
+// no partner will follow; it costs one quiet gap and leaves as a bundle.
+func TestAggregatorLoneMessageAfterSilence(t *testing.T) {
 	inner := &fakePP{}
-	a := NewAggregator(inner, 1, AggConfig{
-		FlushBytes: 1 << 20,
-		FlushDelay: time.Hour,
-		ColdIdle:   time.Nanosecond,
-	})
+	a := NewAggregator(inner, 1, AggConfig{FlushBytes: 1 << 20, FlushDelay: time.Hour})
+	clk := &fakeClock{ns: int64(time.Hour)}
+	clk.install(a)
 	if err := a.Start(func(*serialization.Message) {}); err != nil {
 		t.Fatal(err)
 	}
-	time.Sleep(time.Millisecond)
-	a.Send(0, msgOf([]byte("cold")))
-	sends := inner.sends()
-	if len(sends) != 1 || wire.IsBundle(sends[0].m.NonZeroCopy) {
-		t.Fatalf("cold send not passed straight through: %d sends", len(sends))
+	a.Send(0, msgOf([]byte("first ever")))
+	if len(inner.sends()) != 0 || a.QueuedSubMessages(0) != 1 {
+		t.Fatal("a message after silence bypassed the buffer")
 	}
-	st := a.Stats()
-	if st.ColdSends != 1 || st.DirectSends != 1 {
+	clk.ns += aggQuietGap
+	a.FlushStale()
+	sends := inner.sends()
+	if len(sends) != 1 || wire.BundleFrameCount(sends[0].m.NonZeroCopy) != 1 {
+		t.Fatalf("%d transfers after the quiet pass, want one 1-frame bundle", len(sends))
+	}
+	if st := a.Stats(); st.DirectSends != 0 || st.QuietFlushes != 1 {
 		t.Fatalf("stats = %+v", st)
 	}
 }
 
 func TestAggregatorLargeMessageFlushesFirst(t *testing.T) {
 	inner := &fakePP{}
-	a := warmAgg(inner, 1, AggConfig{FlushBytes: 1 << 20, MaxSub: 16})
+	a := NewAggregator(inner, 1, AggConfig{FlushBytes: 1 << 20, MaxSub: 16})
 	if err := a.Start(func(*serialization.Message) {}); err != nil {
 		t.Fatal(err)
 	}
@@ -271,7 +360,7 @@ func TestAggregatorLargeMessageFlushesFirst(t *testing.T) {
 
 func TestAggregatorStopFlushes(t *testing.T) {
 	inner := &fakePP{}
-	a := warmAgg(inner, 3, AggConfig{FlushBytes: 1 << 20})
+	a := NewAggregator(inner, 3, AggConfig{FlushBytes: 1 << 20})
 	if err := a.Start(func(*serialization.Message) {}); err != nil {
 		t.Fatal(err)
 	}
@@ -281,14 +370,10 @@ func TestAggregatorStopFlushes(t *testing.T) {
 	if got := len(inner.sends()); got != 2 {
 		t.Fatalf("Stop flushed %d buffers, want 2", got)
 	}
-	// Shutdown drains must credit the dedicated StopFlushes counter, not
-	// AgeFlushes: these buffers never reached their FlushDelay.
-	st := a.Stats()
-	if st.StopFlushes != 2 {
-		t.Fatalf("StopFlushes = %d, want 2", st.StopFlushes)
-	}
-	if st.AgeFlushes != 0 {
-		t.Fatalf("AgeFlushes = %d, want 0 (shutdown drains polluted the age counter)", st.AgeFlushes)
+	// Shutdown drains credit StopFlushes only: no poller judged these
+	// buffers quiet or expired.
+	if st := a.Stats(); st.StopFlushes != 2 || st.QuietFlushes != 0 || st.AgeFlushes != 0 {
+		t.Fatalf("stop / quiet / age flushes = %d / %d / %d, want 2 / 0 / 0", st.StopFlushes, st.QuietFlushes, st.AgeFlushes)
 	}
 }
 
@@ -308,7 +393,7 @@ func TestAggregatorName(t *testing.T) {
 // the receive side.
 func TestAggregatorSendParcelDirectEncode(t *testing.T) {
 	inner := &fakePP{}
-	a := warmAgg(inner, 2, AggConfig{FlushBytes: 1 << 20})
+	a := NewAggregator(inner, 2, AggConfig{FlushBytes: 1 << 20})
 	if err := a.Start(func(*serialization.Message) {}); err != nil {
 		t.Fatal(err)
 	}
@@ -358,15 +443,14 @@ func TestAggregatorSendParcelDirectEncode(t *testing.T) {
 	}
 }
 
-// TestAggregatorSendParcelFallbacks pins the cases SendParcel must refuse,
-// leaving them to the ordinary encode-then-Send path.
+// TestAggregatorSendParcelFallbacks pins the only cases SendParcel refuses,
+// leaving them to the ordinary encode-then-Send path: a first-ever small
+// parcel is not one of them.
 func TestAggregatorSendParcelFallbacks(t *testing.T) {
 	inner := &fakePP{}
-	const coldIdle = 50 * time.Millisecond
-	a := NewAggregator(inner, 2, AggConfig{
-		FlushBytes: 1 << 20, MaxSub: 64,
-		ColdIdle: coldIdle, FlushDelay: time.Hour,
-	})
+	a := NewAggregator(inner, 2, AggConfig{FlushBytes: 1 << 20, MaxSub: 64, FlushDelay: time.Hour})
+	clk := &fakeClock{ns: int64(time.Hour)}
+	clk.install(a)
 	if err := a.Start(func(*serialization.Message) {}); err != nil {
 		t.Fatal(err)
 	}
@@ -378,17 +462,77 @@ func TestAggregatorSendParcelFallbacks(t *testing.T) {
 	if a.SendParcel(1, big) {
 		t.Fatal("SendParcel accepted a parcel above MaxSub")
 	}
-	time.Sleep(2 * coldIdle) // let the destination go cold
-	if a.SendParcel(1, small) {
-		t.Fatal("SendParcel accepted a cold destination")
-	}
-	// Warm the destination through Send's cold-direct path, then the very
-	// next parcel may bundle.
-	a.Send(1, msgOf([]byte("warmup")))
 	if !a.SendParcel(1, small) {
-		t.Fatal("SendParcel rejected a warm destination")
+		t.Fatal("SendParcel rejected the first small parcel to a silent destination")
 	}
-	if st := a.Stats(); st.BundledMessages != 1 {
+	clk.ns += aggQuietGap
+	if !a.FlushStale() || len(inner.sends()) != 1 {
+		t.Fatalf("%d transfers after the quiet pass, want 1", len(inner.sends()))
+	}
+	if st := a.Stats(); st.BundledMessages != 1 || st.QuietFlushes != 1 || st.DirectSends != 0 {
 		t.Fatalf("stats = %+v", st)
 	}
+}
+
+// TestAggregatorPollerRacesSenders: FlushStale judges a destination from
+// atomics the senders write under its lock, then re-judges under that lock.
+// With pollers spinning on the wall clock against concurrent senders, every
+// frame still leaves exactly once, in a bundle some rule accounted for.
+func TestAggregatorPollerRacesSenders(t *testing.T) {
+	inner := &frameCountPP{}
+	a := NewAggregator(inner, 2, AggConfig{FlushBytes: 256, MaxSub: 64, FlushDelay: 20 * time.Microsecond})
+	const senders, perSender = 4, 2000
+	var sending, polling sync.WaitGroup
+	stop := make(chan struct{})
+	for i := 0; i < 2; i++ {
+		polling.Add(1)
+		go func() {
+			defer polling.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+					a.FlushStale()
+				}
+			}
+		}()
+	}
+	for s := 0; s < senders; s++ {
+		sending.Add(1)
+		go func(s int) {
+			defer sending.Done()
+			for i := 0; i < perSender; i++ {
+				if i%2 == 0 {
+					a.Send(s%2, msgOf([]byte("sent")))
+				} else if !a.SendParcel(s%2, serialization.Parcel{Dest: s % 2, Action: 1}) {
+					t.Error("SendParcel refused a small parcel")
+				}
+			}
+		}(s)
+	}
+	sending.Wait()
+	close(stop)
+	polling.Wait()
+	a.Stop()
+	st := a.Stats()
+	if frames := inner.frames.Load(); frames != senders*perSender || st.BundledMessages != uint64(frames) {
+		t.Fatalf("%d frames left in bundles, %d bundled, want %d", frames, st.BundledMessages, senders*perSender)
+	}
+	if sum := st.SizeFlushes + st.QuietFlushes + st.AgeFlushes + st.CapFlushes + st.StopFlushes; sum != st.Bundles || int64(sum) != inner.bundles.Load() {
+		t.Fatalf("%d bundles sent, %d counted, %d attributed to a rule: %+v", inner.bundles.Load(), st.Bundles, sum, st)
+	}
+}
+
+// frameCountPP counts bundles and their frames as they are sent: Done
+// recycles a bundle's buffer, so it cannot be inspected afterwards.
+type frameCountPP struct {
+	fakePP
+	bundles, frames atomic.Int64
+}
+
+func (f *frameCountPP) Send(_ int, m *serialization.Message) {
+	f.bundles.Add(1)
+	f.frames.Add(int64(wire.BundleFrameCount(m.NonZeroCopy)))
+	m.Done()
 }

@@ -307,8 +307,8 @@ func (s *Service) actGet(loc *core.Locality, args [][]byte) [][]byte {
 		return shedReply
 	}
 	st.served.Add(1)
-	h := hashKey(string(args[0]))
-	val, ver, ok := st.get(string(args[0]), h)
+	key := string(args[0])
+	val, ver, ok := st.get(key, hashKey(key))
 	if !ok {
 		return [][]byte{replyHeader(statusNotFound, 0)}
 	}
@@ -457,7 +457,13 @@ func (c *Client) fill(key string, h uint64, owner int) ([]byte, bool, error) {
 	if err != nil {
 		return nil, false, err
 	}
-	status, ver, err := parseHeader(rets)
+	return c.installReply(key, h, rets)
+}
+
+// installReply interprets a shard's GET reply and installs a found value
+// into the cache; a reply parseHeader cannot name installs nothing.
+func (c *Client) installReply(key string, h uint64, rets [][]byte) ([]byte, bool, error) {
+	status, ver, err := parseHeader(rets, true)
 	if err != nil {
 		return nil, false, err
 	}
@@ -467,9 +473,6 @@ func (c *Client) fill(key string, h uint64, owner int) ([]byte, bool, error) {
 		return nil, false, ErrShed
 	case statusNotFound:
 		return nil, false, nil
-	}
-	if len(rets) < 2 {
-		return nil, false, fmt.Errorf("serve: malformed GET reply (no value)")
 	}
 	val := rets[1]
 	c.cache.install(key, h, val, ver, false)
@@ -500,7 +503,7 @@ func (c *Client) Put(key string, val []byte) error {
 	if err != nil {
 		return err
 	}
-	status, ver, err := parseHeader(rets)
+	status, ver, err := parseHeader(rets, false)
 	if err != nil {
 		return err
 	}
@@ -538,7 +541,7 @@ func (c *Client) Del(key string) error {
 	if err != nil {
 		return err
 	}
-	status, ver, err := parseHeader(rets)
+	status, ver, err := parseHeader(rets, false)
 	if err != nil {
 		return err
 	}
@@ -570,10 +573,23 @@ func (c *Client) Stats() ClientStats {
 // caching is disabled.
 func (c *Client) Cache() *Cache { return c.cache }
 
-// parseHeader decodes the status+version reply header.
-func parseHeader(rets [][]byte) (byte, uint64, error) {
+// parseHeader decodes the status+version reply header and rejects every
+// reply shape the shard actions cannot produce: an unknown status, or a
+// value buffer anywhere but behind the statusOK header of a GET reply.
+func parseHeader(rets [][]byte, get bool) (byte, uint64, error) {
 	if len(rets) < 1 || len(rets[0]) != 9 {
 		return 0, 0, fmt.Errorf("serve: malformed reply header")
 	}
-	return rets[0][0], binary.LittleEndian.Uint64(rets[0][1:]), nil
+	status := rets[0][0]
+	if status > statusShed {
+		return 0, 0, fmt.Errorf("serve: unknown reply status %d", status)
+	}
+	want := 1
+	if get && status == statusOK {
+		want = 2 // header + value
+	}
+	if len(rets) != want {
+		return 0, 0, fmt.Errorf("serve: malformed reply: status %d with %d buffers, want %d", status, len(rets), want)
+	}
+	return status, binary.LittleEndian.Uint64(rets[0][1:]), nil
 }
