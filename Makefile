@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet fmt-check test race check alloc-gate bench bench-quick bench-all bench-gate microbench-fabric microbench-deliver benchmark fuzz examples experiments clean
+.PHONY: all build vet fmt-check test race check alloc-gate bench bench-quick bench-all bench-gate microbench-fabric microbench-deliver benchmark ab fuzz examples experiments clean
 
 all: build vet test
 
@@ -16,10 +16,12 @@ check: build vet fmt-check test race alloc-gate bench-collectives bench-serve be
 # The receiver-datapath allocation gate: delivering a warm eager-sized
 # multi-parcel message must not allocate, spawned or inline, and neither must
 # a warm 39-frame aggregation bundle (the shape the bundled fast path really
-# produces) decoded once and run inline (see DESIGN.md §9 and §14). Run with
-# -count=1 so a cached pass never masks a regression.
+# produces) decoded once and run inline (see DESIGN.md §9 and §14); and a
+# steady 1 MiB rendezvous stream must allocate no more than 8 KiB of heap per
+# transfer (its receive buffers are pooled). Run with -count=1 so a cached
+# pass never masks a regression.
 alloc-gate:
-	$(GO) test ./internal/core/ -run 'TestDeliverBundleZeroAllocs|TestDeliverInlineBundleZeroAllocs|TestDeliverHPXBBundleZeroAllocs|TestCollBoxFastPathZeroAlloc' -count=1
+	$(GO) test ./internal/core/ -run 'TestDeliverBundleZeroAllocs|TestDeliverInlineBundleZeroAllocs|TestDeliverHPXBBundleZeroAllocs|TestCollBoxFastPathZeroAlloc|TestRendezvousStreamAllocBytes' -count=1
 	$(GO) test ./internal/serialization/ -run 'TestDecodeIntoSteadyStateAllocs|TestDecodeIntoBundleSteadyStateAllocs' -count=1
 	$(GO) test ./internal/lci/ -run TestChunkedZeroAllocSteadyState -count=1
 	$(GO) test ./internal/serve/ -run 'TestServeCachedGetZeroAllocs|TestTokenBucketZeroAllocs' -count=1
@@ -41,6 +43,7 @@ test:
 
 race:
 	$(GO) test -race ./internal/ring/... ./internal/lci/... ./internal/mpisim/... ./internal/fabric/... ./internal/parcelport/... ./internal/amt/... ./internal/core/... ./internal/serve/... -timeout 1800s
+	$(GO) test -race ./internal/wire/ -run Lifetime -count=3 -timeout 1800s
 
 bench:
 	$(GO) test -bench=. -benchmem ./... -timeout 3600s
@@ -90,6 +93,17 @@ bench-gate:
 # benchmark/README.md).
 benchmark:
 	sh benchmark/run.sh
+
+# The paired before/after series behind a performance claim: PARENT (a git
+# revision) against the working tree, N interleaved pairs per workload of
+# BENCHMARK.json, which side first alternating. Prints, per metric, both
+# medians, the parent's quartile distance, wins/N and better / worse /
+# unresolved (cmd/ab; ~5 min per workload at the defaults). AB_FLAGS passes
+# more, e.g. AB_FLAGS='-workloads xfer_1m_striped -trace 1'.
+PARENT ?= HEAD
+N ?= 10
+ab:
+	$(GO) run ./cmd/ab -parent $(PARENT) -n $(N) $(AB_FLAGS)
 
 # Quick A/B of the 64 B message-rate benchmark with the sender-side
 # aggregation layer off and on.

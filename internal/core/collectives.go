@@ -414,16 +414,6 @@ func (b *collBox) wait(key uint32, deadlineNs int64) ([][]byte, error) {
 	return m, nil
 }
 
-// detachBlobs returns a GC-safe copy of blobs: a fresh outer slice, with
-// blobs below the zero-copy threshold copied out of (possibly pooled)
-// receive buffers. Blobs at or above the threshold are zero-copy chunks —
-// plain GC memory the receive path never pools — and stay aliased.
-func (l *Locality) detachBlobs(blobs [][]byte) [][]byte {
-	out := append(make([][]byte, 0, len(blobs)), blobs...)
-	sanitizeInlineArgs(out, l.rt.cfg.ZeroCopyThreshold)
-	return out
-}
-
 // ---------------------------------------------------------------------------
 // Tree relay plumbing shared by the relay actions.
 
@@ -446,7 +436,7 @@ func (l *Locality) forwardTree(root int, aid uint32, args [][]byte) []childCall 
 	if len(masks) == 0 {
 		return nil
 	}
-	fwd := l.detachBlobs(args)
+	fwd := detachArgs(args)
 	calls := make([]childCall, len(masks))
 	for i := len(masks) - 1; i >= 0; i-- {
 		childRel := rel + masks[i]
@@ -626,7 +616,7 @@ func (rt *Runtime) collAllReduceAction(loc *Locality, args [][]byte) [][]byte {
 	send := func(dst int, key uint32, blobs [][]byte) error {
 		dh.key = key
 		return loc.ApplyID(dst, rt.coll.dataID,
-			append([][]byte{encodeCollData(dh)}, loc.detachBlobs(blobs)...))
+			append([][]byte{encodeCollData(dh)}, detachArgs(blobs)...))
 	}
 
 	participant, rp := true, 0
@@ -718,7 +708,7 @@ func (rt *Runtime) collAllToAllAction(loc *Locality, args [][]byte) [][]byte {
 	hdr := encodeCollData(dh)
 	for k := 1; k < n; k++ {
 		dst := (loc.id + k) % n
-		blk := loc.detachBlobs(blocks[dst : dst+1])
+		blk := detachArgs(blocks[dst : dst+1])
 		if err := loc.ApplyID(dst, rt.coll.dataID, [][]byte{hdr, blk[0]}); err != nil {
 			return collErrf("locality %d: send to %d: %v", loc.id, dst, err)
 		}
@@ -753,7 +743,7 @@ func (rt *Runtime) collDataAction(loc *Locality, args [][]byte) [][]byte {
 		loc.decodeErrors.Add(1)
 		return nil
 	}
-	loc.collbox(dh.id, dh.deadlineNs).put(dh.key, loc.detachBlobs(args[1:]))
+	loc.collbox(dh.id, dh.deadlineNs).put(dh.key, detachArgs(args[1:]))
 	return nil
 }
 

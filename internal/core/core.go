@@ -43,7 +43,10 @@ const continuationAction = 0
 var ErrPeerUnreachable = errors.New("core: peer unreachable")
 
 // ActionFunc is a registered remote action: it runs as a task on the target
-// locality and returns result blobs (nil for void actions).
+// locality and returns result blobs (nil for void actions). args point into
+// pooled receive buffers and are valid until the action returns, whatever
+// their size; an action that keeps one, or passes it on to Apply/Call, copies
+// it first. Returning them is fine (DESIGN.md §9).
 type ActionFunc func(loc *Locality, args [][]byte) [][]byte
 
 // Config assembles a runtime.
@@ -813,6 +816,7 @@ func (l *Locality) reapDeadContinuations() bool {
 type delivery struct {
 	l      *Locality
 	buf    serialization.DecodeBuf
+	msg    *serialization.Message // the transfer, for as long as owner holds it
 	owner  serialization.RecvOwner
 	refs   atomic.Int32
 	tasks  []*parcelTask // pointer-stable reusable slots
@@ -865,15 +869,9 @@ func (t *parcelTask) invoke(sample, traced bool) {
 	}
 	if p.Action == continuationAction {
 		// runContinuation publishes args[1:] to the Call future, which the
-		// caller reads after this task is gone while the parcel slab is
-		// recycled: detach the arg headers from the slab, and copy inline
-		// bytes out of pooled receive buffers. Args at or above the
-		// zero-copy threshold are zero-copy chunks — plain GC buffers,
-		// never pooled — and stay aliased.
-		p.Args = append(make([][]byte, 0, len(p.Args)), p.Args...)
-		if d.owner != nil {
-			sanitizeInlineArgs(p.Args, l.rt.cfg.ZeroCopyThreshold)
-		}
+		// caller reads after this task is gone, the parcel slab recycled and
+		// the receive buffers back in their pools: detach headers and bytes.
+		p.Args = detachArgs(p.Args)
 	}
 	var results [][]byte
 	if sample {
@@ -891,37 +889,48 @@ func (t *parcelTask) invoke(sample, traced bool) {
 		args := append([][]byte{idBuf[:]}, results...)
 		if d.owner != nil {
 			// The reply parcel may be queued and encoded after this task
-			// returns (connection-cache backpressure defers the encode), so
-			// results that alias the delivered message — an echo action
+			// returns (connection-cache backpressure defers the encode), so a
+			// result that aliases the delivered message — an echo action
 			// returning its args — must not point into buffers about to be
-			// recycled.
-			sanitizeInlineArgs(args[1:], l.rt.cfg.ZeroCopyThreshold)
+			// recycled. A result the action allocated goes out as it is.
+			for i, r := range args[1:] {
+				if len(r) > 0 && d.msg.Aliases(r) {
+					args[1+i] = append([]byte(nil), r...)
+				}
+			}
 		}
 		_ = l.ApplyID(p.Source, continuationAction, args)
 	}
 }
 
-// sanitizeInlineArgs replaces every arg shorter than the zero-copy threshold
-// with a garbage-collected copy (one shared backing array). Args at or above
-// the threshold are zero-copy chunk buffers, which the receive path never
-// pools, so they are safe to alias indefinitely.
-func sanitizeInlineArgs(args [][]byte, zcThreshold int) {
+// detachArgs returns a garbage-collected copy of args — a fresh outer slice
+// and fresh bytes — for a consumer that outlives the action the args were
+// delivered to (DESIGN.md §9: an arg is valid until its action returns,
+// whatever its size). Small args share one backing array; an arg of
+// detachOwnAlloc bytes or more gets its own append copy, which unlike make
+// does not zero the memory it is about to overwrite.
+func detachArgs(args [][]byte) [][]byte {
+	const detachOwnAlloc = 4096
+	out := append(make([][]byte, 0, len(args)), args...) // empty args stay as they are
 	total := 0
-	for _, a := range args {
-		if len(a) > 0 && len(a) < zcThreshold {
+	for i, a := range args {
+		if len(a) >= detachOwnAlloc {
+			out[i] = append([]byte(nil), a...)
+		} else {
 			total += len(a)
 		}
 	}
 	if total == 0 {
-		return
+		return out
 	}
 	backing := make([]byte, 0, total)
 	for i, a := range args {
-		if len(a) > 0 && len(a) < zcThreshold {
+		if n := len(a); n > 0 && n < detachOwnAlloc {
 			backing = append(backing, a...)
-			args[i] = backing[len(backing)-len(a) : len(backing) : len(backing)]
+			out[i] = backing[len(backing)-n : len(backing) : len(backing)]
 		}
 	}
+	return out
 }
 
 // unref drops n task references; the last one releases the transfer's
@@ -1065,7 +1074,7 @@ func (l *Locality) deliver(m *serialization.Message) {
 	if frames := d.buf.Frames(); frames > 0 && l.agg != nil {
 		l.agg.NoteUnbundled(frames)
 	}
-	d.owner = m.Owner
+	d.msg, d.owner = m, m.Owner
 	if len(parcels) == 0 {
 		// Still release the pooled buffers so they return to their pools.
 		d.recycle()

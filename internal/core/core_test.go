@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"regexp"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -380,6 +381,10 @@ func TestStatsTextCoversTransports(t *testing.T) {
 		}
 		if !strings.Contains(text, "locality 1") {
 			t.Fatalf("%s stats missing locality block", tc.pp)
+		}
+		// One count per wire-pool size class, the rendezvous classes last.
+		if !regexp.MustCompile(`buffer pool misses by class \(process-wide\): 256B=\d+ 1K=\d+ .* 1M=\d+ 4M=\d+\n`).MatchString(text) {
+			t.Fatalf("%s stats missing the pool-miss line:\n%s", tc.pp, text)
 		}
 	}
 }

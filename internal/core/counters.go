@@ -8,6 +8,7 @@ import (
 	"hpxgo/internal/parcelport/lcipp"
 	"hpxgo/internal/parcelport/mpipp"
 	"hpxgo/internal/parcelport/tcppp"
+	"hpxgo/internal/wire"
 )
 
 // StatsText renders the runtime's performance counters — the analogue of
@@ -17,6 +18,20 @@ import (
 func (rt *Runtime) StatsText() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "runtime counters (%s, %d localities)\n", rt.ParcelportName(), rt.Localities())
+	// The wire pool is shared by every runtime in the process. A class whose
+	// count keeps growing under steady load is allocating instead of
+	// recycling: "did the rendezvous classes (1M, 4M) hit" reads off here.
+	b.WriteString("buffer pool misses by class (process-wide):")
+	for _, m := range wire.PoolMisses() {
+		unit, v := "B", m.Class
+		if v >= 1<<20 {
+			unit, v = "M", v>>20
+		} else if v >= 1<<10 {
+			unit, v = "K", v>>10
+		}
+		fmt.Fprintf(&b, " %d%s=%d", v, unit, m.Misses)
+	}
+	b.WriteByte('\n')
 	service := rt.serviceText() // the EWMAs are runtime-wide; the crossings are counted per locality
 	for i, loc := range rt.locs {
 		fmt.Fprintf(&b, "locality %d:\n", i)

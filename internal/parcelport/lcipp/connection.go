@@ -282,7 +282,10 @@ func (c *lconn) failRecvLocked() {
 	}
 }
 
-// planZC sizes the zero-copy receive buffers from the transmission chunk.
+// planZC sizes the zero-copy receive buffers from the transmission chunk
+// and draws them, like every other receive buffer, through the owner. A
+// transmission chunk the parser rejects (truncated, oversize or duplicated
+// entries) is protocol corruption and fails the connection.
 func (c *lconn) planZC() {
 	if c.h.NumZC == 0 {
 		return
@@ -294,7 +297,7 @@ func (c *lconn) planZC() {
 	}
 	c.zcBufs = make([][]byte, len(sizes))
 	for i, sz := range sizes {
-		c.zcBufs[i] = make([]byte, sz)
+		c.zcBufs[i] = c.owner.GetBuf(int(sz))
 	}
 }
 
@@ -336,9 +339,8 @@ func (c *lconn) advanceReceiverLocked() {
 		c.postRecvLocked(c.zcBufs[c.stage-stageZC])
 	default:
 		// Hand the buffer owner to the message; the delivery chain releases
-		// it once the last parcel's action finished. The zero-copy buffers
-		// are plain GC allocations (they become long-lived arguments), so
-		// they are not owner-tracked.
+		// it, and with it every chunk buffer, once the last parcel's action
+		// finished.
 		o := c.owner
 		c.owner = nil
 		o.Msg = serialization.Message{NonZeroCopy: c.nzc, Transmission: c.trans, ZeroCopy: c.zcBufs, Owner: o}

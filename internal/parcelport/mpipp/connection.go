@@ -223,7 +223,8 @@ func (c *connection) failRecv() {
 	}
 }
 
-// planZC sizes the zero-copy receive buffers from the transmission chunk.
+// planZC sizes the zero-copy receive buffers from the transmission chunk
+// and draws them, like every other receive buffer, through the owner.
 func (c *connection) planZC() {
 	c.planned = true
 	if c.h.NumZC == 0 {
@@ -231,13 +232,14 @@ func (c *connection) planZC() {
 	}
 	sizes, err := serialization.ParseTransmissionSizes(c.trans)
 	if err != nil || len(sizes) != int(c.h.NumZC) {
-		// Protocol corruption; finish the connection to avoid wedging.
+		// Protocol corruption (truncated, oversize or duplicated entries);
+		// finish the connection to avoid wedging.
 		c.failRecv()
 		return
 	}
 	c.zcBufs = make([][]byte, len(sizes))
 	for i, sz := range sizes {
-		c.zcBufs[i] = make([]byte, sz)
+		c.zcBufs[i] = c.owner.GetBuf(int(sz))
 	}
 }
 
@@ -276,9 +278,8 @@ func (c *connection) advanceReceiver() bool {
 		return c.post(c.zcBufs[c.stage-stageZC])
 	default:
 		// Hand the buffer owner to the message; the delivery chain releases
-		// it once the last parcel's action finished. Zero-copy buffers are
-		// plain GC allocations (they become long-lived arguments) and are
-		// not owner-tracked.
+		// it, and with it every chunk buffer, once the last parcel's action
+		// finished.
 		o := c.owner
 		c.owner = nil
 		o.Msg = serialization.Message{NonZeroCopy: c.nzc, Transmission: c.trans, ZeroCopy: c.zcBufs, Owner: o}

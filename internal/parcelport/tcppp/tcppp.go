@@ -29,9 +29,6 @@ import (
 // frameMagic guards against stream desynchronization.
 const frameMagic uint32 = 0x48505854 // "HPXT"
 
-// maxFrameChunk bounds any single chunk length (sanity check on decode).
-const maxFrameChunk = 1 << 30
-
 // Config tunes the TCP parcelport group.
 type Config struct {
 	// SendQueue is the per-destination outbound queue depth. Default 1024.
@@ -321,10 +318,8 @@ func writeFrame(w io.Writer, m *serialization.Message) error {
 }
 
 // readFrame parses one length-prefixed HPX message into owner's reusable
-// message, staging the non-zero-copy and transmission chunks in owner-tracked
-// pooled buffers. On error the caller releases owner, which recycles
-// whatever was staged. Zero-copy chunks are plain GC allocations (they
-// become long-lived arguments) and are not owner-tracked.
+// message, staging every chunk in owner-tracked pooled buffers. On error the
+// caller releases owner, which recycles whatever was staged.
 func readFrame(r io.Reader, owner *parcelport.RecvBufs) (*serialization.Message, error) {
 	var hdr [16]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
@@ -336,7 +331,7 @@ func readFrame(r io.Reader, owner *parcelport.RecvBufs) (*serialization.Message,
 	nzcLen := binary.LittleEndian.Uint32(hdr[4:])
 	transLen := binary.LittleEndian.Uint32(hdr[8:])
 	numZC := binary.LittleEndian.Uint32(hdr[12:])
-	if nzcLen > maxFrameChunk || transLen > maxFrameChunk || numZC > 1<<20 {
+	if nzcLen > serialization.MaxChunkSize || transLen > serialization.MaxChunkSize || numZC > 1<<20 {
 		return nil, fmt.Errorf("tcppp: implausible frame sizes")
 	}
 	zcLens := make([]uint32, numZC)
@@ -346,7 +341,7 @@ func readFrame(r io.Reader, owner *parcelport.RecvBufs) (*serialization.Message,
 			return nil, err
 		}
 		zcLens[i] = binary.LittleEndian.Uint32(lens[:])
-		if zcLens[i] > maxFrameChunk {
+		if zcLens[i] > serialization.MaxChunkSize {
 			return nil, fmt.Errorf("tcppp: implausible chunk size")
 		}
 	}
@@ -365,7 +360,7 @@ func readFrame(r io.Reader, owner *parcelport.RecvBufs) (*serialization.Message,
 	if numZC > 0 {
 		m.ZeroCopy = make([][]byte, numZC)
 		for i := range m.ZeroCopy {
-			m.ZeroCopy[i] = make([]byte, zcLens[i])
+			m.ZeroCopy[i] = owner.GetBuf(int(zcLens[i]))
 			if _, err := io.ReadFull(r, m.ZeroCopy[i]); err != nil {
 				return nil, err
 			}

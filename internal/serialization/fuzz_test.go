@@ -2,6 +2,7 @@ package serialization
 
 import (
 	"bytes"
+	"encoding/binary"
 	"testing"
 
 	"hpxgo/internal/wire"
@@ -82,16 +83,34 @@ func FuzzDecodeBundle(f *testing.F) {
 	})
 }
 
-// FuzzParseTransmissionSizes must never panic on arbitrary input.
+// FuzzParseTransmissionSizes must never panic on arbitrary input, and what
+// it accepts must be safe to allocate from: every size within MaxChunkSize,
+// one entry per index.
 func FuzzParseTransmissionSizes(f *testing.F) {
 	valid := Encode([]*Parcel{{Args: [][]byte{make([]byte, 9000), make([]byte, 10000)}}}, 0)
 	f.Add(valid.Transmission)
 	f.Add([]byte{})
+	entry := func(b []byte, idx uint32, size uint64) []byte {
+		return binary.LittleEndian.AppendUint64(binary.LittleEndian.AppendUint32(b, idx), size)
+	}
+	count := func(n uint32) []byte { return binary.LittleEndian.AppendUint32(nil, n) }
+	f.Add(entry(count(1), 0, 1<<62))                         // reached make and panicked the progress goroutine
+	f.Add(entry(count(1), 0, MaxChunkSize+1))                // one past the bound
+	f.Add(entry(count(1), 0, MaxChunkSize))                  // at the bound
+	f.Add(entry(entry(count(2), 0, 9000), 0, 9000))          // index 0 twice, index 1 never
+	f.Add(entry(entry(count(2), 1, 9000), 0, ^uint64(0)))    // the duplicate-detection sentinel as a size
+	f.Add(entry(entry(count(3), 2, 8192), 1, 8192)[:4+12+6]) // truncated mid-entry
 	f.Fuzz(func(t *testing.T, data []byte) {
 		sizes, err := ParseTransmissionSizes(data)
-		if err == nil {
-			for _, s := range sizes {
-				_ = s
+		if err != nil {
+			return
+		}
+		if len(data) < 4+12*len(sizes) {
+			t.Fatalf("%d entries accepted from %d bytes", len(sizes), len(data))
+		}
+		for i, s := range sizes {
+			if s > MaxChunkSize {
+				t.Fatalf("chunk %d: size %d accepted (an index listed twice leaves another unset)", i, s)
 			}
 		}
 	})

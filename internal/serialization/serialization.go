@@ -18,6 +18,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"unsafe"
 
 	"hpxgo/internal/wire"
 )
@@ -103,6 +104,27 @@ func (m *Message) TotalBytes() int {
 		n += len(zc)
 	}
 	return n
+}
+
+// Aliases reports whether b's backing array lies inside one of the chunks
+// decoded arguments point into (NonZeroCopy, ZeroCopy). The receiver uses it
+// to tell a result that echoes an argument — which dies with the message's
+// buffers — from one the action allocated.
+func (m *Message) Aliases(b []byte) bool {
+	p := uintptr(unsafe.Pointer(unsafe.SliceData(b)))
+	within := func(c []byte) bool {
+		// Unsigned: a b below c wraps to a huge offset.
+		return p-uintptr(unsafe.Pointer(unsafe.SliceData(c))) < uintptr(cap(c))
+	}
+	if within(m.NonZeroCopy) {
+		return true
+	}
+	for _, c := range m.ZeroCopy {
+		if within(c) {
+			return true
+		}
+	}
+	return false
 }
 
 const (
@@ -429,10 +451,18 @@ func Decode(m *Message) ([]*Parcel, error) {
 	return out, err
 }
 
+// MaxChunkSize bounds the length of any single chunk a transport accepts
+// from the wire. A receiver allocates what a header announces before the
+// payload arrives, so an announced size beyond this is treated as protocol
+// corruption (ParseTransmissionSizes, the TCP frame reader).
+const MaxChunkSize = 1 << 30
+
 // ParseTransmissionSizes extracts the zero-copy chunk lengths from a
 // transmission chunk. The parcelport layer uses it to size and post the
 // receives for the follow-up zero-copy messages before their payloads
-// arrive.
+// arrive, so it rejects what a receiver must not act on: a size above
+// MaxChunkSize, and a chunk index listed twice (which would leave another
+// chunk unsized).
 func ParseTransmissionSizes(tc []byte) ([]uint64, error) {
 	r := reader{bytes: tc}
 	n, err := r.u32()
@@ -443,7 +473,11 @@ func ParseTransmissionSizes(tc []byte) ([]uint64, error) {
 	if int64(n)*12 > int64(r.remaining()) {
 		return nil, fmt.Errorf("%w: %d chunk entries in %d bytes", ErrTruncated, n, r.remaining())
 	}
+	const unset = ^uint64(0)
 	sizes := make([]uint64, n)
+	for i := range sizes {
+		sizes[i] = unset
+	}
 	for i := uint32(0); i < n; i++ {
 		idx, err := r.u32()
 		if err != nil {
@@ -452,8 +486,14 @@ func ParseTransmissionSizes(tc []byte) ([]uint64, error) {
 		if idx >= n {
 			return nil, fmt.Errorf("%w: chunk index %d out of range %d", ErrChunk, idx, n)
 		}
+		if sizes[idx] != unset {
+			return nil, fmt.Errorf("%w: chunk index %d listed twice", ErrChunk, idx)
+		}
 		if sizes[idx], err = r.u64(); err != nil {
 			return nil, err
+		}
+		if sizes[idx] > MaxChunkSize {
+			return nil, fmt.Errorf("%w: chunk %d announces %d bytes", ErrChunk, idx, sizes[idx])
 		}
 	}
 	return sizes, nil

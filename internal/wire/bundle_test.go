@@ -128,3 +128,48 @@ func TestAppendFrameHeader(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestPoolMissesCountAllocations: a class's miss count moves when GetBuf had
+// to allocate and only then, and an oversize request belongs to no class.
+func TestPoolMissesCountAllocations(t *testing.T) {
+	const class = 4 << 20
+	last := len(poolClasses) - 1
+	if poolClasses[last] != class {
+		t.Fatalf("largest class is %d", poolClasses[last])
+	}
+	missesOf := func() uint64 {
+		ms := PoolMisses()
+		if len(ms) != len(poolClasses) || ms[last].Class != class {
+			t.Fatalf("PoolMisses() = %+v", ms)
+		}
+		return ms[last].Misses
+	}
+	// sync.Pool may drop a Put (it does so at random under the race
+	// detector), so a Get after a Put usually, not always, hits.
+	hits := 0
+	for i := 0; i < 20; i++ {
+		PutBuf(GetBuf(class - 1))
+		before := missesOf()
+		b := GetBuf(class/2 + 1)
+		switch d := missesOf() - before; {
+		case d > 1:
+			t.Fatalf("one GetBuf counted %d misses", d)
+		case d == 0:
+			hits++
+		}
+		if cap(b) != class {
+			t.Fatalf("cap %d", cap(b))
+		}
+		PutBuf(b)
+	}
+	if hits == 0 {
+		t.Fatal("20 Get-after-Put cycles never hit the pool")
+	}
+	before := PoolMisses()
+	_ = GetBuf(class + 1)
+	for i, m := range PoolMisses() {
+		if m != before[i] {
+			t.Fatalf("an oversize request moved class %d's count", m.Class)
+		}
+	}
+}

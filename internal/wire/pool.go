@@ -1,22 +1,45 @@
 package wire
 
-import "sync"
+import (
+	"bytes"
+	"sync"
+	"sync/atomic"
+)
 
 // Size-classed byte-buffer pool backing the hot-path allocations of the
 // network stack: sender-side header buffers in the parcelports, aggregation
-// bundles, and serialization scratch. Buffers are handed out at the exact
-// requested length but always carry the capacity of their size class, so a
-// caller that appends within its declared need never reallocates.
+// bundles, serialization scratch, and every buffer a received message is
+// staged in — eager chunks and rendezvous (zero-copy) chunks alike. Buffers
+// are handed out at the exact requested length but always carry the capacity
+// of their size class, so a caller that appends within its declared need
+// never reallocates.
 //
 // Ownership is strict: PutBuf may only be called by the single owner of the
 // buffer, once nothing aliases it. Returning a buffer that is still
 // referenced corrupts a future unrelated message.
 
-// poolClasses are the buffer capacities kept in pools, smallest first.
-// Requests above the largest class fall back to plain allocation.
-var poolClasses = [...]int{256, 1 << 10, 4 << 10, 16 << 10, 64 << 10, 256 << 10}
+// poolClasses are the buffer capacities kept in pools, smallest first. The
+// two largest cover rendezvous transfers; requests above the largest class
+// fall back to plain allocation.
+var poolClasses = [...]int{256, 1 << 10, 4 << 10, 16 << 10, 64 << 10, 256 << 10, 1 << 20, 4 << 20}
 
 var pools [len(poolClasses)]sync.Pool
+
+// poolMisses counts, per class, the GetBuf calls that found the class's pool
+// empty and allocated. Only the allocating fallback touches it.
+var poolMisses [len(poolClasses)]atomic.Uint64
+
+// poisonOnPut makes PutBuf overwrite what it recycles with poisonByte, so a
+// reader still aliasing a returned buffer sees garbage instead of stale but
+// plausible bytes, and makes GetBuf count in poisonBroken every recycled
+// buffer that no longer holds the fill — one written to after its owner
+// returned it. Only tests set it (export_test.go).
+var (
+	poisonOnPut  atomic.Bool
+	poisonBroken atomic.Uint64
+)
+
+const poisonByte = 0xDB
 
 // bufBox carries a slice through sync.Pool behind a pointer: putting a bare
 // []byte into a pool boxes its header on every Put, which would make buffer
@@ -36,8 +59,12 @@ func GetBuf(n int) []byte {
 				b := box.b[:n]
 				box.b = nil
 				boxPool.Put(box)
+				if poisonOnPut.Load() && bytes.Count(b[:c], []byte{poisonByte}) != c {
+					poisonBroken.Add(1)
+				}
 				return b
 			}
+			poolMisses[i].Add(1)
 			return make([]byte, n, c)
 		}
 	}
@@ -51,10 +78,33 @@ func PutBuf(b []byte) {
 	c := cap(b)
 	for i, pc := range poolClasses {
 		if c == pc {
+			if poisonOnPut.Load() {
+				b = b[:pc]
+				for j := range b {
+					b[j] = poisonByte
+				}
+			}
 			box := boxPool.Get().(*bufBox)
 			box.b = b[:0:pc]
 			pools[i].Put(box)
 			return
 		}
 	}
+}
+
+// PoolMiss is one size class's miss count.
+type PoolMiss struct {
+	Class  int // buffer capacity in bytes
+	Misses uint64
+}
+
+// PoolMisses reports, per size class, how many GetBuf calls allocated
+// because the class's pool was empty (process-wide, since start). A class
+// whose count keeps growing under steady load is not recycling.
+func PoolMisses() []PoolMiss {
+	out := make([]PoolMiss, len(poolClasses))
+	for i, c := range poolClasses {
+		out[i] = PoolMiss{Class: c, Misses: poolMisses[i].Load()}
+	}
+	return out
 }
