@@ -393,7 +393,8 @@ func (rt *Runtime) MustRegisterAction(name string, fn ActionFunc) uint32 {
 // RegisterInlineAction registers fn with the inline hint: the action
 // promises to be small and non-blocking (no future waits, no long compute,
 // no unbounded locks), so the receive path may run it to completion on the
-// draining goroutine instead of spawning a task. A hinted action that
+// draining goroutine instead of spawning a task, and a Call from its own
+// locality runs it directly on the caller (see Call). A hinted action that
 // nonetheless runs long is demoted to spawning by the service-time escape
 // for as long as it keeps measuring heavy, and re-admitted once it measures
 // light again (see actionSvc); one that *blocks* stalls its drain goroutine
@@ -707,7 +708,10 @@ func (l *Locality) ApplyID(dst int, id uint32, args [][]byte) error {
 	return nil
 }
 
-// Call invokes an action on dst and returns a future for its results.
+// Call invokes an action on dst and returns a future for its results. When
+// dst is the caller's own locality and the action carries the inline hint, it
+// runs to completion on the calling goroutine before Call returns (HPX's
+// direct action), so the future comes back already set.
 func (l *Locality) Call(dst int, action string, args ...[]byte) *amt.Future[[][]byte] {
 	f := amt.NewFuture[[][]byte](l.sched)
 	id, ok := l.rt.ActionID(action)
@@ -734,9 +738,15 @@ func (l *Locality) callID(dst int, id uint32, args [][]byte, f *amt.Future[[][]b
 		return f
 	}
 	if dst == l.id {
-		l.sched.Spawn(func() {
-			f.Set(fn(l, args), nil)
-		})
+		// Local invocation short-circuits the network. An inline-hinted
+		// action is HPX's direct action: it runs right here on the caller,
+		// which gets back a future that is already set. Anything else is
+		// spawned, so the caller can overlap it with its own work.
+		if l.directAction(id) {
+			l.sched.RunInline(func() { f.Set(fn(l, args), nil) })
+		} else {
+			l.sched.Spawn(func() { f.Set(fn(l, args), nil) })
+		}
 		return f
 	}
 	if l.peerDown(dst) {
@@ -754,6 +764,19 @@ func (l *Locality) callID(dst int, id uint32, args [][]byte, f *amt.Future[[][]b
 	l.contMu.Unlock()
 	l.layer.PutOne(serialization.Parcel{Source: l.id, Dest: dst, Action: id, ContID: cid, Args: args})
 	return f
+}
+
+// directAction reports whether a local Call of action id runs on the caller:
+// the action carries the inline hint and the inline lane is on
+// (Config.InlineBudget ≥ 0). The service-time escape does not apply, since no
+// drain goroutine is held up, only the caller, which asked for the result.
+// Before Start no hint table is sealed and every local Call spawns.
+func (l *Locality) directAction(id uint32) bool {
+	if l.inlineBudget <= 0 {
+		return false
+	}
+	tab := l.rt.inlineTab.Load()
+	return tab != nil && int(id) < len(*tab) && (*tab)[id]
 }
 
 // peerDown reports whether the fabric has declared the path to dst dead.

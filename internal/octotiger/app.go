@@ -21,6 +21,9 @@ type App struct {
 	// states is indexed by leaf index; entry i is logically resident on
 	// Leaves[i].Owner and only ever touched by that locality's tasks.
 	states []*leafState
+	// weights is momentWeights(SubgridSize). Regrid keeps the subgrid size,
+	// so the table built in New stays valid for the App's lifetime.
+	weights []float64
 
 	aBoundary uint32
 	aPartial  uint32
@@ -37,7 +40,7 @@ func New(rt *core.Runtime, p Params) (*App, error) {
 	if err != nil {
 		return nil, err
 	}
-	a := &App{rt: rt, p: p, tree: tree}
+	a := &App{rt: rt, p: p, tree: tree, weights: momentWeights(p.SubgridSize)}
 	a.states = make([]*leafState, len(tree.Leaves))
 	for i, lf := range tree.Leaves {
 		a.states[i] = newLeafState(p, lf)
@@ -46,8 +49,12 @@ func New(rt *core.Runtime, p Params) (*App, error) {
 
 	// ot_boundary returns the committed hydro face payload and the multipole
 	// moments of one leaf: the per-face exchange of the real application
-	// (one multi-KiB zero-copy-eligible blob plus one small blob).
-	a.aBoundary = rt.MustRegisterAction("ot_boundary", func(loc *core.Locality, args [][]byte) [][]byte {
+	// (one multi-KiB zero-copy-eligible blob plus one small blob). It copies
+	// one face and never blocks, so it carries the inline hint: a pull that
+	// arrives by parcel runs on the draining goroutine, and a pull of a leaf
+	// the caller's own locality owns runs directly on the caller (HPX's
+	// direct action; see core.Locality.CallID).
+	a.aBoundary = rt.MustRegisterInlineAction("ot_boundary", func(loc *core.Locality, args [][]byte) [][]byte {
 		if len(args) != 1 || len(args[0]) != 5 {
 			return nil
 		}
@@ -115,7 +122,7 @@ func (a *App) Step() error {
 	// Phase A: multipole moments (local compute, no communication).
 	if err := a.forAllLocalities(func(loc *core.Locality) error {
 		for _, idx := range a.tree.OwnedLeaves(loc.ID()) {
-			a.states[idx].computeMoments(a.p.SubgridSize)
+			a.states[idx].computeMoments(a.weights)
 		}
 		return nil
 	}); err != nil {
@@ -221,39 +228,58 @@ func (a *App) exchangeAndKernel(loc *core.Locality) error {
 	return nil
 }
 
-// processLeaves runs the exchange + kernel for a chunk of owned leaves.
+// processLeaves runs the exchange + kernel for a chunk of owned leaves in
+// dataflow shape: every face pull of the chunk is issued before the first
+// wait, so remote pulls overlap each other and the kernel, and local pulls
+// (direct actions) have completed by the time they are issued. Faces are then
+// applied leaf by leaf in Morton and face order, which keeps every leaf's
+// potential update bit-identical to a leaf-by-leaf exchange.
 func (a *App) processLeaves(loc *core.Locality, leaves []int) error {
-	type pendingFace struct {
-		face int
-		fut  *amt.Future[[][]byte]
-	}
+	n := 0
 	for _, idx := range leaves {
-		lf := a.tree.Leaves[idx]
-		st := a.states[idx]
-		st.selfInteraction(a.p)
-		var pend []pendingFace
-		for f, nb := range lf.Neighbors {
+		for _, nb := range a.tree.Leaves[idx].Neighbors {
+			if nb >= 0 {
+				n++
+			}
+		}
+	}
+	// One backing array each for the requests and their argument lists: a
+	// queued remote pull may be encoded after this loop moves on, so no
+	// request buffer is reused within the chunk.
+	reqs := make([]byte, 5*n)
+	argv := make([][]byte, n)
+	futs := make([]*amt.Future[[][]byte], 0, n)
+	for _, idx := range leaves {
+		for f, nb := range a.tree.Leaves[idx].Neighbors {
 			if nb < 0 {
 				continue
 			}
-			nbLeaf := a.tree.Leaves[nb]
 			// Ask the neighbour's owner for the face it shows us (its
-			// opposite face). Local neighbours short-circuit inside CallID.
-			var req [5]byte
+			// opposite face).
+			k := len(futs)
+			req := reqs[5*k : 5*k+5]
 			binary.LittleEndian.PutUint32(req[:4], uint32(nb))
 			req[4] = byte(f ^ 1)
-			fut := loc.CallID(nbLeaf.Owner, a.aBoundary, [][]byte{req[:]})
-			pend = append(pend, pendingFace{face: f, fut: fut})
+			argv[k] = req
+			futs = append(futs, loc.CallID(a.tree.Leaves[nb].Owner, a.aBoundary, argv[k:k+1]))
 		}
-		for _, p := range pend {
-			res, err := p.fut.GetTimeout(stepTimeout)
+	}
+	k := 0
+	for _, idx := range leaves {
+		st := a.states[idx]
+		st.selfInteraction(a.p)
+		for f, nb := range a.tree.Leaves[idx].Neighbors {
+			if nb < 0 {
+				continue
+			}
+			res, err := futs[k].GetTimeout(stepTimeout)
+			k++
 			if err != nil {
 				return fmt.Errorf("boundary pull: %w", err)
 			}
-			if len(res) != 2 {
-				return fmt.Errorf("boundary pull: %d blobs", len(res))
+			if err := st.applyBoundary(a.p, f, res); err != nil {
+				return fmt.Errorf("boundary pull of leaf %d face %d: %w", nb, f^1, err)
 			}
-			st.applyBoundary(a.p, p.face, decodeF64s(res[0]), decodeF64s(res[1]))
 		}
 	}
 	return nil

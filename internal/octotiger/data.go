@@ -2,6 +2,7 @@ package octotiger
 
 import (
 	"encoding/binary"
+	"fmt"
 	"math"
 )
 
@@ -45,14 +46,34 @@ func (st *leafState) mass() float64 {
 	return m
 }
 
-// computeMoments builds the multipole coefficients from field 0: a cheap
-// polynomial reduction standing in for the real multipole expansion.
-func (st *leafState) computeMoments(sub int) {
+// momentWeights tabulates computeMoments' weights for an s³ subgrid: row m
+// holds math.Mod(float64(i)*w, 2.0) with w = 1 + m/4 for every cell i. The
+// weights depend only on the cell index, so an App builds the table once
+// instead of re-evaluating fmod momentCount·s³ times per leaf and step.
+func momentWeights(s int) []float64 {
+	n := s * s * s
+	tab := make([]float64, momentCount*n)
 	for m := 0; m < momentCount; m++ {
-		var acc float64
 		w := 1.0 + float64(m)*0.25
-		for i, v := range st.fields[0] {
-			acc += v * math.Mod(float64(i)*w, 2.0)
+		row := tab[m*n : (m+1)*n]
+		for i := range row {
+			row[i] = math.Mod(float64(i)*w, 2.0)
+		}
+	}
+	return tab
+}
+
+// computeMoments builds the multipole coefficients from field 0: a cheap
+// polynomial reduction standing in for the real multipole expansion, one dot
+// product per coefficient against its row of momentWeights.
+func (st *leafState) computeMoments(weights []float64) {
+	f0 := st.fields[0]
+	n := len(f0)
+	for m := range st.moments {
+		row := weights[m*n : (m+1)*n]
+		var acc float64
+		for i, v := range f0 {
+			acc += v * row[i]
 		}
 		st.moments[m] = acc
 	}
@@ -110,38 +131,46 @@ func (st *leafState) encodeMoments() []byte {
 	return out
 }
 
-// decodeF64s parses a packed float64 payload.
-func decodeF64s(b []byte) []float64 {
-	out := make([]float64, len(b)/8)
-	for i := range out {
-		out[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[i*8:]))
-	}
-	return out
+// f64At reads the i-th little-endian float64 of a packed payload.
+func f64At(b []byte, i int) float64 {
+	return math.Float64frombits(binary.LittleEndian.Uint64(b[i*8:]))
 }
 
-// applyBoundary accumulates one neighbour's face payload and moments into
-// the potential: the FMM-flavoured interaction kernel. face is this leaf's
-// face index toward the neighbour.
-func (st *leafState) applyBoundary(p Params, face int, boundary, moments []float64) {
+// applyBoundary accumulates one neighbour's ot_boundary reply — its face
+// payload and its moments, read in place — into the potential: the
+// FMM-flavoured interaction kernel. face is this leaf's face index toward the
+// neighbour. A reply of the wrong shape is rejected before anything is
+// applied.
+func (st *leafState) applyBoundary(p Params, face int, reply [][]byte) error {
 	s := p.SubgridSize
+	if len(reply) != 2 {
+		return fmt.Errorf("boundary reply has %d blobs, want 2", len(reply))
+	}
+	boundary, moments := reply[0], reply[1]
+	if want := p.Fields * s * s * 8; len(boundary) != want {
+		return fmt.Errorf("boundary payload is %d bytes, want %d", len(boundary), want)
+	}
+	if len(moments) != momentCount*8 {
+		return fmt.Errorf("moments payload is %d bytes, want %d", len(moments), momentCount*8)
+	}
 	// Near-field: boundary values push on this leaf's touching face.
 	for k := 0; k < p.Fields; k++ {
-		off := k * s * s
-		j := 0
+		j := k * s * s
 		faceIndices(s, face^1, func(idx int) { // our touching face is opposite
-			st.potential[idx] += 0.1 * boundary[off+j] / float64(k+1)
+			st.potential[idx] += 0.1 * f64At(boundary, j) / float64(k+1)
 			j++
 		})
 	}
 	// Far-field: the neighbour's multipole moments contribute a smooth term.
 	var far float64
-	for m, v := range moments {
-		far += v / float64((m+1)*(m+2))
+	for m := 0; m < momentCount; m++ {
+		far += f64At(moments, m) / float64((m+1)*(m+2))
 	}
 	far /= float64(len(st.potential))
 	for i := range st.potential {
 		st.potential[i] += 1e-6 * far
 	}
+	return nil
 }
 
 // selfInteraction runs the local part of the kernel (a small stencil over

@@ -178,9 +178,8 @@ func TestBoundaryRoundTrip(t *testing.T) {
 	lf := &Leaf{Morton: 123}
 	st := newLeafState(p, lf)
 	payload := st.extractBoundary(p, 3)
-	vals := decodeF64s(payload)
-	if len(vals) != p.Fields*p.SubgridSize*p.SubgridSize {
-		t.Fatalf("boundary has %d values", len(vals))
+	if len(payload) != 8*p.Fields*p.SubgridSize*p.SubgridSize {
+		t.Fatalf("boundary has %d bytes", len(payload))
 	}
 	// First value must equal the first face cell of field 0.
 	var first float64
@@ -191,7 +190,7 @@ func TestBoundaryRoundTrip(t *testing.T) {
 			got = true
 		}
 	})
-	if vals[0] != first {
+	if f64At(payload, 0) != first {
 		t.Fatal("boundary extraction order mismatch")
 	}
 }

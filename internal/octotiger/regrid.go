@@ -119,16 +119,7 @@ func (a *App) Regrid(threshold float64) (int, error) {
 		}
 		t.index[cellKey{nl.level, nl.x, nl.y, nl.z}] = rank
 	}
-	n := len(t.Leaves)
-	for i, lf := range t.Leaves {
-		lf.Owner = i * a.rt.Localities() / n
-	}
-	deltas := [6][3]int{{-1, 0, 0}, {1, 0, 0}, {0, -1, 0}, {0, 1, 0}, {0, 0, -1}, {0, 0, 1}}
-	for _, lf := range t.Leaves {
-		for f, d := range deltas {
-			lf.Neighbors[f] = t.findNeighbor(lf, d)
-		}
-	}
+	t.partition(a.rt.Localities())
 	a.tree = t
 	a.states = states
 	return refined, nil

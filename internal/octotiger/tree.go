@@ -88,6 +88,9 @@ type Tree struct {
 
 	// index maps (level, x, y, z) to a leaf.
 	index map[cellKey]int
+	// owned[l] lists the leaves locality l owns, in Morton order (see
+	// partition).
+	owned [][]int
 }
 
 type cellKey struct {
@@ -156,12 +159,20 @@ func BuildTree(p Params, localities int) (*Tree, error) {
 		t.index[cellKey{lf.Level, lf.X, lf.Y, lf.Z}] = i
 	}
 
-	// Partition: contiguous Morton ranges, balanced by leaf count.
+	t.partition(localities)
+	return t, nil
+}
+
+// partition assigns owners over the Morton-sorted, indexed leaves —
+// contiguous ranges balanced by leaf count — caches each locality's owned
+// list and resolves every leaf's face neighbours.
+func (t *Tree) partition(localities int) {
 	n := len(t.Leaves)
+	t.owned = make([][]int, localities)
 	for i, lf := range t.Leaves {
 		lf.Owner = i * localities / n
+		t.owned[lf.Owner] = append(t.owned[lf.Owner], i)
 	}
-
 	// Neighbour finding: same-level first, then walk to coarser ancestors.
 	deltas := [6][3]int{{-1, 0, 0}, {1, 0, 0}, {0, -1, 0}, {0, 1, 0}, {0, 0, -1}, {0, 0, 1}}
 	for _, lf := range t.Leaves {
@@ -169,7 +180,6 @@ func BuildTree(p Params, localities int) (*Tree, error) {
 			lf.Neighbors[f] = t.findNeighbor(lf, d)
 		}
 	}
-	return t, nil
 }
 
 // findNeighbor locates the leaf adjacent to lf across the face with unit
@@ -213,15 +223,13 @@ func descendToward(c uint32, d int) uint32 {
 }
 
 // OwnedLeaves returns the indices of leaves owned by a locality, in Morton
-// order.
+// order. The slice is the tree's own, computed once when the tree was built:
+// callers must not modify it.
 func (t *Tree) OwnedLeaves(loc int) []int {
-	var out []int
-	for _, lf := range t.Leaves {
-		if lf.Owner == loc {
-			out = append(out, lf.Index)
-		}
+	if loc < 0 || loc >= len(t.owned) {
+		return nil
 	}
-	return out
+	return t.owned[loc]
 }
 
 // RemoteFaces counts leaf faces whose neighbour lives on another locality —
