@@ -39,6 +39,10 @@ func (h *Header) PiggyNZC() bool { return h.NZC != nil }
 // absent entirely).
 func (h *Header) PiggyTrans() bool { return h.Trans != nil || h.TransSize == 0 }
 
+// Complete reports whether the whole message rode the header: no follow-up
+// message will arrive for it.
+func (h *Header) Complete() bool { return h.NumZC == 0 && h.PiggyNZC() && h.PiggyTrans() }
+
 // PlanHeader decides which chunks of a message piggyback on its header and
 // returns the resulting header size. Piggybacking is greedy — transmission
 // chunk first, then the non-zero-copy chunk — subject to maxSize.
@@ -55,6 +59,20 @@ func PlanHeader(nzcLen, transLen, maxSize int, allowPiggyTrans bool) (size int, 
 		size += nzcLen
 	}
 	return size, piggyNZC, piggyTrans
+}
+
+// AppendFollowUps appends m's follow-up chunks to segs in the order every
+// receiver (Recv) expects them: the transmission chunk unless it rode the
+// header or is empty, the non-zero-copy chunk unless it rode the header,
+// then each zero-copy chunk.
+func AppendFollowUps(segs [][]byte, m *serialization.Message, piggyNZC, piggyTrans bool) [][]byte {
+	if len(m.Transmission) > 0 && !piggyTrans {
+		segs = append(segs, m.Transmission)
+	}
+	if !piggyNZC {
+		segs = append(segs, m.NonZeroCopy)
+	}
+	return append(segs, m.ZeroCopy...)
 }
 
 // EncodeHeader assembles a header message for m into buf and returns the

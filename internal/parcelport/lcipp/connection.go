@@ -16,42 +16,28 @@ import (
 //
 // A connection posts one tracked operation at a time; medium sends complete
 // locally inside the post (LCI's buffered sendm) and therefore advance
-// inline.
+// inline. Follow-up message k travels on tag k of the connection's block.
 type lconn struct {
 	pp   *Parcelport
 	dev  *lci.Device // the replicated device this connection stripes to
 	peer int
 	recv bool // receiver side?
 
-	mu       sync.Mutex
-	done     bool
-	waiting  bool // a tracked operation is outstanding
-	released bool // sender's tag block returned to the allocator
+	mu      sync.Mutex
+	done    bool
+	waiting bool // a tracked operation is outstanding
 
 	baseTag uint32
-	tagIdx  int // follow-up messages consumed so far (receiver)
+	idx     int // follow-up messages posted so far
 
 	// Sender state.
 	msg          *serialization.Message
 	segs         [][]byte
-	segIdx       int
 	headerPosted bool
 
 	// Receiver state.
-	h      parcelport.Header
-	owner  *parcelport.RecvBufs // buffer owner handed to the delivered message
-	trans  []byte
-	nzc    []byte
-	zcBufs [][]byte
-	stage  int
+	rx parcelport.Recv
 }
-
-// Receiver stages.
-const (
-	stageTrans = iota
-	stageNZC
-	stageZC // stageZC+k receives zero-copy chunk k
-)
 
 // --- sender ---
 
@@ -59,58 +45,26 @@ const (
 // reserves a block of distinct tags for the follow-ups.
 func newSenderConn(pp *Parcelport, dst int, m *serialization.Message) *lconn {
 	c := &lconn{pp: pp, peer: dst, msg: m}
-	max := pp.MaxHeaderSize()
-	_, piggyNZC, piggyTrans := parcelport.PlanHeader(len(m.NonZeroCopy), len(m.Transmission), max, true)
-	if len(m.Transmission) > 0 && !piggyTrans {
-		c.segs = append(c.segs, m.Transmission)
-	}
-	if !piggyNZC {
-		c.segs = append(c.segs, m.NonZeroCopy)
-	}
-	c.segs = append(c.segs, m.ZeroCopy...)
-	n := len(c.segs)
-	if n == 0 {
-		n = 1
-	}
-	c.baseTag = pp.tags.Block(n)
+	_, piggyNZC, piggyTrans := parcelport.PlanHeader(len(m.NonZeroCopy), len(m.Transmission), pp.MaxHeaderSize(), true)
+	c.segs = parcelport.AppendFollowUps(nil, m, piggyNZC, piggyTrans)
+	c.baseTag = pp.tags.Block(max(len(c.segs), 1))
 	c.dev, _ = pp.devFor(c.baseTag)
 	return c
 }
 
 // finishSenderLocked marks a sender connection done and returns its reserved
-// tag block to the allocator, exactly once, so the tags cannot be matched to
-// a second live connection. Caller holds c.mu.
+// tag block to the allocator, so the tags cannot be matched to a second live
+// connection. Every caller runs on a connection not yet done, so this
+// happens once. Caller holds c.mu.
 func (c *lconn) finishSenderLocked() {
 	c.done = true
-	if c.released {
-		return
-	}
-	c.released = true
-	n := len(c.segs)
-	if n == 0 {
-		n = 1
-	}
-	c.pp.tags.Release(c.baseTag, n)
+	c.pp.tags.Release(c.baseTag, max(len(c.segs), 1))
 }
 
-// start sends the header and advances as far as possible.
-func (c *lconn) start() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.done {
-		return
-	}
-	if c.recv {
-		c.advanceReceiverLocked()
-		return
-	}
-	if !c.postHeaderLocked() {
-		return // backpressured; retry list re-drives us
-	}
-	c.advanceSenderLocked()
-}
-
-// drive re-enters the state machine after a backpressure retry.
+// drive advances the connection as far as possible: it (re)posts the
+// sender's header if needed, and is also how a backpressure retry re-enters
+// the state machine. Returns false if the connection is done or still
+// backpressured on its header.
 func (c *lconn) drive() bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -121,10 +75,8 @@ func (c *lconn) drive() bool {
 		c.advanceReceiverLocked()
 		return true
 	}
-	if !c.headerPosted {
-		if !c.postHeaderLocked() {
-			return false
-		}
+	if !c.headerPosted && !c.postHeaderLocked() {
+		return false
 	}
 	c.advanceSenderLocked()
 	return true
@@ -138,12 +90,15 @@ func (c *lconn) onComplete(req lci.Request) {
 		return
 	}
 	c.waiting = false
-	if c.recv {
-		c.absorbRecvLocked()
-		c.advanceReceiverLocked()
-	} else {
+	if !c.recv {
 		c.advanceSenderLocked()
+		return
 	}
+	if err := c.rx.Done(); err != nil {
+		c.failRecvLocked()
+		return
+	}
+	c.advanceReceiverLocked()
 }
 
 // postHeaderLocked sends the header message: a dynamic put assembled in an
@@ -151,52 +106,42 @@ func (c *lconn) onComplete(req lci.Request) {
 // and queues a retry on backpressure.
 func (c *lconn) postHeaderLocked() bool {
 	pp := c.pp
-	max := pp.MaxHeaderSize()
+	maxSize := pp.MaxHeaderSize()
+	var err error
 	switch pp.cfg.Protocol {
 	case parcelport.PutSendRecv:
-		pkt, err := c.dev.GetPacket()
-		if err != nil {
+		pkt, perr := c.dev.GetPacket()
+		if perr != nil {
 			pp.addRetry(c)
 			return false
 		}
-		n, _, _, encErr := parcelport.EncodeHeader(pkt.Data, c.baseTag, c.msg, max, true)
-		if encErr != nil {
-			c.dev.PutPacket(pkt)
-			c.finishSenderLocked()
-			return false
+		var n int
+		if n, _, _, err = parcelport.EncodeHeader(pkt.Data, c.baseTag, c.msg, maxSize, true); err == nil {
+			err = c.dev.PutdPacket(c.peer, 0, pkt, n)
 		}
-		if err := c.dev.PutdPacket(c.peer, 0, pkt, n); err != nil {
+		if err != nil {
 			c.dev.PutPacket(pkt)
-			if isRetry(err) {
-				pp.addRetry(c)
-				return false
-			}
-			c.finishSenderLocked()
-			return false
 		}
 	case parcelport.SendRecv:
-		need, _, _ := parcelport.PlanHeader(len(c.msg.NonZeroCopy), len(c.msg.Transmission), max, true)
+		need, _, _ := parcelport.PlanHeader(len(c.msg.NonZeroCopy), len(c.msg.Transmission), maxSize, true)
 		buf := wire.GetBuf(need)
-		n, _, _, encErr := parcelport.EncodeHeader(buf, c.baseTag, c.msg, max, true)
-		if encErr != nil {
-			wire.PutBuf(buf)
-			c.finishSenderLocked()
-			return false
+		var n int
+		if n, _, _, err = parcelport.EncodeHeader(buf, c.baseTag, c.msg, maxSize, true); err == nil {
+			// Medium sends are buffered: locally complete on return (the
+			// fabric copies the payload), so the pooled header buffer can go
+			// straight back — including on error, where it was never handed
+			// off. A retry re-encodes into a fresh buffer.
+			err = c.dev.Sendm(c.peer, headerMsgTag, buf[:n], nil, nil)
 		}
-		// Medium sends are buffered: locally complete on return (the fabric
-		// copies the payload), so the pooled header buffer can go straight
-		// back — including on error, where it was never handed off. A retry
-		// re-encodes into a fresh buffer.
-		err := c.dev.Sendm(c.peer, headerMsgTag, buf[:n], nil, nil)
 		wire.PutBuf(buf)
-		if err != nil {
-			if isRetry(err) {
-				pp.addRetry(c)
-				return false
-			}
-			c.finishSenderLocked()
-			return false
-		}
+	}
+	if isRetry(err) {
+		pp.addRetry(c)
+		return false
+	}
+	if err != nil {
+		c.finishSenderLocked()
+		return false
 	}
 	c.headerPosted = true
 	return true
@@ -206,40 +151,32 @@ func (c *lconn) postHeaderLocked() bool {
 // outstanding), hits backpressure, or finishes.
 func (c *lconn) advanceSenderLocked() {
 	pp := c.pp
-	eager := c.dev.EagerThreshold()
-	for c.segIdx < len(c.segs) && !c.waiting {
-		seg := c.segs[c.segIdx]
-		tag := pp.tags.Nth(c.baseTag, c.segIdx)
-		if len(seg) <= eager {
-			err := c.dev.Sendm(c.peer, tag, seg, nil, nil)
-			if err != nil {
-				if isRetry(err) {
-					pp.addRetry(c)
-					return
+	for c.idx < len(c.segs) && !c.waiting {
+		seg := c.segs[c.idx]
+		tag := pp.tags.Nth(c.baseTag, c.idx)
+		var err error
+		if len(seg) <= c.dev.EagerThreshold() {
+			err = c.dev.Sendm(c.peer, tag, seg, nil, nil)
+		} else {
+			comp, reg := pp.newComp()
+			if err = c.dev.Sendl(c.peer, tag, seg, comp, c); err == nil {
+				if reg != nil {
+					pp.addSync(reg)
 				}
-				c.finishSenderLocked()
-				return
+				c.waiting = true
 			}
-			c.segIdx++
-			continue
 		}
-		comp, reg := pp.newComp()
-		err := c.dev.Sendl(c.peer, tag, seg, comp, c)
+		if isRetry(err) {
+			pp.addRetry(c)
+			return
+		}
 		if err != nil {
-			if isRetry(err) {
-				pp.addRetry(c)
-				return
-			}
 			c.finishSenderLocked()
 			return
 		}
-		if reg != nil {
-			pp.addSync(reg)
-		}
-		c.waiting = true
-		c.segIdx++
+		c.idx++
 	}
-	if c.segIdx >= len(c.segs) && !c.waiting {
+	if c.idx >= len(c.segs) && !c.waiting {
 		c.finishSenderLocked()
 		pp.stats.sent.Add(1)
 		c.msg.Done()
@@ -248,123 +185,36 @@ func (c *lconn) advanceSenderLocked() {
 
 // --- receiver ---
 
-// newReceiverConn is created on header arrival; h's piggybacked chunks must
-// not alias a reusable buffer (the caller copies when needed). devIdx is the
-// device the header arrived on; follow-ups use the same device. owner owns
-// the buffers h's chunks alias plus every buffer staged later; it transfers
-// to the delivered message, or is released if the connection fails.
-func newReceiverConn(pp *Parcelport, devIdx, src int, h parcelport.Header, owner *parcelport.RecvBufs) *lconn {
-	c := &lconn{pp: pp, dev: pp.devs[devIdx], peer: src, recv: true, h: h, baseTag: h.BaseTag, owner: owner}
-	c.trans = h.Trans
-	c.nzc = h.NZC
-	if h.TransSize == 0 || c.trans != nil {
-		c.planZC()
-		if c.done {
-			return c
-		}
-		if c.nzc != nil {
-			c.stage = stageZC
-		} else {
-			c.stage = stageNZC
-		}
-	} else {
-		c.stage = stageTrans
-	}
-	return c
-}
-
 // failRecvLocked abandons a receiver connection, releasing the buffer owner.
 func (c *lconn) failRecvLocked() {
 	c.done = true
-	if c.owner != nil {
-		c.owner.Release()
-		c.owner = nil
-	}
+	c.rx.Fail()
 }
 
-// planZC sizes the zero-copy receive buffers from the transmission chunk
-// and draws them, like every other receive buffer, through the owner. A
-// transmission chunk the parser rejects (truncated, oversize or duplicated
-// entries) is protocol corruption and fails the connection.
-func (c *lconn) planZC() {
-	if c.h.NumZC == 0 {
-		return
-	}
-	sizes, err := serialization.ParseTransmissionSizes(c.trans)
-	if err != nil || len(sizes) != int(c.h.NumZC) {
-		c.failRecvLocked()
-		return
-	}
-	c.zcBufs = make([][]byte, len(sizes))
-	for i, sz := range sizes {
-		c.zcBufs[i] = c.owner.GetBuf(int(sz))
-	}
-}
-
-// absorbRecvLocked accounts for the completion of the receive posted last.
-func (c *lconn) absorbRecvLocked() {
-	switch {
-	case c.stage == stageTrans:
-		c.planZC()
-		if c.done {
-			return
-		}
-		if c.nzc != nil {
-			c.stage = stageZC
-		} else {
-			c.stage = stageNZC
-		}
-	case c.stage == stageNZC:
-		c.stage = stageZC
-	default:
-		c.stage++
-	}
-}
-
-// advanceReceiverLocked posts the receive for the current stage or delivers
-// the completed message.
+// advanceReceiverLocked posts the receive for the next follow-up message on
+// the next block tag — medium or long by the expected size, mirroring the
+// sender's choice — or delivers the completed message.
 func (c *lconn) advanceReceiverLocked() {
 	if c.waiting || c.done {
 		return
 	}
 	pp := c.pp
-	switch {
-	case c.stage == stageTrans:
-		c.trans = c.owner.GetBuf(int(c.h.TransSize))
-		c.postRecvLocked(c.trans)
-	case c.stage == stageNZC:
-		c.nzc = c.owner.GetBuf(int(c.h.NZCSize))
-		c.postRecvLocked(c.nzc)
-	case c.stage-stageZC < len(c.zcBufs):
-		c.postRecvLocked(c.zcBufs[c.stage-stageZC])
-	default:
-		// Hand the buffer owner to the message; the delivery chain releases
-		// it, and with it every chunk buffer, once the last parcel's action
-		// finished.
-		o := c.owner
-		c.owner = nil
-		o.Msg = serialization.Message{NonZeroCopy: c.nzc, Transmission: c.trans, ZeroCopy: c.zcBufs, Owner: o}
+	buf := c.rx.Next()
+	if buf == nil {
 		c.done = true
 		pp.stats.recvd.Add(1)
-		pp.deliver(&o.Msg)
+		pp.deliver(c.rx.Message())
+		return
 	}
-}
-
-// postRecvLocked posts one follow-up receive on the next block tag, choosing
-// medium or long by the expected size (mirroring the sender's choice).
-func (c *lconn) postRecvLocked(buf []byte) {
-	pp := c.pp
-	tag := pp.tags.Nth(c.baseTag, c.tagIdx)
+	tag := pp.tags.Nth(c.baseTag, c.idx)
 	comp, reg := pp.newComp()
 	var err error
 	if len(buf) <= c.dev.EagerThreshold() {
 		err = c.dev.Recvm(c.peer, tag, buf, comp, c)
-	} else {
+	} else if err = c.dev.Recvl(c.peer, tag, buf, comp, c); isRetry(err) {
 		// Recvl's ErrRetry means "posted, under handle pressure": the
 		// receive is re-queued internally and will still complete.
-		if err = c.dev.Recvl(c.peer, tag, buf, comp, c); isRetry(err) {
-			err = nil
-		}
+		err = nil
 	}
 	if err != nil {
 		c.failRecvLocked()
@@ -373,6 +223,6 @@ func (c *lconn) postRecvLocked(buf []byte) {
 	if reg != nil {
 		pp.addSync(reg)
 	}
-	c.tagIdx++
+	c.idx++
 	c.waiting = true
 }

@@ -295,8 +295,7 @@ func (pp *Parcelport) Stop() {
 // Send transfers one HPX message. The header goes out immediately (put or
 // medium send); follow-up chunks flow as completions drain.
 func (pp *Parcelport) Send(dst int, m *serialization.Message) {
-	c := newSenderConn(pp, dst, m)
-	c.start()
+	newSenderConn(pp, dst, m).drive()
 }
 
 // BackgroundWork drains completions (and, in mt mode, drives progress) on
@@ -415,15 +414,19 @@ func (pp *Parcelport) handleHeader(devIdx, src int, data []byte, mustCopy bool, 
 	} else if pkt != nil {
 		owner.SetInner(pkt)
 	}
-	if h.NumZC == 0 && h.NZC != nil && (h.Trans != nil || h.TransSize == 0) {
+	var rx parcelport.Recv
+	if err := rx.Start(h, owner); err != nil {
+		rx.Fail()
+		return // corrupt sizes; drop
+	}
+	if h.Complete() {
 		// Everything rode the header: no connection, no follow-up tags.
 		pp.stats.recvd.Add(1)
-		owner.Msg = serialization.Message{NonZeroCopy: h.NZC, Transmission: h.Trans, Owner: owner}
-		pp.deliver(&owner.Msg)
+		pp.deliver(rx.Message())
 		return
 	}
-	c := newReceiverConn(pp, devIdx, src, h, owner)
-	c.start()
+	c := &lconn{pp: pp, dev: pp.devs[devIdx], peer: src, recv: true, baseTag: h.BaseTag, rx: rx}
+	c.drive()
 }
 
 // --- sendrecv-protocol header channel ---

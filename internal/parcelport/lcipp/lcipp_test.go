@@ -2,6 +2,7 @@ package lcipp
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"sync"
 	"testing"
@@ -292,5 +293,74 @@ func TestStopIdempotent(t *testing.T) {
 	r.pps[0].Stop()
 	if r.pps[0].BackgroundWork(0) {
 		t.Fatal("background work after stop")
+	}
+}
+
+// transChunk builds a transmission chunk from (index, size) entries.
+func transChunk(entries ...[2]uint64) []byte {
+	b := binary.LittleEndian.AppendUint32(nil, uint32(len(entries)))
+	for _, e := range entries {
+		b = binary.LittleEndian.AppendUint32(b, uint32(e[0]))
+		b = binary.LittleEndian.AppendUint64(b, e[1])
+	}
+	return b
+}
+
+// TestCorruptTransmissionChunkFailsConnection: over the wire, a message
+// whose transmission chunk announces an absurd chunk size or lists a chunk
+// index twice, or whose header announces a 1<<62-byte transmission chunk
+// (which used to reach make and panic the progress path), is dropped by the
+// receiver, and the intact message behind it is delivered. The receiver's
+// refusal itself — before any allocation, owner released exactly once — is
+// table-tested against parcelport.Recv.
+func TestCorruptTransmissionChunkFailsConnection(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		trans []byte // nil: inject a header announcing 1<<62 bytes of it
+		numZC int
+	}{
+		{"size 1<<62", transChunk([2]uint64{0, 1 << 62}), 1},
+		{"size just above the bound", transChunk([2]uint64{0, serialization.MaxChunkSize + 1}), 1},
+		{"duplicate index", transChunk([2]uint64{0, 16}, [2]uint64{0, 16}), 2},
+		{"header trans size 1<<62", nil, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			r := newRig(t, Config{Protocol: parcelport.PutSendRecv, Progress: parcelport.WorkerProgress}, fabric.Config{LatencyNs: 200, Rails: 2}, lci.Config{})
+			if tc.trans == nil {
+				dev := r.pps[0].devs[0]
+				pkt, err := dev.GetPacket()
+				if err != nil {
+					t.Fatal(err)
+				}
+				n, _, _, err := parcelport.EncodeHeader(pkt.Data, 1<<19, &serialization.Message{}, 64, true)
+				if err != nil {
+					t.Fatal(err)
+				}
+				binary.LittleEndian.PutUint64(pkt.Data[12:], 1<<62) // TransSize, after BaseTag and NZCSize
+				if err := dev.PutdPacket(1, 0, pkt, n); err != nil {
+					t.Fatal(err)
+				}
+			} else {
+				zc := make([][]byte, tc.numZC)
+				for i := range zc {
+					zc[i] = make([]byte, 16)
+				}
+				good, _ := msgWith(t, 64, 9000)
+				r.pps[0].Send(1, &serialization.Message{NonZeroCopy: good.NonZeroCopy, Transmission: tc.trans, ZeroCopy: zc})
+			}
+			good, want := msgWith(t, 64, 9000)
+			r.pps[0].Send(1, good)
+			r.pump(t, 20*time.Second, func() bool { return len(r.received[1]) >= 1 })
+			for i := 0; i < 200; i++ { // room for a wrongly accepted message to surface
+				r.pps[0].BackgroundWork(0)
+				r.pps[1].BackgroundWork(0)
+			}
+			r.mu.Lock()
+			defer r.mu.Unlock()
+			if len(r.received[1]) != 1 {
+				t.Fatalf("%d messages delivered, want only the intact one", len(r.received[1]))
+			}
+			checkRoundTrip(t, r.received[1][0], want)
+		})
 	}
 }

@@ -9,20 +9,13 @@ import (
 	"hpxgo/internal/wire"
 )
 
-// connKind distinguishes sender from receiver connections.
-type connKind uint8
-
-const (
-	senderConn connKind = iota
-	receiverConn
-)
-
 // connection is the per-HPX-message state machine of §3.1. A connection has
 // at most one nonblocking operation outstanding; idle workers advance it
-// from the pending list once the operation Tests complete.
+// from the pending list once the operation Tests complete. Every message of
+// a connection travels on its one tag.
 type connection struct {
 	pp   *Parcelport
-	kind connKind
+	recv bool // receiver side?
 	peer int
 	tag  int
 
@@ -38,21 +31,8 @@ type connection struct {
 	segIdx    int
 
 	// Receiver state.
-	h       parcelport.Header
-	owner   *parcelport.RecvBufs // buffer owner handed to the delivered message
-	trans   []byte
-	nzc     []byte
-	zcBufs  [][]byte
-	stage   int // index into the receive plan
-	planned bool
+	rx parcelport.Recv
 }
-
-// Receiver stages.
-const (
-	stageTrans = iota
-	stageNZC
-	stageZC // stageZC+k receives zero-copy chunk k
-)
 
 func (c *connection) finished() bool { return c.done.Load() }
 
@@ -77,9 +57,10 @@ func (c *connection) finishSender() {
 
 // --- sender ---
 
-// newSenderConnection builds the chain of MPI messages for one HPX message.
+// newSenderConnection builds the chain of MPI messages for one HPX message
+// and posts its header.
 func newSenderConnection(pp *Parcelport, dst, tag int, m *serialization.Message) *connection {
-	c := &connection{pp: pp, kind: senderConn, peer: dst, tag: tag, msg: m}
+	c := &connection{pp: pp, peer: dst, tag: tag, msg: m}
 	max := pp.MaxHeaderSize()
 	// The improved parcelport allocates the header buffer dynamically at
 	// its exact size (§3.1); the original used a fixed 512B stack buffer.
@@ -110,32 +91,11 @@ func newSenderConnection(pp *Parcelport, dst, tag int, m *serialization.Message)
 	if piggyTrans {
 		pp.stats.piggyTr.Add(1)
 	}
-	// Follow-up order per the paper: transmission chunk, non-zero-copy
-	// chunk, then each zero-copy chunk — all on the connection tag.
-	if len(m.Transmission) > 0 && !piggyTrans {
-		c.segs = append(c.segs, m.Transmission)
+	c.segs = parcelport.AppendFollowUps(nil, m, piggyNZC, piggyTrans)
+	if c.cur, err = pp.comm.Isend(c.headerBuf, dst, headerTag); err != nil {
+		c.finishSender()
 	}
-	if !piggyNZC {
-		c.segs = append(c.segs, m.NonZeroCopy)
-	}
-	c.segs = append(c.segs, m.ZeroCopy...)
 	return c
-}
-
-// start posts the header send and advances as far as already possible.
-func (c *connection) start() {
-	if c.done.Load() {
-		return
-	}
-	if c.kind == senderConn {
-		r, err := c.pp.comm.Isend(c.headerBuf, c.peer, headerTag)
-		if err != nil {
-			c.finishSender()
-			return
-		}
-		c.cur = r
-	}
-	c.advance()
 }
 
 // advance drives the state machine while its outstanding operations keep
@@ -153,14 +113,12 @@ func (c *connection) advance() bool {
 			}
 			did = true
 		}
-		if c.kind == senderConn {
-			if !c.advanceSender() {
-				return did
-			}
-		} else {
+		if c.recv {
 			if !c.advanceReceiver() {
 				return did
 			}
+		} else if !c.advanceSender() {
+			return did
 		}
 	}
 }
@@ -189,111 +147,28 @@ func (c *connection) advanceSender() bool {
 
 // --- receiver ---
 
-// newReceiverConnection is created when a header message arrives. h's
-// piggybacked chunks must already be copied out of the shared header buffer
-// into owner-tracked storage; owner also owns every buffer staged later and
-// transfers to the delivered message (or is released if the connection
-// fails).
-func newReceiverConnection(pp *Parcelport, src int, h parcelport.Header, owner *parcelport.RecvBufs) *connection {
-	c := &connection{pp: pp, kind: receiverConn, peer: src, tag: int(h.BaseTag), h: h, owner: owner}
-	c.trans = h.Trans
-	c.nzc = h.NZC
-	if h.TransSize == 0 || c.trans != nil {
-		c.planZC()
-		if c.done.Load() {
-			return c
-		}
-		if c.nzc != nil {
-			c.stage = stageZC
-		} else {
-			c.stage = stageNZC
-		}
-	} else {
-		c.stage = stageTrans
-	}
-	return c
-}
-
 // failRecv abandons a receiver connection, releasing the buffer owner.
 func (c *connection) failRecv() {
 	c.done.Store(true)
-	if c.owner != nil {
-		c.owner.Release()
-		c.owner = nil
-	}
+	c.rx.Fail()
 }
 
-// planZC sizes the zero-copy receive buffers from the transmission chunk
-// and draws them, like every other receive buffer, through the owner.
-func (c *connection) planZC() {
-	c.planned = true
-	if c.h.NumZC == 0 {
-		return
-	}
-	sizes, err := serialization.ParseTransmissionSizes(c.trans)
-	if err != nil || len(sizes) != int(c.h.NumZC) {
-		// Protocol corruption (truncated, oversize or duplicated entries);
-		// finish the connection to avoid wedging.
-		c.failRecv()
-		return
-	}
-	c.zcBufs = make([][]byte, len(sizes))
-	for i, sz := range sizes {
-		c.zcBufs[i] = c.owner.GetBuf(int(sz))
-	}
-}
-
-// advanceReceiver posts the next chunk receive or delivers the completed
-// message. The previous receive (if any) has already Tested complete.
+// advanceReceiver absorbs the receive posted last round (which has Tested
+// complete), then posts the next one or delivers the completed message.
 func (c *connection) advanceReceiver() bool {
-	// Absorb the completion of the receive we posted last round.
 	if c.cur != nil {
 		c.cur = nil
-		switch {
-		case c.stage == stageTrans:
-			c.planZC()
-			if c.done.Load() {
-				return false
-			}
-			if c.nzc != nil {
-				c.stage = stageZC
-			} else {
-				c.stage = stageNZC
-			}
-		case c.stage == stageNZC:
-			c.stage = stageZC
-		default:
-			c.stage++ // next zero-copy chunk
+		if err := c.rx.Done(); err != nil {
+			c.failRecv()
+			return false
 		}
 	}
-	// Post the receive for the current stage, or deliver.
-	switch {
-	case c.stage == stageTrans:
-		c.trans = c.owner.GetBuf(int(c.h.TransSize))
-		return c.post(c.trans)
-	case c.stage == stageNZC:
-		c.nzc = c.owner.GetBuf(int(c.h.NZCSize))
-		return c.post(c.nzc)
-	case c.stage-stageZC < len(c.zcBufs):
-		return c.post(c.zcBufs[c.stage-stageZC])
-	default:
-		// Hand the buffer owner to the message; the delivery chain releases
-		// it, and with it every chunk buffer, once the last parcel's action
-		// finished.
-		o := c.owner
-		c.owner = nil
-		o.Msg = serialization.Message{NonZeroCopy: c.nzc, Transmission: c.trans, ZeroCopy: c.zcBufs, Owner: o}
-		c.pp.stats.recvd.Add(1)
-		if c.pp.cfg.Original {
-			c.pp.sendTagRelease(c.peer, uint32(c.tag))
-		}
+	buf := c.rx.Next()
+	if buf == nil {
 		c.done.Store(true)
-		c.pp.deliver(&o.Msg)
+		c.pp.delivered(c.peer, uint32(c.tag), c.rx.Message())
 		return false
 	}
-}
-
-func (c *connection) post(buf []byte) bool {
 	r, err := c.pp.comm.Irecv(buf, c.peer, c.tag)
 	if err != nil {
 		c.failRecv()

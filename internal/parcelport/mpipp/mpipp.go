@@ -186,7 +186,7 @@ func (pp *Parcelport) Stop() {
 func (pp *Parcelport) Send(dst int, m *serialization.Message) {
 	tag := pp.acquireTag()
 	c := newSenderConnection(pp, dst, int(tag), m)
-	c.start()
+	c.advance()
 	if !c.finished() {
 		pp.addPending(c)
 	}
@@ -226,36 +226,43 @@ func (pp *Parcelport) checkHeader() bool {
 	}
 	st := r.Status()
 	h, err := parcelport.DecodeHeader(pp.headerBuf[:st.Count])
-	if err != nil {
-		// A malformed header is a protocol bug; drop it but keep receiving.
-		pp.repostHeaderLocked()
-		return true
+	var rx parcelport.Recv
+	if err == nil {
+		// The piggybacked chunks alias headerBuf, which the re-posted
+		// receive will overwrite: copy them into pooled buffers tracked by
+		// a refcounted owner that the delivery chain releases.
+		owner := parcelport.GetRecvBufs()
+		h.NZC = owner.Clone(h.NZC)
+		h.Trans = owner.Clone(h.Trans)
+		err = rx.Start(h, owner)
 	}
-	// The piggybacked chunks alias headerBuf, which the re-posted receive
-	// will overwrite: copy them into pooled buffers tracked by a refcounted
-	// owner that the delivery chain releases.
-	owner := parcelport.GetRecvBufs()
-	h.NZC = owner.Clone(h.NZC)
-	h.Trans = owner.Clone(h.Trans)
-	if h.NumZC == 0 && h.NZC != nil && (h.Trans != nil || h.TransSize == 0) {
+	pp.repostHeaderLocked()
+	switch {
+	case err != nil:
+		// A malformed header is a protocol bug; drop it but keep receiving.
+		rx.Fail()
+	case h.Complete():
 		// Everything rode the header: deliver straight from the copies, no
 		// connection, no follow-up receives.
-		pp.stats.recvd.Add(1)
-		if pp.cfg.Original {
-			pp.sendTagRelease(st.Source, h.BaseTag)
+		pp.delivered(st.Source, h.BaseTag, rx.Message())
+	default:
+		c := &connection{pp: pp, recv: true, peer: st.Source, tag: int(h.BaseTag), rx: rx}
+		c.advance()
+		if !c.finished() {
+			pp.addPending(c)
 		}
-		owner.Msg = serialization.Message{NonZeroCopy: h.NZC, Transmission: h.Trans, Owner: owner}
-		pp.repostHeaderLocked()
-		pp.deliver(&owner.Msg)
-		return true
-	}
-	c := newReceiverConnection(pp, st.Source, h, owner)
-	pp.repostHeaderLocked()
-	c.start()
-	if !c.finished() {
-		pp.addPending(c)
 	}
 	return true
+}
+
+// delivered counts a reassembled message, returns its tag to the sender in
+// Original mode, and hands the message to the upper layer.
+func (pp *Parcelport) delivered(src int, tag uint32, m *serialization.Message) {
+	pp.stats.recvd.Add(1)
+	if pp.cfg.Original {
+		pp.sendTagRelease(src, tag)
+	}
+	pp.deliver(m)
 }
 
 func (pp *Parcelport) repostHeaderLocked() {

@@ -2,12 +2,14 @@ package mpipp
 
 import (
 	"bytes"
+	"encoding/binary"
 	"sync"
 	"testing"
 	"time"
 
 	"hpxgo/internal/fabric"
 	"hpxgo/internal/mpisim"
+	"hpxgo/internal/parcelport"
 	"hpxgo/internal/serialization"
 )
 
@@ -253,5 +255,73 @@ func TestNameVariants(t *testing.T) {
 	}
 	if New(world.Comm(0), Config{Original: true}).Name() != "mpi_orig" {
 		t.Fatal("original name")
+	}
+}
+
+// transChunk builds a transmission chunk from (index, size) entries.
+func transChunk(entries ...[2]uint64) []byte {
+	b := binary.LittleEndian.AppendUint32(nil, uint32(len(entries)))
+	for _, e := range entries {
+		b = binary.LittleEndian.AppendUint32(b, uint32(e[0]))
+		b = binary.LittleEndian.AppendUint64(b, e[1])
+	}
+	return b
+}
+
+// TestCorruptTransmissionChunkFailsConnection: over the wire, a message
+// whose transmission chunk announces an absurd chunk size or lists a chunk
+// index twice, or whose header announces a 1<<62-byte transmission chunk
+// (which used to reach make and panic the polling worker), is dropped by
+// the receiver without parking a connection, and the intact message behind
+// it is delivered. The receiver's refusal itself — before any allocation,
+// owner released exactly once — is table-tested against parcelport.Recv.
+func TestCorruptTransmissionChunkFailsConnection(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		trans []byte // nil: inject a header announcing 1<<62 bytes of it
+		numZC int
+	}{
+		{"size 1<<62", transChunk([2]uint64{0, 1 << 62}), 1},
+		{"size just above the bound", transChunk([2]uint64{0, serialization.MaxChunkSize + 1}), 1},
+		{"duplicate index", transChunk([2]uint64{0, 16}, [2]uint64{0, 16}), 2},
+		{"header trans size 1<<62", nil, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			r := newRig(t, Config{}, fabric.Config{LatencyNs: 200})
+			if tc.trans == nil {
+				hdr := make([]byte, 64)
+				n, _, _, err := parcelport.EncodeHeader(hdr, 1<<19, &serialization.Message{}, len(hdr), true)
+				if err != nil {
+					t.Fatal(err)
+				}
+				binary.LittleEndian.PutUint64(hdr[12:], 1<<62) // TransSize, after BaseTag and NZCSize
+				if _, err := r.pps[0].comm.Isend(hdr[:n], 1, headerTag); err != nil {
+					t.Fatal(err)
+				}
+			} else {
+				zc := make([][]byte, tc.numZC)
+				for i := range zc {
+					zc[i] = make([]byte, 16)
+				}
+				good, _ := msgWith(t, 64, 9000)
+				r.pps[0].Send(1, &serialization.Message{NonZeroCopy: good.NonZeroCopy, Transmission: tc.trans, ZeroCopy: zc})
+			}
+			good, want := msgWith(t, 64, 9000)
+			r.pps[0].Send(1, good)
+			r.pump(t, 20*time.Second, r.recvCount(1))
+			for i := 0; i < 200; i++ { // room for a wrongly accepted message to surface
+				r.pps[0].BackgroundWork(0)
+				r.pps[1].BackgroundWork(0)
+			}
+			r.mu.Lock()
+			defer r.mu.Unlock()
+			if len(r.received[1]) != 1 {
+				t.Fatalf("%d messages delivered, want only the intact one", len(r.received[1]))
+			}
+			checkRoundTrip(t, r.received[1][0], want)
+			if n := r.pps[1].PendingConnections(); n != 0 {
+				t.Fatalf("%d receiver connections left pending", n)
+			}
+		})
 	}
 }

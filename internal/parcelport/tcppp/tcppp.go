@@ -8,8 +8,9 @@
 // Unlike the MPI and LCI parcelports it does not ride the simulated fabric:
 // localities talk over real loopback TCP connections, with one lazily
 // dialled connection per (source, destination) pair, a writer goroutine per
-// connection, and length-prefixed frames carrying the three HPX message
-// chunk groups. Progress is made by the kernel and the connection
+// connection, and frames carrying the same header message and follow-up
+// chunks as the other parcelports, reassembled by the shared
+// parcelport.Recv. Progress is made by the kernel and the connection
 // goroutines, so BackgroundWork has nothing to poll.
 package tcppp
 
@@ -28,6 +29,10 @@ import (
 
 // frameMagic guards against stream desynchronization.
 const frameMagic uint32 = 0x48505854 // "HPXT"
+
+// maxHeader caps a frame's header message; chunks that do not fit after the
+// fixed header fields follow it as separate writes.
+const maxHeader = serialization.DefaultZeroCopyThreshold
 
 // Config tunes the TCP parcelport group.
 type Config struct {
@@ -113,6 +118,35 @@ type Parcelport struct {
 type outConn struct {
 	conn net.Conn
 	q    chan *serialization.Message
+
+	// mu is held shared by Sends enqueueing onto q, across a send that may
+	// block on a full queue, and exclusively by shut, so q never closes
+	// under a sender. shut runs only while the writer drains q, so a
+	// blocked sender always gets through and shut cannot wait forever.
+	mu     sync.RWMutex
+	closed bool
+}
+
+// enqueue queues m for the writer, reporting false if the connection is
+// shut.
+func (oc *outConn) enqueue(m *serialization.Message) bool {
+	oc.mu.RLock()
+	defer oc.mu.RUnlock()
+	if !oc.closed {
+		oc.q <- m
+	}
+	return !oc.closed
+}
+
+// shut refuses further sends and closes the queue; the writer drains what
+// is already queued.
+func (oc *outConn) shut() {
+	oc.mu.Lock()
+	if !oc.closed {
+		oc.closed = true
+		close(oc.q)
+	}
+	oc.mu.Unlock()
 }
 
 // Name returns the configuration name (without the upper layer's "_i").
@@ -152,14 +186,11 @@ func (pp *Parcelport) Stop() {
 	}
 	pp.ln.Close()
 	pp.outMu.Lock()
-	conns := make([]*outConn, 0, len(pp.out))
-	for _, oc := range pp.out {
-		conns = append(conns, oc)
-	}
+	out := pp.out
 	pp.out = make(map[int]*outConn)
 	pp.outMu.Unlock()
-	for _, oc := range conns {
-		close(oc.q)
+	for _, oc := range out {
+		oc.shut()
 	}
 	// Close inbound connections too: their read loops otherwise block until
 	// the remote side shuts down, deadlocking the join below.
@@ -174,21 +205,19 @@ func (pp *Parcelport) Stop() {
 	}
 }
 
-// Send frames the message onto the destination's connection queue.
+// Send frames the message onto the destination's connection queue. A
+// message that cannot be sent — the parcelport is stopped, the destination
+// unreachable, or its connection dead — is dropped like one lost to a dead
+// TCP peer, and completes locally at once.
 func (pp *Parcelport) Send(dst int, m *serialization.Message) {
 	if pp.stopped.Load() {
+		m.Done()
 		return
 	}
 	oc, err := pp.connTo(dst)
-	if err != nil {
-		return // destination unreachable; message dropped like a dead TCP peer
+	if err != nil || !oc.enqueue(m) {
+		m.Done()
 	}
-	defer func() {
-		// The queue may close concurrently with Stop; a send on a closed
-		// channel panics, which we absorb as "connection shut down".
-		_ = recover()
-	}()
-	oc.q <- m
 }
 
 // BackgroundWork has nothing to do: the kernel and the connection
@@ -215,31 +244,44 @@ func (pp *Parcelport) connTo(dst int) (*outConn, error) {
 	oc := &outConn{conn: conn, q: make(chan *serialization.Message, pp.group.cfg.SendQueue)}
 	pp.out[dst] = oc
 	pp.wg.Add(1)
-	go pp.writeLoop(oc)
+	go pp.writeLoop(dst, oc)
 	return oc, nil
 }
 
-// writeLoop frames queued messages onto one connection.
-func (pp *Parcelport) writeLoop(oc *outConn) {
+// writeLoop frames queued messages onto the connection to dst. On a write
+// error it retires the connection — the next Send to dst dials afresh — and
+// completes every message still queued, so no sender waits on a dead peer.
+func (pp *Parcelport) writeLoop(dst int, oc *outConn) {
 	defer pp.wg.Done()
 	defer oc.conn.Close()
 	w := bufio.NewWriterSize(oc.conn, 64*1024)
+	hdr := make([]byte, 8+maxHeader)
 	for m := range oc.q {
-		if err := writeFrame(w, m); err != nil {
-			m.Done()
-			return
-		}
+		err := writeFrame(w, m, hdr)
 		// Flush eagerly when no more messages are queued (latency), batch
 		// otherwise (throughput) — the classic asio-style pattern.
-		if len(oc.q) == 0 {
-			if err := w.Flush(); err != nil {
-				m.Done()
-				return
-			}
+		if err == nil && len(oc.q) == 0 {
+			err = w.Flush()
 		}
-		pp.sent.Add(1)
-		pp.bytesSent.Add(uint64(m.TotalBytes()))
+		if err == nil {
+			pp.sent.Add(1)
+			pp.bytesSent.Add(uint64(m.TotalBytes()))
+		}
 		m.Done()
+		if err != nil {
+			pp.outMu.Lock()
+			if pp.out[dst] == oc {
+				delete(pp.out, dst)
+			}
+			pp.outMu.Unlock()
+			// Sends blocked on a full queue hold oc.mu: keep draining while
+			// shut waits them out and closes q, which ends the drain.
+			go oc.shut()
+			for m := range oc.q {
+				m.Done()
+			}
+			return
+		}
 	}
 	w.Flush()
 }
@@ -265,19 +307,18 @@ func (pp *Parcelport) acceptLoop() {
 	}
 }
 
-// readLoop parses frames from one inbound connection and delivers them.
+// readLoop parses frames from one inbound connection and delivers them. Each
+// frame's chunks land in pooled buffers tracked by a refcounted owner; the
+// delivery chain releases it when the last parcel's action finished,
+// recycling the buffers. A corrupt frame closes the connection.
 func (pp *Parcelport) readLoop(conn net.Conn) {
 	defer pp.wg.Done()
 	defer conn.Close()
 	r := bufio.NewReaderSize(conn, 64*1024)
+	hdr := make([]byte, maxHeader)
 	for !pp.stopped.Load() {
-		// Each frame's small chunks land in pooled buffers tracked by a
-		// refcounted owner; the delivery chain releases it when the last
-		// parcel's action finished, recycling the buffers.
-		owner := parcelport.GetRecvBufs()
-		m, err := readFrame(r, owner)
+		m, err := readFrame(r, hdr)
 		if err != nil {
-			owner.Release()
 			return
 		}
 		pp.recvd.Add(1)
@@ -286,85 +327,60 @@ func (pp *Parcelport) readLoop(conn net.Conn) {
 	}
 }
 
-// writeFrame emits one length-prefixed HPX message.
-func writeFrame(w io.Writer, m *serialization.Message) error {
-	var hdr [16]byte
+// writeFrame emits one HPX message: magic, the header message's length, the
+// header message (parcelport.EncodeHeader, piggybacking what fits under
+// maxHeader), then the follow-up chunks in parcelport.AppendFollowUps order.
+// hdr is scratch of 8+maxHeader bytes.
+func writeFrame(w io.Writer, m *serialization.Message, hdr []byte) error {
+	n, piggyNZC, piggyTrans, err := parcelport.EncodeHeader(hdr[8:], 0, m, maxHeader, true)
+	if err != nil {
+		return err
+	}
 	binary.LittleEndian.PutUint32(hdr[0:], frameMagic)
-	binary.LittleEndian.PutUint32(hdr[4:], uint32(len(m.NonZeroCopy)))
-	binary.LittleEndian.PutUint32(hdr[8:], uint32(len(m.Transmission)))
-	binary.LittleEndian.PutUint32(hdr[12:], uint32(len(m.ZeroCopy)))
-	if _, err := w.Write(hdr[:]); err != nil {
+	binary.LittleEndian.PutUint32(hdr[4:], uint32(n))
+	if _, err := w.Write(hdr[:8+n]); err != nil {
 		return err
 	}
-	var lens [4]byte
-	for _, zc := range m.ZeroCopy {
-		binary.LittleEndian.PutUint32(lens[:], uint32(len(zc)))
-		if _, err := w.Write(lens[:]); err != nil {
-			return err
-		}
-	}
-	if _, err := w.Write(m.NonZeroCopy); err != nil {
-		return err
-	}
-	if _, err := w.Write(m.Transmission); err != nil {
-		return err
-	}
-	for _, zc := range m.ZeroCopy {
-		if _, err := w.Write(zc); err != nil {
+	var segs [4][]byte
+	for _, seg := range parcelport.AppendFollowUps(segs[:0], m, piggyNZC, piggyTrans) {
+		if _, err := w.Write(seg); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// readFrame parses one length-prefixed HPX message into owner's reusable
-// message, staging every chunk in owner-tracked pooled buffers. On error the
-// caller releases owner, which recycles whatever was staged.
-func readFrame(r io.Reader, owner *parcelport.RecvBufs) (*serialization.Message, error) {
-	var hdr [16]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+// readFrame parses one frame into a pooled owner's message: the header
+// message lands in hdr (maxHeader bytes, reused across frames), its
+// piggybacked chunks are copied into owner-tracked buffers, and
+// parcelport.Recv validates the sizes and stages the follow-ups.
+func readFrame(r io.Reader, hdr []byte) (*serialization.Message, error) {
+	if _, err := io.ReadFull(r, hdr[:8]); err != nil {
 		return nil, err
 	}
-	if binary.LittleEndian.Uint32(hdr[0:]) != frameMagic {
-		return nil, fmt.Errorf("tcppp: bad frame magic")
+	n := binary.LittleEndian.Uint32(hdr[4:])
+	if binary.LittleEndian.Uint32(hdr[0:]) != frameMagic || n > uint32(len(hdr)) {
+		return nil, fmt.Errorf("tcppp: bad frame prefix")
 	}
-	nzcLen := binary.LittleEndian.Uint32(hdr[4:])
-	transLen := binary.LittleEndian.Uint32(hdr[8:])
-	numZC := binary.LittleEndian.Uint32(hdr[12:])
-	if nzcLen > serialization.MaxChunkSize || transLen > serialization.MaxChunkSize || numZC > 1<<20 {
-		return nil, fmt.Errorf("tcppp: implausible frame sizes")
-	}
-	zcLens := make([]uint32, numZC)
-	var lens [4]byte
-	for i := range zcLens {
-		if _, err := io.ReadFull(r, lens[:]); err != nil {
-			return nil, err
-		}
-		zcLens[i] = binary.LittleEndian.Uint32(lens[:])
-		if zcLens[i] > serialization.MaxChunkSize {
-			return nil, fmt.Errorf("tcppp: implausible chunk size")
-		}
-	}
-	m := &owner.Msg
-	*m = serialization.Message{Owner: owner}
-	m.NonZeroCopy = owner.GetBuf(int(nzcLen))
-	if _, err := io.ReadFull(r, m.NonZeroCopy); err != nil {
+	if _, err := io.ReadFull(r, hdr[:n]); err != nil {
 		return nil, err
 	}
-	if transLen > 0 {
-		m.Transmission = owner.GetBuf(int(transLen))
-		if _, err := io.ReadFull(r, m.Transmission); err != nil {
-			return nil, err
+	h, err := parcelport.DecodeHeader(hdr[:n])
+	var rx parcelport.Recv
+	if err == nil {
+		owner := parcelport.GetRecvBufs()
+		h.NZC = owner.Clone(h.NZC)
+		h.Trans = owner.Clone(h.Trans)
+		err = rx.Start(h, owner)
+	}
+	for buf := rx.Next(); err == nil && buf != nil; buf = rx.Next() {
+		if _, err = io.ReadFull(r, buf); err == nil {
+			err = rx.Done()
 		}
 	}
-	if numZC > 0 {
-		m.ZeroCopy = make([][]byte, numZC)
-		for i := range m.ZeroCopy {
-			m.ZeroCopy[i] = owner.GetBuf(int(zcLens[i]))
-			if _, err := io.ReadFull(r, m.ZeroCopy[i]); err != nil {
-				return nil, err
-			}
-		}
+	if err != nil {
+		rx.Fail()
+		return nil, err
 	}
-	return m, nil
+	return rx.Message(), nil
 }

@@ -2,6 +2,9 @@ package tcppp
 
 import (
 	"bytes"
+	"encoding/binary"
+	"io"
+	"net"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -201,4 +204,82 @@ func TestInvalidDestinationDropped(t *testing.T) {
 	r := newRig(t, 2)
 	m, _ := msgWith(8)
 	r.g.Parcelport(0).Send(9, m) // silently dropped, no panic
+}
+
+// TestOversizeChunkFailsConnection: a frame whose transmission chunk
+// announces a zero-copy chunk one byte above serialization.MaxChunkSize is
+// refused by the shared receiver before anything is staged for it; the
+// inbound connection it arrived on is closed, and the parcelport keeps
+// delivering on its other connections.
+func TestOversizeChunkFailsConnection(t *testing.T) {
+	// A transmission chunk with one entry: chunk 0, MaxChunkSize+1 bytes.
+	trans := binary.LittleEndian.AppendUint32(nil, 1)
+	trans = binary.LittleEndian.AppendUint32(trans, 0)
+	trans = binary.LittleEndian.AppendUint64(trans, serialization.MaxChunkSize+1)
+	var frame bytes.Buffer
+	bad := &serialization.Message{NonZeroCopy: []byte("metadata"), Transmission: trans, ZeroCopy: [][]byte{make([]byte, 16)}}
+	if err := writeFrame(&frame, bad, make([]byte, 8+maxHeader)); err != nil {
+		t.Fatal(err)
+	}
+
+	r := newRig(t, 2)
+	conn, err := net.Dial("tcp", r.g.Parcelport(1).Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := conn.Write(frame.Bytes()); err != nil {
+		t.Fatal(err)
+	}
+	if err := conn.SetReadDeadline(time.Now().Add(10 * time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := conn.Read(make([]byte, 1)); err != io.EOF {
+		t.Fatalf("receiver kept the connection open after a corrupt frame: %v", err)
+	}
+	m, want := msgWith(64, 9000)
+	r.g.Parcelport(0).Send(1, m)
+	r.waitCount(t, 1, 1, 10*time.Second)
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if len(r.received[1]) != 1 {
+		t.Fatalf("%d messages delivered, want only the intact one", len(r.received[1]))
+	}
+	checkRoundTrip(t, r.received[1][0], want)
+}
+
+// TestDeadPeerDoesNotWedgeSend: once the peer is gone, its connection's
+// writer fails; more sends than the queue holds must neither block the
+// caller nor lose a completion.
+func TestDeadPeerDoesNotWedgeSend(t *testing.T) {
+	r := newRig(t, 2)
+	pp := r.g.Parcelport(0)
+	m, _ := msgWith(8)
+	pp.Send(1, m)
+	r.waitCount(t, 1, 1, 10*time.Second)
+	r.g.Parcelport(1).Stop()
+
+	const n = 3 * 1024 // three default send queues' worth
+	var completed atomic.Int32
+	returned := make(chan struct{})
+	go func() {
+		defer close(returned)
+		for i := 0; i < n; i++ {
+			m, _ := msgWith(4096)
+			m.OnSent = func() { completed.Add(1) }
+			pp.Send(1, m)
+		}
+	}()
+	select {
+	case <-returned:
+	case <-time.After(30 * time.Second):
+		t.Fatal("Send blocked on a dead peer")
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for completed.Load() < n && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	if got := completed.Load(); got != n {
+		t.Fatalf("%d of %d sends completed", got, n)
+	}
 }

@@ -454,7 +454,7 @@ func Decode(m *Message) ([]*Parcel, error) {
 // MaxChunkSize bounds the length of any single chunk a transport accepts
 // from the wire. A receiver allocates what a header announces before the
 // payload arrives, so an announced size beyond this is treated as protocol
-// corruption (ParseTransmissionSizes, the TCP frame reader).
+// corruption (ParseTransmissionSizes, parcelport.Recv).
 const MaxChunkSize = 1 << 30
 
 // ParseTransmissionSizes extracts the zero-copy chunk lengths from a
