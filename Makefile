@@ -2,16 +2,15 @@
 
 GO ?= go
 
-.PHONY: all build vet fmt-check test race check alloc-gate bench bench-quick bench-all bench-gate microbench-fabric microbench-deliver benchmark ab fuzz examples experiments clean
+.PHONY: all build vet fmt-check test race check alloc-gate bench bench-quick bench-claims microbench-fabric microbench-deliver benchmark ab fuzz examples experiments clean
 
 all: build vet test
 
 # The full gate: build, vet, formatting, tests, the race detector over the
 # concurrency-heavy packages (communication libraries, fabric ARQ,
-# parcelports, serving tier), the collectives perf snapshot, the serving-tier
-# SLO snapshot, and the message-rate/rendezvous/latency/serve regression
-# gate.
-check: build vet fmt-check test race alloc-gate bench-collectives bench-serve bench-gate
+# parcelports, serving tier), the allocation gate, and the artifacts'
+# in-process structural claims. Nothing here writes inside the repo.
+check: build vet fmt-check test race alloc-gate bench-claims
 
 # The receiver-datapath allocation gate: delivering a warm eager-sized
 # multi-parcel message must not allocate, spawned or inline, and neither must
@@ -48,26 +47,18 @@ race:
 bench:
 	$(GO) test -bench=. -benchmem ./... -timeout 3600s
 
-# The eight BENCH_*.json artifacts (bench.Artifacts; `experiments -h` lists
-# the targets, DESIGN.md "Artifacts: one schema, one gate" the columns, gate
-# rules and claims). bench-<artifact> regenerates one into results/ — table,
-# JSON, claims checked — pinned to quick scale, the scale bench-gate runs at,
-# so the committed rows stay comparable (run `experiments -scale full -out
-# results collectives` for the recorded 256-locality numbers). The names
-# `experiments` knows them by carry a -bench suffix except for three. The
-# gated ones come first and in bench-gate's order, so bench-all measures them
-# in the process state bench-gate re-measures them in (behind the collectives
-# sweep's warm heap, msgrate/lci_i/64B reads ~1.2 µs against ~2.3 µs fresh).
-ARTIFACTS := msgrate rendezvous latency serve inline fabric deliver collectives
-experiments-target = $(if $(filter $(1),collectives serve inline),$(1),$(1)-bench)
+# The measured artifact tables (bench.Artifacts; `experiments -h` lists the
+# targets, DESIGN.md "Artifacts: tables plus in-process claims" the claims).
+# bench-<artifact> measures one at quick scale, checks its claims and
+# rewrites its table in results/ (run `experiments -scale full -out results
+# collectives` for the recorded 256-locality numbers). The names
+# `experiments` knows them by carry a -bench suffix except for two.
+ARTIFACTS := rendezvous serve fabric deliver latency collectives
+experiments-target = $(if $(filter $(1),collectives serve),$(1),$(1)-bench)
 
 .PHONY: $(ARTIFACTS:%=bench-%)
 $(ARTIFACTS:%=bench-%): bench-%:
 	$(GO) run ./cmd/experiments -scale quick -out results $(call experiments-target,$*)
-
-# All eight in one invocation, so every artifact carries the same commit.
-bench-all:
-	$(GO) run ./cmd/experiments -scale quick -out results $(foreach a,$(ARTIFACTS),$(call experiments-target,$(a)))
 
 # The testing.B siblings of the two datapath artifacts print first
 # (results/fabric-datapath.txt and results/receiver-datapath.txt have the
@@ -83,11 +74,13 @@ microbench-deliver:
 	$(GO) test -bench BenchmarkDeliverBundle -benchmem ./internal/core/ -timeout 1800s
 	$(GO) test -bench BenchmarkSpawnBatch -benchmem ./internal/amt/ -timeout 1800s
 
-# Re-measure the gated artifacts (message rate, rendezvous, latency, serve,
-# inline) and compare against the committed baselines; fails on step
-# regressions and on broken structural claims.
-bench-gate:
-	$(GO) run ./cmd/experiments -scale quick bench-gate
+# Measure every artifact that makes a structural claim (rendezvous striping,
+# serve cache and admission, fabric poll flatness, deliver amortization, the
+# zero-allocation rows) and fail on any broken claim. Every claim compares
+# rows measured in the same process, so no committed number is involved and
+# nothing is written.
+bench-claims:
+	$(GO) run ./cmd/experiments -scale quick bench-claims
 
 # The repo's one repeatable before/after benchmark (BENCHMARK.json; see
 # benchmark/README.md).

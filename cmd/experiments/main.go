@@ -1,6 +1,8 @@
 // Command experiments regenerates the tables and figures of the paper's
-// evaluation and the repo's BENCH_*.json artifacts. Each paper target prints
-// the same rows/series the paper reports (text form; x, y, yerr per point).
+// evaluation and the repo's measured artifact tables. Each paper target
+// prints the same rows/series the paper reports (text form; x, y, yerr per
+// point); `bench-claims` measures every artifact that makes a structural
+// claim and fails if one breaks.
 //
 // Usage:
 //
@@ -11,10 +13,11 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
-	"maps"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"runtime"
 	"strings"
@@ -24,53 +27,49 @@ import (
 	"hpxgo/internal/stats"
 )
 
-// resultsDir holds the committed baselines bench-gate checks against.
-const resultsDir = "results"
-
 // provenance stamps each output with enough context to interpret it later.
 func provenance(scale string) string {
 	host, _ := os.Hostname()
-	return fmt.Sprintf("# generated: %s | host: %s | %s/%s GOMAXPROCS=%d | %s | scale: %s\n",
-		time.Now().Format(time.RFC3339), host,
+	commit := "unknown" // outside a git checkout
+	if out, err := exec.Command("git", "describe", "--always", "--dirty").Output(); err == nil {
+		commit = strings.TrimSpace(string(out))
+	}
+	return fmt.Sprintf("# generated: %s | commit: %s | host: %s | %s/%s GOMAXPROCS=%d | %s | scale: %s\n",
+		time.Now().Format(time.RFC3339), commit, host,
 		runtime.GOOS, runtime.GOARCH, runtime.GOMAXPROCS(0), runtime.Version(), scale)
 }
 
 // env is what a target runs under.
 type env struct {
-	sc    bench.Scale
-	scale string // the -scale name, recorded in artifacts
-	csv   bool
+	sc  bench.Scale
+	csv bool
 }
 
-// runFunc runs one target: its text, plus side files written next to the
-// .txt under -out.
-type runFunc func(env) (text string, files map[string][]byte, err error)
+// runFunc runs one target and returns its text.
+type runFunc func(env) (string, error)
 
 // fromFigure adapts a figure generator to a target.
 func fromFigure(f func(bench.Scale) (*stats.Figure, error)) runFunc {
-	return func(e env) (string, map[string][]byte, error) {
+	return func(e env) (string, error) {
 		fig, err := f(e.sc)
 		if err != nil {
-			return "", nil, err
+			return "", err
 		}
 		if e.csv {
-			return fig.RenderCSV(), nil, nil
+			return fig.RenderCSV(), nil
 		}
-		return fig.Render(), nil, nil
+		return fig.Render(), nil
 	}
 }
 
 // fromText adapts a scale-dependent text report to a target.
 func fromText(f func(bench.Scale) (string, error)) runFunc {
-	return func(e env) (string, map[string][]byte, error) {
-		s, err := f(e.sc)
-		return s, nil, err
-	}
+	return func(e env) (string, error) { return f(e.sc) }
 }
 
 // fromTable adapts a fixed table to a target.
 func fromTable(f func() string) runFunc {
-	return func(env) (string, map[string][]byte, error) { return f(), nil, nil }
+	return func(env) (string, error) { return f(), nil }
 }
 
 // paperTargets are the paper's tables and figures plus the reproduction's
@@ -101,54 +100,46 @@ var paperTargets = []struct {
 	{"reliability", fromText(bench.ReliabilityText)},
 }
 
-// fromArtifact adapts one bench.Artifact to a target: measure, check the claims,
-// emit the table and the BENCH_*.json. A claims failure fails the target and
-// prints the rows that broke it.
+// fromArtifact adapts one bench.Artifact to a target: measure, check the
+// claims, emit the table. A claims failure fails the target and prints the
+// rows that broke it.
 func fromArtifact(a *bench.Artifact) runFunc {
-	return func(e env) (string, map[string][]byte, error) {
-		rep, err := a.Run(e.sc, e.scale)
+	return func(e env) (string, error) {
+		recs, err := a.Run(e.sc)
 		if err != nil {
-			if rep != nil {
-				err = fmt.Errorf("%w\n%s", err, a.Text(rep))
+			if recs != nil {
+				err = fmt.Errorf("%w\n%s", err, a.Text(recs))
 			}
-			return "", nil, err
+			return "", err
 		}
-		js, err := rep.JSON()
-		if err != nil {
-			return "", nil, err
-		}
-		return a.Text(rep), map[string][]byte{a.File: js}, nil
+		return a.Text(recs), nil
 	}
 }
 
-// benchGate re-measures every gated artifact and compares it against its
-// committed baseline, failing on the first regression or broken claim.
-func benchGate(e env) (string, map[string][]byte, error) {
-	var tables []string
+// claimed lists the artifacts that make at least one claim: what
+// bench-claims runs.
+func claimed() []*bench.Artifact {
+	var as []*bench.Artifact
 	for i := range bench.Artifacts {
-		a := &bench.Artifacts[i]
-		if !a.Gated() {
-			continue
-		}
-		data, err := os.ReadFile(filepath.Join(resultsDir, a.File))
-		if err != nil {
-			return "", nil, fmt.Errorf("bench-gate: %w (run `experiments -scale quick -out %s %s` and commit the artifact)", err, resultsDir, a.Name)
-		}
-		committed, err := bench.Parse(data)
-		if err != nil {
-			return "", nil, fmt.Errorf("%s: %w", a.File, err)
-		}
-		fresh, err := a.Run(e.sc, e.scale)
-		if fresh == nil { // a claims failure alone is reported by Gate, with the table
-			return "", nil, err
-		}
-		table, err := a.Gate(fresh, committed)
-		tables = append(tables, table)
-		if err != nil {
-			return "", nil, fmt.Errorf("%w\n%s", err, strings.Join(tables, "\n"))
+		if len(bench.Artifacts[i].Claims) > 0 {
+			as = append(as, &bench.Artifacts[i])
 		}
 	}
-	return strings.Join(tables, "\n"), nil, nil
+	return as
+}
+
+// benchClaims runs every claimed artifact's target. Every artifact runs even
+// after one fails, so a failing run reports every broken claim, each with
+// its table.
+func benchClaims(e env) (string, error) {
+	var tables []string
+	var errs []error
+	for _, a := range claimed() {
+		text, err := fromArtifact(a)(e)
+		tables = append(tables, text)
+		errs = append(errs, err)
+	}
+	return strings.Join(tables, "\n"), errors.Join(errs...)
 }
 
 // lookup resolves a target name.
@@ -163,15 +154,15 @@ func lookup(name string) runFunc {
 			return fromArtifact(&bench.Artifacts[i])
 		}
 	}
-	if name == "bench-gate" {
-		return benchGate
+	if name == "bench-claims" {
+		return benchClaims
 	}
 	return nil
 }
 
 // targetNames lists every target in usage order; allOnly restricts it to
 // what `all` expands to (the paper targets and the full-scale sweeps, not
-// the quick-pinned baselines or the gate).
+// the quick-scale artifacts or bench-claims).
 func targetNames(allOnly bool) []string {
 	var names []string
 	for _, t := range paperTargets {
@@ -183,7 +174,7 @@ func targetNames(allOnly bool) []string {
 		}
 	}
 	if !allOnly {
-		names = append(names, "bench-gate", "all")
+		names = append(names, "bench-claims", "all")
 	}
 	return names
 }
@@ -204,7 +195,7 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
-	e := env{scale: *scale, csv: *format == "csv"}
+	e := env{csv: *format == "csv"}
 	switch *scale {
 	case "full":
 		e.sc = bench.FullScale()
@@ -233,7 +224,7 @@ func main() {
 			fail(fmt.Errorf("%s: unknown target %q", target, target))
 		}
 		start := time.Now()
-		text, files, err := run(e)
+		text, err := run(e)
 		if err != nil {
 			fail(fmt.Errorf("%s: %w", target, err))
 		}
@@ -245,12 +236,8 @@ func main() {
 		if err := os.MkdirAll(*out, 0o755); err != nil {
 			fail(err)
 		}
-		writes := map[string][]byte{target + ".txt": []byte(text)}
-		maps.Copy(writes, files)
-		for name, data := range writes {
-			if err := os.WriteFile(filepath.Join(*out, name), data, 0o644); err != nil {
-				fail(err)
-			}
+		if err := os.WriteFile(filepath.Join(*out, target+".txt"), []byte(text), 0o644); err != nil {
+			fail(err)
 		}
 	}
 }

@@ -7,9 +7,10 @@ import (
 	"hpxgo/internal/bench"
 )
 
-// TestTargetsTable: every artifact is reachable as a target, appears in the
-// usage text, and has a unique name and file; `all` expands only to targets
-// that resolve.
+// TestTargetsTable: the usage text lists every target exactly once and
+// nothing else, and each listed target resolves; bench-claims runs exactly
+// the artifacts that make a claim; `all` expands only to targets that
+// resolve.
 func TestTargetsTable(t *testing.T) {
 	listed := strings.Fields(strings.SplitN(usage(), "targets: ", 2)[1])
 	inUsage := map[string]bool{}
@@ -22,20 +23,37 @@ func TestTargetsTable(t *testing.T) {
 			t.Fatalf("usage lists %q but it does not resolve", name)
 		}
 	}
-	files := map[string]bool{}
-	for _, a := range bench.Artifacts {
-		if lookup(a.Name) == nil || !inUsage[a.Name] {
-			t.Fatalf("artifact %q is not a reachable, listed target", a.Name)
-		}
-		if files[a.File] {
-			t.Fatalf("artifact file %q used twice", a.File)
-		}
-		files[a.File] = true
+	// The usage lists exactly the paper targets, the artifacts, bench-claims
+	// and all: no retired target lingers.
+	want := []string{"bench-claims", "all"}
+	for _, p := range paperTargets {
+		want = append(want, p.name)
 	}
-	for _, name := range []string{"bench-gate", "all", "table1", "fig11", "reliability"} {
+	for _, a := range bench.Artifacts {
+		if lookup(a.Name) == nil {
+			t.Fatalf("artifact %q does not resolve", a.Name)
+		}
+		want = append(want, a.Name)
+	}
+	for _, name := range want {
 		if !inUsage[name] {
 			t.Fatalf("usage is missing %q", name)
 		}
+	}
+	if len(listed) != len(want) {
+		t.Fatalf("usage lists %v; want exactly %v", listed, want)
+	}
+	inClaims := map[string]bool{}
+	for _, a := range claimed() {
+		inClaims[a.Name] = true
+	}
+	for _, a := range bench.Artifacts {
+		if inClaims[a.Name] != (len(a.Claims) > 0) {
+			t.Fatalf("artifact %q has %d claims but bench-claims includes it: %v", a.Name, len(a.Claims), inClaims[a.Name])
+		}
+	}
+	if len(inClaims) == 0 {
+		t.Fatal("bench-claims runs no artifact")
 	}
 	all := targetNames(true)
 	if len(all) != len(paperTargets)+1 || all[len(all)-1] != "collectives" {

@@ -15,7 +15,7 @@ import (
 // across simulated cluster sizes. This is the experiment behind the PR that
 // replaced the flat implementations — the flat references are kept alive in
 // core precisely so this comparison stays reproducible — and the source of
-// BENCH_collectives.json (op, impl, nodes, mean ns/op with its stddev over
+// the collectives artifact (op, impl, nodes, mean ns/op with its stddev over
 // reps, allocs/op, reps).
 
 // collOp runs one collective once (the unit the sweep times).

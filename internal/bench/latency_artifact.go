@@ -2,16 +2,14 @@ package bench
 
 import "fmt"
 
-// Latency trajectory rows: the ping-pong latency distribution of a small
-// fixed set of (size, window) points, committed as
-// results/BENCH_latency.json so latency regressions show up in perf
-// history the same way message-rate and collectives regressions do.
+// Latency rows: the ping-pong latency distribution of the (size, window)
+// points no BENCHMARK.json workload covers — windowed small messages and an
+// eager-threshold-sized message, solo and windowed. Informational: no claim
+// is made about them (the solo 8 B leg is `pingpong_8b` in benchmark/).
 
-// latencyPoints enumerates the artifact rows: the smallest and an
-// eager-threshold-sized message, solo and windowed.
+// latencyPoints enumerates the artifact rows.
 func latencyPoints(sc Scale) []point[LatencyParams] {
 	return []point[LatencyParams]{
-		{"latency/lci_i/8B/w1", LatencyParams{Size: 8, Window: 1, Steps: sc.LatencySteps}},
 		{"latency/lci_i/8B/w8", LatencyParams{Size: 8, Window: 8, Steps: sc.LatencySteps}},
 		{"latency/lci_i/16KiB/w1", LatencyParams{Size: 16384, Window: 1, Steps: sc.LatencySteps}},
 		{"latency/lci_i/16KiB/w8", LatencyParams{Size: 16384, Window: 8, Steps: sc.LatencySteps}},
@@ -23,7 +21,7 @@ func latencyPoints(sc Scale) []point[LatencyParams] {
 func measureLatency(sc Scale) ([]Record, error) {
 	// Best-of-N by mean: the minimum of a noisy distribution stabilizes as
 	// N grows, and each rep costs ~25 ms at quick scale. Best-of-2 wandered
-	// ~2.8x run to run on the 8B mean; best-of-5 holds the gate band.
+	// ~2.8x run to run on the 8B mean; best-of-5 stays within ~2.1x.
 	reps := max(sc.Reps, 5)
 	var recs []Record
 	for _, pt := range latencyPoints(sc) {

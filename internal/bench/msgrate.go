@@ -37,9 +37,6 @@ type MsgRateParams struct {
 	InlineOff bool
 	// InlineBudget overrides the inline count budget (0 = runtime default).
 	InlineBudget int
-	// MeasureAllocs samples process-wide allocation counters around the
-	// measured section; the per-message delta lands in AllocsPerMsg.
-	MeasureAllocs bool
 	// Inspect, when non-nil, runs against the live runtime after the
 	// measurement completes and before shutdown (profiling hooks).
 	Inspect func(rt *core.Runtime)
@@ -50,7 +47,6 @@ type MsgRateResult struct {
 	AttemptedRate float64 // messages/second requested (0 = unlimited)
 	AchievedInj   float64 // messages/second actually generated
 	MsgRate       float64 // messages/second actually received
-	AllocsPerMsg  float64 // process-wide mallocs per message (MeasureAllocs)
 }
 
 // MessageRate runs the §4.1 microbenchmark under one parcelport
@@ -125,10 +121,6 @@ func MessageRate(ppName string, p MsgRateParams) (MsgRateResult, error) {
 	// The sender creates tasks at the attempted rate; each task injects one
 	// batch. Task pacing happens on this driver goroutine, like the
 	// benchmark driver thread in the paper's HPX harness.
-	var ms0, ms1 runtime.MemStats
-	if p.MeasureAllocs {
-		runtime.ReadMemStats(&ms0)
-	}
 	start = time.Now()
 	interval := time.Duration(0)
 	if p.Rate > 0 {
@@ -161,10 +153,6 @@ func MessageRate(ppName string, p MsgRateParams) (MsgRateResult, error) {
 	}
 
 	res := MsgRateResult{AttemptedRate: p.Rate}
-	if p.MeasureAllocs {
-		runtime.ReadMemStats(&ms1)
-		res.AllocsPerMsg = float64(ms1.Mallocs-ms0.Mallocs) / float64(total)
-	}
 	if p.Inspect != nil {
 		p.Inspect(rt)
 	}

@@ -125,7 +125,7 @@ type Scale struct {
 	ServeRate       float64 // aggregate offered ops/s (overdrives capacity)
 	ServeAdmitRate  float64 // shard admission rate for the admit row, ops/s
 
-	// Datapath artifacts (BENCH_fabric.json / BENCH_deliver.json).
+	// Datapath artifacts (fabric-bench / deliver-bench).
 	FabricIters  int // timed iterations per fabric row (~35-350 ns each)
 	DeliverIters int // timed iterations per deliver row (~1-11 us each)
 }

@@ -16,8 +16,7 @@ import (
 // The single-blob path is kept in the device (Config.SingleBlobLong) as the
 // oracle: every measured transfer is byte-compared against the payload, and
 // the artifact's blob rows are the before/after reference the striping
-// speedup is quoted against. Committed as results/BENCH_rendezvous.json and
-// re-checked by `make bench-gate`.
+// speedup is quoted against. Its claims run in `make bench-claims`.
 
 // RendezvousParams configures one large-message bandwidth point between two
 // devices on an Expanse-profile fabric with a configurable rail count.

@@ -14,14 +14,12 @@ import (
 // the serving tier's headline: on a Zipf-popular key mix, the per-locality
 // cache plus single-flight coalescing must at least double throughput over
 // the cache-off baseline while keeping the p99 bounded (shed requests are
-// refused fast instead of queueing). Committed as results/BENCH_serve.json
-// and re-checked by `make bench-gate`.
+// refused fast instead of queueing). Its claims run in `make bench-claims`.
 
-// Row names the serve claims and gate reference.
+// Row names the serve claims reference.
 const (
 	serveZipfCache   = "serve/zipf/cache"
 	serveZipfNoCache = "serve/zipf/nocache"
-	serveUniformRow  = "serve/uniform/cache"
 	serveOverRow     = "serve/zipf/overload"
 	serveAdmitRow    = "serve/zipf/admit"
 )
@@ -33,7 +31,7 @@ type servePoint struct {
 	load serve.LoadParams
 }
 
-// servePoints enumerates the rows. The first three run closed-loop
+// servePoints enumerates the rows. The first two run closed-loop
 // (Rate=0): every client issues back-to-back, so throughput is service
 // capacity and the speedup row ratio is capacity vs capacity. The last two
 // run open-loop at ServeRate — chosen well above the cache-off capacity —
@@ -61,14 +59,11 @@ func servePoints(sc Scale) []servePoint {
 	// before they are sent, so a shed costs nothing and the completed
 	// requests' tail reflects service time, not schedule slip.
 	admit.MaxOutstanding = 32
-	uniform := closed
-	uniform.Zipf = false
 	open := closed
 	open.Rate = sc.ServeRate
 	return []servePoint{
 		{serveZipfCache, base, closed},
 		{serveZipfNoCache, nocache, closed},
-		{serveUniformRow, base, uniform},
 		{serveOverRow, nocache, open},
 		{serveAdmitRow, admit, open},
 	}

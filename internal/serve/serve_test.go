@@ -99,6 +99,16 @@ func TestServeSingleFlight(t *testing.T) {
 	// Preload without touching the client cache.
 	svc.Preload([]string{"burst"}, []byte("payload"))
 
+	// Hold the key's store stripe on its owner, so the leader's shard GET
+	// cannot complete — and fill the cache — until every other Get has
+	// found its flight. Without it a fast fill often finishes before the
+	// rest of the burst is scheduled, and they hit the cache instead.
+	h := hashKey("burst")
+	stripe := svc.stores[svc.ring.Owner(h)].stripe(h)
+	stripe.mu.Lock()
+	unlock := sync.OnceFunc(stripe.mu.Unlock)
+	defer unlock()
+
 	const burst = 64
 	var wg sync.WaitGroup
 	errs := make([]error, burst)
@@ -114,6 +124,13 @@ func TestServeSingleFlight(t *testing.T) {
 			vals[i], errs[i] = v, err
 		}(i)
 	}
+	for deadline := time.Now().Add(30 * time.Second); c.coalesced.Load() < burst-1; {
+		if time.Now().After(deadline) {
+			t.Fatalf("only %d of %d followers reached the flight", c.coalesced.Load(), burst-1)
+		}
+		time.Sleep(100 * time.Microsecond)
+	}
+	unlock()
 	wg.Wait()
 	for i := range errs {
 		if errs[i] != nil {
@@ -124,11 +141,9 @@ func TestServeSingleFlight(t *testing.T) {
 		}
 	}
 	st := c.Stats()
-	if st.ShardCalls != 1 {
-		t.Fatalf("hot-miss burst of %d issued %d shard calls, want exactly 1", burst, st.ShardCalls)
-	}
-	if st.Coalesced == 0 {
-		t.Fatal("no followers coalesced")
+	if st.ShardCalls != 1 || st.Coalesced != burst-1 {
+		t.Fatalf("hot-miss burst of %d issued %d shard calls and coalesced %d, want exactly 1 and %d",
+			burst, st.ShardCalls, st.Coalesced, burst-1)
 	}
 }
 
