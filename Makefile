@@ -15,12 +15,13 @@ check: build vet fmt-check test race alloc-gate bench-claims
 # The receiver-datapath allocation gate: delivering a warm eager-sized
 # multi-parcel message must not allocate, spawned or inline, and neither must
 # a warm 39-frame aggregation bundle (the shape the bundled fast path really
-# produces) decoded once and run inline (see DESIGN.md §9 and §14); and a
-# steady 1 MiB rendezvous stream must allocate no more than 8 KiB of heap per
-# transfer (its receive buffers are pooled). Run with -count=1 so a cached
-# pass never masks a regression.
+# produces) decoded once and run inline (see DESIGN.md §9 and §14); a steady
+# 1 MiB rendezvous stream must allocate no more than 8 KiB of heap per
+# transfer (its receive buffers are pooled); and on the send side a warm 64 B
+# ApplyID with aggregation off must not allocate (connectionless eager send,
+# DESIGN.md §7). Run with -count=1 so a cached pass never masks a regression.
 alloc-gate:
-	$(GO) test ./internal/core/ -run 'TestDeliverBundleZeroAllocs|TestDeliverInlineBundleZeroAllocs|TestDeliverHPXBBundleZeroAllocs|TestCollBoxFastPathZeroAlloc|TestRendezvousStreamAllocBytes' -count=1
+	$(GO) test ./internal/core/ -run 'TestDeliverBundleZeroAllocs|TestDeliverInlineBundleZeroAllocs|TestDeliverHPXBBundleZeroAllocs|TestCollBoxFastPathZeroAlloc|TestRendezvousStreamAllocBytes|TestDirectSendZeroAllocs' -count=1
 	$(GO) test ./internal/serialization/ -run 'TestDecodeIntoSteadyStateAllocs|TestDecodeIntoBundleSteadyStateAllocs' -count=1
 	$(GO) test ./internal/lci/ -run TestChunkedZeroAllocSteadyState -count=1
 	$(GO) test ./internal/serve/ -run 'TestServeCachedGetZeroAllocs|TestTokenBucketZeroAllocs' -count=1

@@ -97,7 +97,8 @@ func (l *Layer) ZeroCopyThreshold() int { return l.cfg.ZeroCopyThreshold }
 // SetParcelSender installs a direct parcel-send hook consulted by the
 // send-immediate path before serializing. When the hook accepts the parcel
 // (returns true) the layer skips the per-message encode entirely — the
-// aggregation layer encodes it straight into its bundle buffer. Install
+// aggregation layer encodes it straight into its bundle buffer, the LCI
+// parcelport straight into the packet it sends. Install
 // before traffic flows; the hook never sees parcels whose arguments reach
 // the zero-copy threshold.
 func (l *Layer) SetParcelSender(fn func(dst int, p serialization.Parcel) bool) {

@@ -30,6 +30,10 @@ func FuzzDecodeHeader(f *testing.F) {
 	}
 	f.Add(buf[:n], []byte(nil))
 	f.Add([]byte{}, []byte(nil))
+	// A connectionless header (BaseTag 0, everything piggybacked) as the LCI
+	// parcelport's direct parcel path writes it.
+	p := &serialization.Parcel{Source: 1, Dest: 2, Action: 3, ContID: 4, Args: [][]byte{[]byte("arg"), {}}}
+	f.Add(AppendParcelHeader(make([]byte, 0, ParcelHeaderSize(p)), p), []byte(nil))
 
 	// Corrupted-wire seeds: the fabric's fault injector flips bits and
 	// truncates in flight; the decoder must reject (or round-trip) every

@@ -61,6 +61,18 @@ func PlanHeader(nzcLen, transLen, maxSize int, allowPiggyTrans bool) (size int, 
 	return size, piggyNZC, piggyTrans
 }
 
+// PlanComplete reports whether a message with these chunk sizes rides its
+// header whole: no zero-copy chunk, and the non-zero-copy and transmission
+// chunks both piggyback under maxSize. Such a message needs no follow-up
+// message and no tags — the sending side of Header.Complete.
+func PlanComplete(nzcLen, transLen, numZC, maxSize int) bool {
+	if numZC > 0 {
+		return false
+	}
+	_, piggyNZC, piggyTrans := PlanHeader(nzcLen, transLen, maxSize, true)
+	return piggyNZC && (piggyTrans || transLen == 0)
+}
+
 // AppendFollowUps appends m's follow-up chunks to segs in the order every
 // receiver (Recv) expects them: the transmission chunk unless it rode the
 // header or is empty, the non-zero-copy chunk unless it rode the header,
@@ -108,6 +120,27 @@ func EncodeHeader(buf []byte, baseTag uint32, m *serialization.Message, maxSize 
 		off += copy(buf[off:], m.NonZeroCopy)
 	}
 	return off, piggyNZC, piggyTrans, nil
+}
+
+// ParcelHeaderSize is the size of the complete header message AppendParcelHeader
+// writes for p.
+func ParcelHeaderSize(p *serialization.Parcel) int {
+	return headerFixedSize + serialization.EncodedSizeInline(p)
+}
+
+// AppendParcelHeader appends the complete header message (BaseTag 0) of the
+// single-parcel message carrying p with every argument inline, serializing
+// the parcel straight behind the fixed fields. The bytes equal
+// EncodeHeader(buf, 0, EncodeOne(p, t), maxSize, true) whenever no argument
+// reaches t and the header fits maxSize, without the Message and its scratch
+// chunk. The caller guarantees capacity for ParcelHeaderSize(p) bytes.
+func AppendParcelHeader(dst []byte, p *serialization.Parcel) []byte {
+	start := len(dst)
+	dst = append(dst, make([]byte, headerFixedSize)...)
+	dst[start+24] = flagPiggyNZC
+	dst = serialization.AppendEncodeInline(dst, p)
+	binary.LittleEndian.PutUint64(dst[start+4:], uint64(len(dst)-start-headerFixedSize))
+	return dst
 }
 
 // ErrHeader reports a malformed header message.

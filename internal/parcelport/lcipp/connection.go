@@ -9,7 +9,9 @@ import (
 	"hpxgo/internal/wire"
 )
 
-// lconn is the per-HPX-message connection of the LCI parcelport. Unlike the
+// lconn is the connection of one HPX message that has follow-up messages (a
+// message that rides its header whole needs none; see Parcelport.Send and
+// handleHeader). Unlike the
 // MPI parcelport's connections it is event-driven: instead of sitting on a
 // pending list to be Test-polled, it advances when its completions pop out
 // of the completion queue (or its synchronizers trigger, in sy mode).
