@@ -100,6 +100,10 @@ type Aggregator struct {
 	now   func() int64 // monotonic ns; tests substitute a fake
 	dests []*aggDest
 
+	// sendPoll, when set, runs on the producer's goroutine after each bundle
+	// the producer filled (SetSendPoll).
+	sendPoll func() bool
+
 	stats struct {
 		bundled, bundles, direct, unbundle             atomic.Uint64
 		sizeFl, quietFl, ageFl, capFl, orderFl, stopFl atomic.Uint64
@@ -118,6 +122,19 @@ func NewAggregator(inner Parcelport, numDest int, cfg AggConfig) *Aggregator {
 	}
 	return a
 }
+
+// SetSendPoll installs fn to run on the producer's goroutine each time one of
+// its appends fills a bundle (a size or cap flush), right after the bundle
+// went to the inner parcelport. A producer that streams without ever blocking
+// keeps its CPU from the goroutines that poll the network, so on a host with
+// fewer cores than polling goroutines a reply to the producer (a credit, an
+// acknowledgement) sits in the network until the producer blocks or is
+// preempted; one poll per bundle bounds that wait by the time to fill a
+// bundle. fn runs wherever the caller sent from, possibly under the caller's
+// locks, so it must not deliver messages: the LCI parcelport installs its
+// device poll, which only moves arrivals into completion queues. Install
+// before traffic flows.
+func (a *Aggregator) SetSendPoll(fn func() bool) { a.sendPoll = fn }
 
 // Inner exposes the wrapped parcelport (stats reporting).
 func (a *Aggregator) Inner() Parcelport { return a.inner }
@@ -208,8 +225,7 @@ func (a *Aggregator) Send(dst int, m *serialization.Message) {
 	// from OnSent), hence outside d.mu.
 	m.Done()
 	if out != nil {
-		counter.Add(1)
-		a.sendBundle(dst, out)
+		a.sendFilled(dst, out, counter)
 	}
 }
 
@@ -236,8 +252,7 @@ func (a *Aggregator) SendParcel(dst int, p serialization.Parcel) bool {
 	d.mu.Unlock()
 	a.stats.bundled.Add(1)
 	if out != nil {
-		counter.Add(1)
-		a.sendBundle(dst, out)
+		a.sendFilled(dst, out, counter)
 	}
 	return true
 }
@@ -307,6 +322,16 @@ func (a *Aggregator) flushDest(dst int, counter *atomic.Uint64) {
 func (a *Aggregator) sendBundle(dst int, out *serialization.Message) {
 	a.stats.bundles.Add(1)
 	a.inner.Send(dst, out)
+}
+
+// sendFilled sends a bundle its producer's append filled, crediting counter,
+// then runs the send poll on the producer's goroutine.
+func (a *Aggregator) sendFilled(dst int, out *serialization.Message, counter *atomic.Uint64) {
+	counter.Add(1)
+	a.sendBundle(dst, out)
+	if a.sendPoll != nil {
+		a.sendPoll()
+	}
 }
 
 // staleCounter names the rule that makes d's buffer due at now, as the

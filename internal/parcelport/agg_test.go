@@ -279,6 +279,55 @@ func TestAggregatorQuietFlushViaBackgroundWork(t *testing.T) {
 	}
 }
 
+// TestAggregatorSendPollPerFilledBundle: the send poll runs once for every
+// bundle a producer's append filled, by size or by the cap and through Send
+// or SendParcel, and never for a bundle a poller flushed as quiet.
+func TestAggregatorSendPollPerFilledBundle(t *testing.T) {
+	inner := &fakePP{}
+	// Three 1-byte messages reach the cap before 64 bytes; two parcels pass
+	// 64 bytes before the cap.
+	p := serialization.Parcel{Action: 1, Args: [][]byte{make([]byte, 2)}}
+	if need := serialization.EncodedSizeInline(&p); need > 64 || 2*need < 64 {
+		t.Fatalf("parcel encodes to %d bytes; the test needs 32..64", need)
+	}
+	a := NewAggregator(inner, 1, AggConfig{FlushBytes: 64, MaxSub: 64, MaxQueued: 3})
+	clk := &fakeClock{}
+	clk.install(a)
+	polls := 0
+	a.SetSendPoll(func() bool {
+		if len(inner.sends()) != polls+1 {
+			t.Errorf("poll %d ran with %d bundles sent", polls+1, len(inner.sends()))
+		}
+		polls++
+		return false
+	})
+	if err := a.Start(func(*serialization.Message) {}); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 7; i++ {
+		a.Send(0, msgOf([]byte{byte(i)})) // 2 cap flushes, 1 left buffered
+	}
+	for i := 0; i < 5; i++ {
+		if !a.SendParcel(0, p) {
+			t.Fatal("SendParcel declined a small parcel")
+		}
+	}
+	st := a.Stats()
+	if st.CapFlushes == 0 || st.SizeFlushes == 0 {
+		t.Fatalf("stats = %+v, want cap and size flushes", st)
+	}
+	if filled := int(st.CapFlushes + st.SizeFlushes); polls != filled {
+		t.Fatalf("%d polls for %d filled bundles", polls, filled)
+	}
+	clk.ns += aggQuietGap
+	if !a.FlushStale() {
+		t.Fatal("no quiet flush of the buffered remainder")
+	}
+	if filled := int(st.CapFlushes + st.SizeFlushes); polls != filled {
+		t.Fatalf("quiet flush ran the send poll (%d polls, %d filled bundles)", polls, filled)
+	}
+}
+
 func TestAggregatorCapBackpressure(t *testing.T) {
 	inner := &fakePP{}
 	a := NewAggregator(inner, 1, AggConfig{FlushBytes: 1 << 20, MaxQueued: 3})

@@ -296,6 +296,42 @@ func TestStopIdempotent(t *testing.T) {
 	}
 }
 
+// TestPollDevicesQueuesWithoutDelivering: PollDevices moves an arrived header
+// into the completion queue and stops there — the message is delivered only
+// when the queue is drained — and does nothing once the parcelport stopped.
+func TestPollDevicesQueuesWithoutDelivering(t *testing.T) {
+	r := newRig(t, Config{Progress: parcelport.WorkerProgress}, fabric.Config{}, lci.Config{})
+	m, p := msgWith(t, 32)
+	r.pps[0].Send(1, m)
+	deadline := time.Now().Add(10 * time.Second)
+	for r.pps[1].putCQs[0].Len() == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("header never reached the put completion queue")
+		}
+		r.pps[1].PollDevices()
+	}
+	r.mu.Lock()
+	early := len(r.received[1])
+	r.mu.Unlock()
+	if early != 0 {
+		t.Fatalf("PollDevices delivered %d messages", early)
+	}
+	if !r.pps[1].drainCQ() {
+		t.Fatal("drain found nothing after the poll queued the header")
+	}
+	r.mu.Lock()
+	got := r.received[1]
+	r.mu.Unlock()
+	if len(got) != 1 {
+		t.Fatalf("drain delivered %d messages, want 1", len(got))
+	}
+	checkRoundTrip(t, got[0], p)
+	r.pps[1].Stop()
+	if r.pps[1].PollDevices() {
+		t.Fatal("PollDevices worked after stop")
+	}
+}
+
 // transChunk builds a transmission chunk from (index, size) entries.
 func transChunk(entries ...[2]uint64) []byte {
 	b := binary.LittleEndian.AppendUint32(nil, uint32(len(entries)))
