@@ -113,6 +113,7 @@ fuzz:
 	$(GO) test ./internal/parcelport/ -fuzz FuzzDecodeHeader -fuzztime 15s
 	$(GO) test ./internal/lci/ -fuzz FuzzChunkedReassembly -fuzztime 15s
 	$(GO) test ./internal/serve/ -fuzz FuzzParseReply -fuzztime 15s
+	$(GO) test ./internal/fabric/ -fuzz FuzzARQAdmit -fuzztime 15s
 
 examples:
 	$(GO) test . -run TestExamplesRun -v

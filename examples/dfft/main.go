@@ -112,9 +112,10 @@ func main() {
 	rt, err := core.NewRuntime(core.Config{
 		Localities:         localities,
 		WorkersPerLocality: 2,
+		Parcelport:         "lci",
 		// Aggregation on: the transpose's many small blocks are exactly the
 		// traffic the sender-side bundling layer exists for.
-		Parcelport: "lci_agg",
+		Aggregation: true,
 	})
 	if err != nil {
 		log.Fatal(err)

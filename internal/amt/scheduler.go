@@ -41,9 +41,6 @@ type Config struct {
 	// IdleSleep is how long a worker naps after a stretch of fruitless
 	// polling, bounding busy-wait burn on oversubscribed hosts. Default 20µs.
 	IdleSleep time.Duration
-	// IdleSpins is the number of fruitless iterations before napping.
-	// Default 64.
-	IdleSpins int
 	// MaxIdleRunners bounds the parked task-runner cache across all shards
 	// plus the overflow. Default DefaultMaxIdleRunners.
 	MaxIdleRunners int
@@ -57,9 +54,6 @@ func (c *Config) fillDefaults() {
 	}
 	if c.IdleSleep <= 0 {
 		c.IdleSleep = 20 * time.Microsecond
-	}
-	if c.IdleSpins <= 0 {
-		c.IdleSpins = 64
 	}
 	if c.MaxIdleRunners <= 0 {
 		c.MaxIdleRunners = DefaultMaxIdleRunners
@@ -111,6 +105,10 @@ type runnerShard struct {
 // worst case is a few MB per locality. Too small a cache churns goroutines —
 // every burst beyond it pays a stack allocation per task again.
 const DefaultMaxIdleRunners = 4096
+
+// idleSpins is the number of fruitless polling iterations before a worker
+// naps for IdleSleep.
+const idleSpins = 64
 
 type dedicated struct {
 	name     string
@@ -396,7 +394,7 @@ func (s *Scheduler) workerLoop(id int) {
 			continue
 		}
 		idle++
-		if idle >= s.cfg.IdleSpins {
+		if idle >= idleSpins {
 			idle = 0
 			// Nap with a little jitter so workers don't thunder in lockstep.
 			time.Sleep(s.cfg.IdleSleep + time.Duration(rng.Intn(1+int(s.cfg.IdleSleep/4))))
@@ -455,7 +453,7 @@ func (s *Scheduler) StartDedicated(name string, lockThread bool, loop func() boo
 				continue
 			}
 			idle++
-			if idle >= 4*s.cfg.IdleSpins {
+			if idle >= 4*idleSpins {
 				idle = 0
 				time.Sleep(nap)
 			} else {

@@ -24,8 +24,7 @@ type MsgRateParams struct {
 	Timeout time.Duration
 	// LCIDevices replicates the LCI device per locality (§7.2 ablation).
 	LCIDevices int
-	// Agg enables the sender-side aggregation layer (also selectable via a
-	// trailing "_agg" on the configuration name).
+	// Agg enables the sender-side aggregation layer.
 	Agg bool
 	// AggSize overrides the aggregation flush size threshold (bytes).
 	AggSize int

@@ -16,22 +16,21 @@ import (
 // the lone-message case. A coarse bound, not a latency.
 func TestAggBlockingPathWaitsForNoTimer(t *testing.T) {
 	for _, tc := range []struct {
-		pp  string
-		agg bool // Config.Aggregation rather than the _agg suffix
+		name, pp string
 	}{
-		{pp: "lci_agg"},
-		{pp: "lci_psr_cq_mt_i", agg: true},
-		{pp: "mpi_i_agg"},
-		{pp: "tcp_agg"},
+		{"lci_agg", "lci"},
+		{"lci_psr_cq_mt_i", "lci_psr_cq_mt_i"},
+		{"mpi_i_agg", "mpi_i"},
+		{"tcp_agg", "tcp"},
 	} {
 		for _, idle := range []time.Duration{0, 10 * time.Millisecond} {
 			tc, idle := tc, idle
-			t.Run(tc.pp+"/idle="+idle.String(), func(t *testing.T) {
+			t.Run(tc.name+"/idle="+idle.String(), func(t *testing.T) {
 				rt, err := NewRuntime(Config{
 					Localities:         2,
 					WorkersPerLocality: 2,
 					Parcelport:         tc.pp,
-					Aggregation:        tc.agg,
+					Aggregation:        true,
 					AggFlushDelay:      2 * time.Second,
 					Fabric:             fabric.Config{LatencyNs: 500, GbitsPerSec: 100, Rails: 2},
 				})

@@ -76,7 +76,7 @@ func frameAt(b []byte, i int) int {
 // drop, a damaged transfer counts one decode error, AggStats.Unbundled grows
 // by the frames delivered, and the receive buffer is released exactly once.
 func TestDeliverBundleOneDelivery(t *testing.T) {
-	rt, err := NewRuntime(Config{Localities: 2, WorkersPerLocality: 2, Parcelport: "lci_agg"})
+	rt, err := NewRuntime(Config{Localities: 2, WorkersPerLocality: 2, Parcelport: "lci", Aggregation: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +181,7 @@ func TestDeliverHPXBBundleZeroAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-detector instrumentation allocates; gate runs in non-race builds")
 	}
-	rt, err := NewRuntime(Config{Localities: 2, WorkersPerLocality: 2, Parcelport: "lci_agg"})
+	rt, err := NewRuntime(Config{Localities: 2, WorkersPerLocality: 2, Parcelport: "lci", Aggregation: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,7 +236,7 @@ func TestDeliverHPXBBundleZeroAllocs(t *testing.T) {
 // is dropped, counted, traced and reported; the parcels around it in the
 // same bundle still run.
 func TestDeliverUnknownActionCounted(t *testing.T) {
-	rt, err := NewRuntime(Config{Localities: 2, WorkersPerLocality: 1, Parcelport: "lci_agg"})
+	rt, err := NewRuntime(Config{Localities: 2, WorkersPerLocality: 1, Parcelport: "lci", Aggregation: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -287,7 +287,7 @@ func TestDeliverUnknownActionCounted(t *testing.T) {
 // order — the benchmark's exactly-once check reads the counter as soon as
 // the last action's effect is visible.
 func TestParcelsExecutedCountsBeforeAction(t *testing.T) {
-	rt, err := NewRuntime(Config{Localities: 2, WorkersPerLocality: 2, Parcelport: "lci_agg"})
+	rt, err := NewRuntime(Config{Localities: 2, WorkersPerLocality: 2, Parcelport: "lci", Aggregation: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -42,28 +42,34 @@ func TestChaosExactlyOnceDelivery(t *testing.T) {
 	}
 	for _, tc := range []struct {
 		pp   string
+		agg  bool
 		drop float64
 	}{
-		{"lci", 0.01},
-		{"lci", 0.05},
-		{"mpi_i", 0.01},
-		{"mpi_i", 0.05},
+		{"lci", false, 0.01},
+		{"lci", false, 0.05},
+		{"mpi_i", false, 0.01},
+		{"mpi_i", false, 0.05},
 		// Aggregated variants: sub-parcels ride bundled fabric transfers, and
 		// the exactly-once guarantee must hold per sub-parcel, not per bundle.
-		{"lci_agg", 0.05},
-		{"mpi_i_agg", 0.05},
+		{"lci", true, 0.05},
+		{"mpi_i", true, 0.05},
 	} {
 		tc := tc
-		t.Run(tc.pp+"/"+pct(tc.drop), func(t *testing.T) {
+		name := tc.pp
+		if tc.agg {
+			name += "_agg"
+		}
+		t.Run(name+"/"+pct(tc.drop), func(t *testing.T) {
 			rt, err := NewRuntime(Config{
 				Localities:         2,
 				WorkersPerLocality: 2,
 				Parcelport:         tc.pp,
-				Fabric:             chaosFabric(tc.drop, int64(len(tc.pp))+int64(tc.drop*100)),
-				// Keep bundles small so the run still produces enough distinct
-				// fabric transfers to provoke retransmissions (ignored unless
-				// the config enables aggregation).
-				AggMaxQueued: 8,
+				Aggregation:        tc.agg,
+				Fabric:             chaosFabric(tc.drop, int64(len(name))+int64(tc.drop*100)),
+				// Keep bundles small (eight 105 B frames of the 64 B sink
+				// parcels) so the run still produces enough distinct fabric
+				// transfers to provoke retransmissions.
+				AggFlushBytes: 768,
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -137,7 +143,7 @@ func TestChaosExactlyOnceDelivery(t *testing.T) {
 				t.Fatalf("link falsely declared down during chaos run: %+v", st)
 			}
 			t.Logf("%s at %s loss: %d retransmits, %d acks, %d dup-dropped, %d corrupt-dropped",
-				tc.pp, pct(tc.drop), st.Retransmits, st.AcksSent,
+				name, pct(tc.drop), st.Retransmits, st.AcksSent,
 				rt.Network().Device(1).Stats().DupDropped,
 				rt.Network().Device(1).Stats().CorruptDropped)
 		})

@@ -323,9 +323,10 @@ func TestChaosTreeCollectives(t *testing.T) {
 	rt, err := NewRuntime(Config{
 		Localities:         n,
 		WorkersPerLocality: 2,
-		Parcelport:         "lci_agg",
+		Parcelport:         "lci",
+		Aggregation:        true,
 		Fabric:             chaosFabric(0.02, 42),
-		AggMaxQueued:       8,
+		AggFlushBytes:      512,
 	})
 	if err != nil {
 		t.Fatal(err)

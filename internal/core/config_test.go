@@ -8,15 +8,14 @@ import (
 	"time"
 
 	"hpxgo/internal/fabric"
-	"hpxgo/internal/lci"
 	"hpxgo/internal/parcelport"
 	"hpxgo/internal/serialization"
 	"hpxgo/internal/wire"
 )
 
-// TestNewRuntimeRejectsBadConfig: negative knobs and a stripe wider than the
-// fabric are configuration errors, not requests for the default. Zero still
-// selects the default and a negative InlineBudget still means "lane off".
+// TestNewRuntimeRejectsBadConfig: negative knobs are configuration errors,
+// not requests for the default. Zero still selects the default and a
+// negative InlineBudget still means "lane off".
 func TestNewRuntimeRejectsBadConfig(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
@@ -25,15 +24,13 @@ func TestNewRuntimeRejectsBadConfig(t *testing.T) {
 	}{
 		{"zero values", func(c *Config) {}, ""},
 		{"inline lane off", func(c *Config) { c.InlineBudget = -1 }, ""},
-		{"stripe equals rails", func(c *Config) { c.LCI.StripeWidth = 2 }, ""},
+		{"Localities", func(c *Config) { c.Localities = -2 }, "Localities"},
+		{"WorkersPerLocality", func(c *Config) { c.WorkersPerLocality = -1 }, "WorkersPerLocality"},
 		{"AggFlushBytes", func(c *Config) { c.AggFlushBytes = -1 }, "AggFlushBytes"},
 		{"AggFlushDelay", func(c *Config) { c.AggFlushDelay = -time.Microsecond }, "AggFlushDelay"},
-		{"AggMaxQueued", func(c *Config) { c.AggMaxQueued = -8 }, "AggMaxQueued"},
-		{"ZeroCopyThreshold", func(c *Config) { c.ZeroCopyThreshold = -8192 }, "ZeroCopyThreshold"},
-		{"DrainBatch", func(c *Config) { c.DrainBatch = -32 }, "DrainBatch"},
-		{"stripe wider than rails", func(c *Config) { c.LCI.StripeWidth = 3 }, "StripeWidth"},
-		{"stripe on default single rail", func(c *Config) { c.Fabric = fabric.Config{}; c.LCI.StripeWidth = 2 }, "StripeWidth"},
-		{"leftover stripe under mpi", func(c *Config) { c.Parcelport = "mpi_i"; c.LCI.StripeWidth = 3 }, ""},
+		{"LCIDevices", func(c *Config) { c.LCIDevices = -1 }, "LCIDevices"},
+		{"IdleSleep", func(c *Config) { c.IdleSleep = -time.Microsecond }, "IdleSleep"},
+		{"DeliveryTimeout", func(c *Config) { c.DeliveryTimeout = -time.Second }, "DeliveryTimeout"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := Config{Parcelport: "lci_i", Aggregation: true, Fabric: fabric.Config{LatencyNs: 500, GbitsPerSec: 100, Rails: 2}}
@@ -50,56 +47,6 @@ func TestNewRuntimeRejectsBadConfig(t *testing.T) {
 			}
 			if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
 				t.Fatalf("err = %v, want one naming %s", err, tc.wantErr)
-			}
-		})
-	}
-}
-
-// TestStripeWidthReachesChunkPlan: Config.LCI.StripeWidth decides how many
-// rails a rendezvous transfer uses. The fabric serializes each rail at
-// GbitsPerSec, so a 1 MiB argument confined to w of 4 slow rails cannot land
-// before size/(w×bandwidth) whatever the host speed, while a stripe that lost
-// its value on the way down falls back to all 4 rails and lands in a quarter
-// of the one-rail time. Only lower bounds are asserted, so a slow host cannot
-// fail the test; lci's TestChunkPlanStripe covers the device's half
-// (chunkPlan returns exactly the configured width).
-func TestStripeWidthReachesChunkPlan(t *testing.T) {
-	const (
-		size    = 1 << 20
-		gbps    = 0.2
-		oneRail = time.Duration(size * 8 / gbps) // ns: Gbit/s == bit/ns
-	)
-	for _, width := range []int{1, 2} {
-		t.Run(fmt.Sprintf("width=%d", width), func(t *testing.T) {
-			rt, err := NewRuntime(Config{
-				Parcelport: "lci_i",
-				Fabric:     fabric.Config{LatencyNs: 1000, GbitsPerSec: gbps, Rails: 4},
-				LCI:        lci.Config{StripeWidth: width},
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			landed := make(chan struct{}, 1)
-			sink := rt.MustRegisterAction("sink", func(*Locality, [][]byte) [][]byte {
-				landed <- struct{}{}
-				return nil
-			})
-			if err := rt.Start(); err != nil {
-				t.Fatal(err)
-			}
-			t.Cleanup(rt.Shutdown)
-			start := time.Now()
-			if err := rt.Locality(0).ApplyID(1, sink, [][]byte{make([]byte, size)}); err != nil {
-				t.Fatal(err)
-			}
-			select {
-			case <-landed:
-			case <-time.After(30 * time.Second):
-				t.Fatal("transfer did not land")
-			}
-			wire := oneRail / time.Duration(width)
-			if got := time.Since(start); got < wire*95/100 {
-				t.Fatalf("1 MiB on %d of 4 rails landed in %v, under the %v wire time: more rails were used", width, got, wire)
 			}
 		})
 	}

@@ -58,15 +58,7 @@ type Config struct {
 	// Parcelport is the Table 1 configuration name (e.g. "mpi_i",
 	// "lci_psr_cq_pin_i"). Default "lci" (the baseline).
 	Parcelport string
-	// ZeroCopyThreshold is HPX's zero-copy serialization threshold.
-	// Default 8192.
-	ZeroCopyThreshold int
-	// MaxConnections caps the connection cache per destination. Default 8192.
-	MaxConnections int
-	// MaxMessageBytes bounds one aggregated HPX message (0 = unlimited).
-	MaxMessageBytes int
-	// Aggregation enables the sender-side parcel aggregation layer (also
-	// selectable with a trailing "_agg" on the Parcelport name): small
+	// Aggregation enables the sender-side parcel aggregation layer: small
 	// same-destination messages coalesce into one fabric transfer, flushed
 	// on size, age or backpressure.
 	Aggregation bool
@@ -75,9 +67,6 @@ type Config struct {
 	// AggFlushDelay is the upper bound on a buffered message's age (default
 	// 50µs); a bundle normally leaves as soon as its producer goes quiet.
 	AggFlushDelay time.Duration
-	// AggMaxQueued caps buffered sub-messages per destination; reaching it
-	// forces a flush. Default parcelport.MaxPendingConnections.
-	AggMaxQueued int
 	// InlineBudget caps how many small parcels of one delivered message or
 	// bundle may run to completion directly on the draining goroutine (the
 	// inline lane) before the remainder spills to spawned tasks. Only
@@ -87,24 +76,12 @@ type Config struct {
 	// defaultInlineBudget: 114 at the default 4096 B); negative disables
 	// inline execution entirely (every parcel spawns).
 	InlineBudget int
-	// DrainBatch is the completion-drain budget: how many completion
-	// records one parcelport background pass consumes, shared round-robin
-	// across all of the port's completion queues. The LCI progress engine
-	// derives its per-pass fabric-event batch as 2×DrainBatch (preserving
-	// the hand-tuned 32/64 ratio), and the MPI parcelport bounds its
-	// pending-connection sweep with the same value. Zero selects the
-	// transport defaults (lcipp.DefaultDrainBatch / lci.DefaultProgressBatch).
-	DrainBatch int
 	// Fabric configures the simulated interconnect (Nodes is overwritten
 	// with Localities). Zero value selects fabric.DefaultConfig.
 	Fabric fabric.Config
-	// LCI tunes the LCI library (LCI parcelports only).
-	LCI lci.Config
 	// LCIDevices replicates the LCI device (and its fabric context) per
 	// locality — the §7.2 future-work configuration. Default 1.
 	LCIDevices int
-	// MPI tunes the MPI library (MPI parcelports only).
-	MPI mpisim.Config
 	// IdleSleep tunes worker backoff; see amt.Config.
 	IdleSleep time.Duration
 	// DeliveryTimeout bounds how long a Call future may wait for its remote
@@ -122,11 +99,13 @@ func (c *Config) validate() error {
 		name string
 		v    int64
 	}{
+		{"Localities", int64(c.Localities)},
+		{"WorkersPerLocality", int64(c.WorkersPerLocality)},
 		{"AggFlushBytes", int64(c.AggFlushBytes)},
 		{"AggFlushDelay", int64(c.AggFlushDelay)},
-		{"AggMaxQueued", int64(c.AggMaxQueued)},
-		{"ZeroCopyThreshold", int64(c.ZeroCopyThreshold)},
-		{"DrainBatch", int64(c.DrainBatch)},
+		{"LCIDevices", int64(c.LCIDevices)},
+		{"IdleSleep", int64(c.IdleSleep)},
+		{"DeliveryTimeout", int64(c.DeliveryTimeout)},
 	} {
 		if k.v < 0 {
 			return fmt.Errorf("core: Config.%s must be non-negative, got %d", k.name, k.v)
@@ -136,17 +115,14 @@ func (c *Config) validate() error {
 }
 
 func (c *Config) fillDefaults() {
-	if c.Localities <= 0 {
+	if c.Localities == 0 {
 		c.Localities = 2
 	}
-	if c.WorkersPerLocality <= 0 {
+	if c.WorkersPerLocality == 0 {
 		c.WorkersPerLocality = 2
 	}
 	if c.Parcelport == "" {
 		c.Parcelport = "lci"
-	}
-	if c.ZeroCopyThreshold <= 0 {
-		c.ZeroCopyThreshold = serialization.DefaultZeroCopyThreshold
 	}
 	if c.Fabric.Nodes == 0 && c.Fabric.LatencyNs == 0 && c.Fabric.GbitsPerSec == 0 {
 		// Fill in the interconnect model field-wise so a config that only
@@ -164,7 +140,7 @@ func (c *Config) fillDefaults() {
 	if c.InlineBudget == 0 {
 		c.InlineBudget = defaultInlineBudget(c.AggFlushBytes)
 	}
-	if c.LCIDevices <= 0 {
+	if c.LCIDevices == 0 {
 		c.LCIDevices = 1
 	}
 	c.Fabric.Nodes = c.Localities
@@ -232,11 +208,6 @@ func NewRuntime(cfg Config) (*Runtime, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Checked here rather than in validate: the fabric owns the rail default,
-	// and only the LCI transport reads the value.
-	if rails := net.Config().Rails; ppCfg.Transport == parcelport.TransportLCI && cfg.LCI.StripeWidth > rails {
-		return nil, fmt.Errorf("core: Config.LCI.StripeWidth %d exceeds Fabric.Rails %d", cfg.LCI.StripeWidth, rails)
-	}
 	rt := &Runtime{cfg: cfg, ppCfg: ppCfg, net: net, byName: make(map[string]uint32), tracer: trace.New(0)}
 	net.SetTrace(rt.tracer.Emit)
 	// Reserve the continuation action. It is inline-hinted: Future.Set is
@@ -257,7 +228,7 @@ func NewRuntime(cfg Config) (*Runtime, error) {
 
 	switch ppCfg.Transport {
 	case parcelport.TransportMPI:
-		rt.world = mpisim.NewWorld(net, cfg.MPI)
+		rt.world = mpisim.NewWorld(net, mpisim.Config{})
 	case parcelport.TransportTCP:
 		g, err := tcppp.NewGroup(cfg.Localities, tcppp.Config{})
 		if err != nil {
@@ -289,35 +260,22 @@ func (rt *Runtime) buildLocality(i int) (*Locality, error) {
 	})
 	switch rt.ppCfg.Transport {
 	case parcelport.TransportMPI:
-		loc.pp = mpipp.New(rt.world.Comm(i), mpipp.Config{
-			ZeroCopyThreshold: rt.cfg.ZeroCopyThreshold,
-			Original:          rt.ppCfg.Original,
-			DrainBatch:        rt.cfg.DrainBatch,
-		})
+		loc.pp = mpipp.New(rt.world.Comm(i), mpipp.Config{Original: rt.ppCfg.Original})
 	case parcelport.TransportLCI:
-		lciCfg := rt.cfg.LCI
-		if rt.cfg.DrainBatch > 0 && lciCfg.ProgressBatch <= 0 {
-			// One drain knob, two engines: the progress engine's fabric-event
-			// batch tracks 2× the completion-drain budget, preserving the
-			// hand-tuned 64:32 ratio.
-			lciCfg.ProgressBatch = 2 * rt.cfg.DrainBatch
-		}
 		devs := make([]*lci.Device, rt.cfg.LCIDevices)
 		for di := range devs {
-			devs[di] = lci.NewDevice(rt.net.DeviceN(i, di), lciCfg, nil)
+			devs[di] = lci.NewDevice(rt.net.DeviceN(i, di), lci.Config{}, nil)
 		}
 		pp, err := lcipp.NewMulti(devs, loc.sched, lcipp.Config{
-			ZeroCopyThreshold: rt.cfg.ZeroCopyThreshold,
-			Protocol:          rt.ppCfg.Protocol,
-			Completion:        rt.ppCfg.Completion,
-			Progress:          rt.ppCfg.Progress,
-			DrainBatch:        rt.cfg.DrainBatch,
+			Protocol:   rt.ppCfg.Protocol,
+			Completion: rt.ppCfg.Completion,
+			Progress:   rt.ppCfg.Progress,
 		})
 		if err != nil {
 			return nil, err
 		}
 		loc.pp = pp
-		loc.lciDev = devs[0]
+		loc.lciDevs = devs
 	case parcelport.TransportTCP:
 		loc.pp = rt.tcpg.Parcelport(i)
 	}
@@ -325,7 +283,6 @@ func (rt *Runtime) buildLocality(i int) (*Locality, error) {
 		agg := parcelport.NewAggregator(loc.pp, rt.cfg.Localities, parcelport.AggConfig{
 			FlushBytes: rt.cfg.AggFlushBytes,
 			FlushDelay: rt.cfg.AggFlushDelay,
-			MaxQueued:  rt.cfg.AggMaxQueued,
 		})
 		if lpp, ok := loc.pp.(*lcipp.Parcelport); ok {
 			if rt.ppCfg.Progress == parcelport.PinnedProgress {
@@ -339,12 +296,7 @@ func (rt *Runtime) buildLocality(i int) (*Locality, error) {
 		}
 		loc.pp, loc.agg = agg, agg
 	}
-	loc.layer = parcel.NewLayer(rt.cfg.Localities, parcel.Config{
-		ZeroCopyThreshold: rt.cfg.ZeroCopyThreshold,
-		MaxConnections:    rt.cfg.MaxConnections,
-		Immediate:         rt.ppCfg.Immediate,
-		MaxMessageBytes:   rt.cfg.MaxMessageBytes,
-	}, loc.pp.Send)
+	loc.layer = parcel.NewLayer(rt.cfg.Localities, parcel.Config{Immediate: rt.ppCfg.Immediate}, loc.pp.Send)
 	if loc.agg != nil {
 		// Bundled fast path: encode small parcels straight into the bundle
 		// buffer instead of through a per-message scratch.
@@ -537,9 +489,14 @@ func (rt *Runtime) MPIComm(loc int) *mpisim.Comm {
 	return rt.world.Comm(loc)
 }
 
-// LCIDevice exposes a locality's LCI device for profiling; nil when the
-// runtime does not use the LCI transport.
-func (l *Locality) LCIDevice() *lci.Device { return l.lciDev }
+// LCIDevice exposes a locality's first LCI device for profiling; nil when
+// the runtime does not use the LCI transport.
+func (l *Locality) LCIDevice() *lci.Device {
+	if len(l.lciDevs) == 0 {
+		return nil
+	}
+	return l.lciDevs[0]
+}
 
 // Barrier synchronizes all localities: locality 0 calls a no-op on everyone
 // and waits. Returns false on timeout.
@@ -593,13 +550,13 @@ type contEntry struct {
 // Locality is one simulated compute node: scheduler, parcelport, parcel
 // layer and continuation table.
 type Locality struct {
-	rt     *Runtime
-	id     int
-	sched  *amt.Scheduler
-	pp     parcelport.Parcelport
-	agg    *parcelport.Aggregator // pp when aggregation is on, else nil
-	layer  *parcel.Layer
-	lciDev *lci.Device // LCI transport only (stats)
+	rt      *Runtime
+	id      int
+	sched   *amt.Scheduler
+	pp      parcelport.Parcelport
+	agg     *parcelport.Aggregator // pp when aggregation is on, else nil
+	layer   *parcel.Layer
+	lciDevs []*lci.Device // LCI transport only (stats)
 	// inlineBudget is the inline-lane count budget per delivered message or
 	// bundle, resolved from Config.InlineBudget at construction (0 = lane
 	// off).

@@ -363,28 +363,48 @@ func TestMultiDeviceRuntime(t *testing.T) {
 
 func TestStatsTextCoversTransports(t *testing.T) {
 	for _, tc := range []struct {
-		pp     string
-		needle string
+		pp      string
+		agg     bool
+		devices int
+		needles []string
 	}{
-		{"lci", "lci parcelport"},
-		{"mpi_i", "mpi library"},
-		{"tcp", "tcp parcelport"},
-		{"lci_agg", "direct), flushes 1 quiet / 0 size / 0 age / 0 cap / 0 order / 0 stop"},
+		{pp: "lci", needles: []string{"lci parcelport", "lci device 0:", "fabric device 0:"}},
+		{pp: "mpi_i", needles: []string{"mpi library", "fabric device 0:"}},
+		{pp: "tcp", needles: []string{"tcp parcelport"}},
+		{pp: "lci", agg: true, needles: []string{"direct), flushes 1 quiet / 0 size / 0 age / 0 cap / 0 order / 0 stop"}},
+		// Every replicated device gets its own lci and fabric line.
+		{pp: "lci", devices: 2, needles: []string{"lci device 0:", "lci device 1:", "fabric device 0:", "fabric device 1:"}},
 	} {
-		rt := newRuntime(t, tc.pp, 2)
+		rt, err := NewRuntime(Config{
+			WorkersPerLocality: 2,
+			Parcelport:         tc.pp,
+			Aggregation:        tc.agg,
+			LCIDevices:         tc.devices,
+			Fabric:             fabric.Config{LatencyNs: 500, GbitsPerSec: 100, Rails: 2},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rt.MustRegisterAction("echo", func(loc *Locality, args [][]byte) [][]byte { return args })
+		if err := rt.Start(); err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(rt.Shutdown)
 		if _, err := rt.Locality(0).Call(1, "echo", []byte("x")).GetTimeout(20 * time.Second); err != nil {
 			t.Fatal(err)
 		}
 		text := rt.StatsText()
-		if !strings.Contains(text, tc.needle) {
-			t.Fatalf("%s stats missing %q:\n%s", tc.pp, tc.needle, text)
+		for _, needle := range tc.needles {
+			if !strings.Contains(text, needle) {
+				t.Fatalf("%s stats missing %q:\n%s", rt.ParcelportName(), needle, text)
+			}
 		}
 		if !strings.Contains(text, "locality 1") {
-			t.Fatalf("%s stats missing locality block", tc.pp)
+			t.Fatalf("%s stats missing locality block", rt.ParcelportName())
 		}
 		// One count per wire-pool size class, the rendezvous classes last.
 		if !regexp.MustCompile(`buffer pool misses by class \(process-wide\): 256B=\d+ 1K=\d+ .* 1M=\d+ 4M=\d+\n`).MatchString(text) {
-			t.Fatalf("%s stats missing the pool-miss line:\n%s", tc.pp, text)
+			t.Fatalf("%s stats missing the pool-miss line:\n%s", rt.ParcelportName(), text)
 		}
 	}
 }

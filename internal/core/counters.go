@@ -62,25 +62,29 @@ func (rt *Runtime) StatsText() string {
 			ps := pp.Stats()
 			fmt.Fprintf(&b, "  lci parcelport: %d msgs sent / %d recvd, %d retries, %d sync polls, %d devices\n",
 				ps.MessagesSent, ps.MessagesRecvd, ps.SendRetries, ps.SyncPolls, pp.Devices())
-			ds := loc.lciDev.Stats()
-			fmt.Fprintf(&b, "  lci device 0: %d medium / %d puts / %d long sent, %d progress calls, %d unexpected\n",
-				ds.MediumSent, ds.PutsSent, ds.LongSent, ds.ProgressCalls, ds.Unexpected)
+			for d, dev := range loc.lciDevs {
+				ds := dev.Stats()
+				fmt.Fprintf(&b, "  lci device %d: %d medium / %d puts / %d long sent, %d progress calls, %d unexpected\n",
+					d, ds.MediumSent, ds.PutsSent, ds.LongSent, ds.ProgressCalls, ds.Unexpected)
+			}
 		case *tcppp.Parcelport:
 			ps := pp.Stats()
 			fmt.Fprintf(&b, "  tcp parcelport: %d msgs / %d bytes sent, %d msgs / %d bytes recvd\n",
 				ps.MessagesSent, ps.BytesSent, ps.MessagesRecvd, ps.BytesRecvd)
 		}
 		if rt.ppCfg.Transport != parcelport.TransportTCP {
-			fdev := rt.net.Device(i)
-			fs := fdev.Stats()
-			fmt.Fprintf(&b, "  fabric: injected %d pkts / %d B, delivered %d pkts / %d B, backpressured %d\n",
-				fs.InjectedPackets, fs.InjectedBytes, fs.DeliveredPackets, fs.DeliveredBytes, fs.Backpressured)
-			if rt.net.Config().Reliability {
-				fmt.Fprintf(&b, "  fabric reliability: %d retransmits, %d acks sent, dropped %d corrupt / %d dup / %d to-down-links, %d links downed\n",
-					fs.Retransmits, fs.AcksSent, fs.CorruptDropped, fs.DupDropped, fs.DownDropped, fs.LinksDowned)
-				if rt.net.Config().Faults.Active() {
-					fmt.Fprintf(&b, "  fabric faults: %d dropped, %d duplicated, %d corrupted, %d latency spikes\n",
-						fs.FaultDropped, fs.FaultDuplicated, fs.FaultCorrupted, fs.LatencySpikes)
+			ncfg := rt.net.Config()
+			for d := 0; d < ncfg.DevicesPerNode; d++ {
+				fs := rt.net.DeviceN(i, d).Stats()
+				fmt.Fprintf(&b, "  fabric device %d: injected %d pkts / %d B, delivered %d pkts / %d B, backpressured %d\n",
+					d, fs.InjectedPackets, fs.InjectedBytes, fs.DeliveredPackets, fs.DeliveredBytes, fs.Backpressured)
+				if ncfg.Reliability {
+					fmt.Fprintf(&b, "  fabric device %d reliability: %d retransmits, %d acks sent, dropped %d corrupt / %d dup / %d to-down-links, %d links downed\n",
+						d, fs.Retransmits, fs.AcksSent, fs.CorruptDropped, fs.DupDropped, fs.DownDropped, fs.LinksDowned)
+					if ncfg.Faults.Active() {
+						fmt.Fprintf(&b, "  fabric device %d faults: %d dropped, %d duplicated, %d corrupted, %d latency spikes\n",
+							d, fs.FaultDropped, fs.FaultDuplicated, fs.FaultCorrupted, fs.LatencySpikes)
+					}
 				}
 			}
 			// Which peer is unhealthy, slow to ack, or falling behind on its
@@ -94,7 +98,7 @@ func (rt *Runtime) StatsText() string {
 				}
 				var rtt int64
 				depth := 0
-				for d := 0; d < rt.net.Config().DevicesPerNode; d++ {
+				for d := 0; d < ncfg.DevicesPerNode; d++ {
 					dev := rt.net.DeviceN(i, d)
 					rtt = max(rtt, dev.LinkRTTNs(j))
 					depth += dev.EgressQueueDepth(j)

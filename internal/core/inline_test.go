@@ -446,7 +446,8 @@ func TestInlineVsSpawnEquivalence(t *testing.T) {
 		rt, err := NewRuntime(Config{
 			Localities:         2,
 			WorkersPerLocality: 2,
-			Parcelport:         "lci_agg",
+			Parcelport:         "lci",
+			Aggregation:        true,
 			InlineBudget:       inlineBudget,
 		})
 		if err != nil {
@@ -572,9 +573,11 @@ func TestInlineExactlyOnceUnderChaos(t *testing.T) {
 	rt, err := NewRuntime(Config{
 		Localities:         2,
 		WorkersPerLocality: 2,
-		Parcelport:         "lci_agg",
+		Parcelport:         "lci",
+		Aggregation:        true,
 		Fabric:             chaosFabric(0.02, 20260807),
-		AggMaxQueued:       8,
+		// Eight 45 B frames of the 4 B sink parcels per bundle.
+		AggFlushBytes: 360,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -332,3 +332,30 @@ func TestChunkPlanStripe(t *testing.T) {
 		}
 	}
 }
+
+// TestStripeWidthReachesChunkPlan: Config.StripeWidth decides how many rails
+// a rendezvous transfer uses on the wire. The fabric serializes each rail at
+// GbitsPerSec, so a 1 MiB payload confined to w of 4 slow rails cannot land
+// before size/(w×bandwidth) whatever the host speed, while a stripe the
+// datapath ignored would spread over all 4 rails and land in a quarter of the
+// one-rail time. Only lower bounds are asserted, so a slow host cannot fail
+// the test; TestChunkPlanStripe covers chunkPlan's half.
+func TestStripeWidthReachesChunkPlan(t *testing.T) {
+	const (
+		size    = 1 << 20
+		gbps    = 0.2
+		oneRail = time.Duration(size * 8 / gbps) // ns: Gbit/s == bit/ns
+	)
+	for _, width := range []int{1, 2} {
+		t.Run(fmt.Sprintf("width=%d", width), func(t *testing.T) {
+			a, b := pair(t, fabric.Config{LatencyNs: 1000, GbitsPerSec: gbps, Rails: 4}, Config{StripeWidth: width})
+			payload := make([]byte, size)
+			start := time.Now()
+			runLong(t, a, b, NewCompQueue(16), payload, make([]byte, size), 7)
+			wire := oneRail / time.Duration(width)
+			if got := time.Since(start); got < wire*95/100 {
+				t.Fatalf("1 MiB on %d of 4 rails landed in %v, under the %v wire time: more rails were used", width, got, wire)
+			}
+		})
+	}
+}

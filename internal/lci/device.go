@@ -74,11 +74,6 @@ type Config struct {
 	// Default 1024 (8 MiB of packet memory at the default EagerThreshold,
 	// so large simulated clusters stay within host memory).
 	PoolPackets int
-	// CQCapacity is the capacity hint for the pre-configured put CQ if the
-	// caller does not supply one.
-	CQCapacity int
-	// MatchShards is the number of matching-table shards. Default 64.
-	MatchShards int
 	// MaxLongHandles bounds concurrent rendezvous operations per side.
 	// Default 4096.
 	MaxLongHandles int
@@ -98,12 +93,6 @@ type Config struct {
 	// baseline for the chunked protocol: benchmarks measure striping
 	// speedup against it, and property tests check byte-identical results.
 	SingleBlobLong bool
-	// ProgressBatch bounds how many arrived packets one Progress call
-	// drains, so a progress caller cannot monopolize the engine
-	// indefinitely. Default DefaultProgressBatch. Surfaced through
-	// core.Config.DrainBatch alongside the parcelport's completion-drain
-	// budget (one documented knob for both drain loops).
-	ProgressBatch int
 }
 
 func (c *Config) fillDefaults() {
@@ -113,20 +102,11 @@ func (c *Config) fillDefaults() {
 	if c.PoolPackets <= 0 {
 		c.PoolPackets = 1024
 	}
-	if c.CQCapacity <= 0 {
-		c.CQCapacity = 1 << 14
-	}
-	if c.MatchShards <= 0 {
-		c.MatchShards = 64
-	}
 	if c.MaxLongHandles <= 0 {
 		c.MaxLongHandles = 4096
 	}
 	if c.ChunkSize <= 0 {
 		c.ChunkSize = DefaultChunkSize
-	}
-	if c.ProgressBatch <= 0 {
-		c.ProgressBatch = DefaultProgressBatch
 	}
 }
 
@@ -201,7 +181,7 @@ func NewDevice(fdev *fabric.Device, cfg Config, putCQ *CompQueue) *Device {
 		cfg.StripeWidth = rails
 	}
 	if putCQ == nil {
-		putCQ = NewCompQueue(cfg.CQCapacity)
+		putCQ = NewCompQueue(0)
 	}
 	d := &Device{
 		cfg:    cfg,
@@ -209,7 +189,7 @@ func NewDevice(fdev *fabric.Device, cfg Config, putCQ *CompQueue) *Device {
 		rank:   fdev.Node(),
 		putCQ:  putCQ,
 		pool:   ring.New[*Packet](cfg.PoolPackets),
-		match:  newMatchTable(cfg.MatchShards),
+		match:  newMatchTable(),
 		prPool: ring.New[*postedRecv](prPoolCap),
 		waves:  ring.New[*[chunkWave]fabric.Packet](wavePoolCap),
 	}

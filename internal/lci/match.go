@@ -31,9 +31,12 @@ type postedRecv struct {
 // MPI's coarse progress lock. Entries carry the source rank so wildcard
 // (AnyRank) receives fall out of the same scan.
 type matchTable struct {
-	shards []matchShard
-	mask   uint32
+	shards [matchShards]matchShard
 }
+
+// matchShards is the shard count of a matchTable (a power of two, so a
+// hash picks its shard with a mask).
+const matchShards = 64
 
 type matchShard struct {
 	mu     sync.Mutex
@@ -41,12 +44,8 @@ type matchShard struct {
 	unexp  map[uint64][]*fabric.Packet
 }
 
-func newMatchTable(nShards int) *matchTable {
-	n := 1
-	for n < nShards {
-		n <<= 1
-	}
-	t := &matchTable{shards: make([]matchShard, n), mask: uint32(n - 1)}
+func newMatchTable() *matchTable {
+	t := &matchTable{}
 	for i := range t.shards {
 		t.shards[i].posted = make(map[uint64][]*postedRecv)
 		t.shards[i].unexp = make(map[uint64][]*fabric.Packet)
@@ -61,7 +60,7 @@ func matchKey(kind matchKind, tag uint32) uint64 {
 func (t *matchTable) shard(key uint64) *matchShard {
 	// Fibonacci hash of the key to spread consecutive tags across shards.
 	h := uint32(key*0x9E3779B97F4A7C15>>33) ^ uint32(key)
-	return &t.shards[h&t.mask]
+	return &t.shards[h&(matchShards-1)]
 }
 
 // postRecv registers a posted receive. If a matching unexpected message is

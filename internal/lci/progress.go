@@ -9,10 +9,9 @@ import (
 	"hpxgo/internal/fabric"
 )
 
-// DefaultProgressBatch is the Config.ProgressBatch seed: how many packets
-// one Progress call drains before yielding, so a progress caller cannot
-// monopolize the engine indefinitely.
-const DefaultProgressBatch = 64
+// progressBatch is how many arrived packets one Progress call drains before
+// yielding, so a progress caller cannot monopolize the engine indefinitely.
+const progressBatch = 64
 
 // chunkWave bounds how many chunks streamChunks hands to one InjectBatch
 // call: enough to amortize the producer lock across a rail's worth of
@@ -65,7 +64,7 @@ func (d *Device) Progress() bool {
 	if d.replayDeferred() {
 		did = true
 	}
-	for i := 0; i < d.cfg.ProgressBatch; i++ {
+	for i := 0; i < progressBatch; i++ {
 		pkt := d.fdev.Poll()
 		if pkt == nil {
 			break

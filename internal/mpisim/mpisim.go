@@ -51,17 +51,14 @@ type Config struct {
 	// switch the paper suspects behind the MPI latency jump for >1KiB
 	// messages (Fig. 7). Default 1024.
 	EagerThreshold int
-	// MaxPendingRndv bounds concurrent rendezvous sends per communicator.
-	// Default 1 << 16.
-	MaxPendingRndv int
 }
+
+// maxPendingRndv bounds concurrent rendezvous sends per communicator.
+const maxPendingRndv = 1 << 16
 
 func (c *Config) fillDefaults() {
 	if c.EagerThreshold <= 0 {
 		c.EagerThreshold = 1024
-	}
-	if c.MaxPendingRndv <= 0 {
-		c.MaxPendingRndv = 1 << 16
 	}
 }
 
@@ -254,7 +251,7 @@ func (c *Comm) Isend(buf []byte, dst, tag int) (*Request, error) {
 		r.status = Status{Source: c.rank, Tag: tag, Count: len(buf)}
 		return r, nil
 	}
-	if len(c.sendPending) >= c.world.cfg.MaxPendingRndv {
+	if len(c.sendPending) >= maxPendingRndv {
 		return nil, errors.New("mpisim: too many pending rendezvous sends")
 	}
 	h := c.allocHandleLocked(c.sendPending)

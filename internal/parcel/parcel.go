@@ -22,25 +22,14 @@ import (
 
 // Config tunes the parcel layer.
 type Config struct {
-	// ZeroCopyThreshold is the zero-copy serialization threshold (bytes).
-	// Zero selects serialization.DefaultZeroCopyThreshold.
-	ZeroCopyThreshold int
 	// MaxConnections caps connections per destination (HPX default 8192).
 	MaxConnections int
 	// Immediate enables the send-immediate optimization: bypass the parcel
 	// queue and connection cache.
 	Immediate bool
-	// MaxMessageBytes bounds the payload of one aggregated HPX message
-	// (HPX's max_outbound_message_size). A drain stops accumulating parcels
-	// once the estimated message size would exceed it; oversized single
-	// parcels still go out alone. Zero means unlimited.
-	MaxMessageBytes int
 }
 
 func (c *Config) fillDefaults() {
-	if c.ZeroCopyThreshold <= 0 {
-		c.ZeroCopyThreshold = serialization.DefaultZeroCopyThreshold
-	}
 	if c.MaxConnections <= 0 {
 		c.MaxConnections = parcelport.MaxPendingConnections
 	}
@@ -90,9 +79,6 @@ func NewLayer(numDest int, cfg Config, send func(dst int, m *serialization.Messa
 	}
 	return l
 }
-
-// ZeroCopyThreshold returns the configured threshold.
-func (l *Layer) ZeroCopyThreshold() int { return l.cfg.ZeroCopyThreshold }
 
 // SetParcelSender installs a direct parcel-send hook consulted by the
 // send-immediate path before serializing. When the hook accepts the parcel
@@ -171,7 +157,7 @@ func (l *Layer) PutOne(p serialization.Parcel) {
 // i.e. every argument stays below the zero-copy threshold.
 func (l *Layer) allArgsInline(p *serialization.Parcel) bool {
 	for _, a := range p.Args {
-		if len(a) >= l.cfg.ZeroCopyThreshold {
+		if len(a) >= serialization.DefaultZeroCopyThreshold {
 			return false
 		}
 	}
@@ -182,7 +168,7 @@ func (l *Layer) allArgsInline(p *serialization.Parcel) bool {
 // connection cache. The layer owns the encode scratch, so it has the
 // parcelport return it to the pool once the transfer locally completes.
 func (l *Layer) putImmediate(p *serialization.Parcel) {
-	m := serialization.EncodeOne(p, l.cfg.ZeroCopyThreshold)
+	m := serialization.EncodeOne(p, serialization.DefaultZeroCopyThreshold)
 	m.RecycleOnSent = true
 	l.messagesSent.Add(1)
 	l.sendf(p.Dest, m)
@@ -198,35 +184,14 @@ func (l *Layer) drain(dst int) {
 		return
 	}
 	d.queueMu.Lock()
-	var batch []*serialization.Parcel
-	if l.cfg.MaxMessageBytes <= 0 {
-		batch = d.queue
-		d.queue = nil
-	} else {
-		// Take parcels up to the outbound size cap; at least one always
-		// goes (an oversized parcel cannot be split).
-		size := 0
-		n := 0
-		for n < len(d.queue) {
-			size += parcelBytes(d.queue[n])
-			if n > 0 && size > l.cfg.MaxMessageBytes {
-				break
-			}
-			n++
-		}
-		batch = d.queue[:n:n]
-		rest := d.queue[n:]
-		d.queue = nil
-		if len(rest) > 0 {
-			d.queue = append(d.queue, rest...)
-		}
-	}
+	batch := d.queue
+	d.queue = nil
 	d.queueMu.Unlock()
 	if len(batch) == 0 {
 		l.releaseConn(d)
 		return
 	}
-	m := serialization.Encode(batch, l.cfg.ZeroCopyThreshold)
+	m := serialization.Encode(batch, serialization.DefaultZeroCopyThreshold)
 	if len(batch) > 1 {
 		l.aggregatedSends.Add(1)
 	}
@@ -243,15 +208,6 @@ func (l *Layer) drain(dst int) {
 	}
 	l.messagesSent.Add(1)
 	l.sendf(dst, m)
-}
-
-// parcelBytes estimates a parcel's serialized footprint.
-func parcelBytes(p *serialization.Parcel) int {
-	n := 32 // metadata
-	for _, a := range p.Args {
-		n += 8 + len(a)
-	}
-	return n
 }
 
 // acquireConn takes a connection from the cache or creates one under the cap.

@@ -134,13 +134,14 @@ func TestConnectionsReused(t *testing.T) {
 
 func TestZeroCopyThresholdApplied(t *testing.T) {
 	cs := &captureSend{}
-	l := NewLayer(2, Config{ZeroCopyThreshold: 64, Immediate: true}, cs.send)
-	if l.ZeroCopyThreshold() != 64 {
-		t.Fatalf("threshold = %d", l.ZeroCopyThreshold())
+	l := NewLayer(2, Config{Immediate: true}, cs.send)
+	const zc = serialization.DefaultZeroCopyThreshold
+	l.Put(&serialization.Parcel{Dest: 0, Args: [][]byte{make([]byte, zc-1)}})
+	l.Put(&serialization.Parcel{Dest: 0, Args: [][]byte{make([]byte, zc)}})
+	if len(cs.msgs[0].ZeroCopy) != 0 {
+		t.Fatal("argument below threshold should be inline")
 	}
-	big := make([]byte, 64)
-	l.Put(&serialization.Parcel{Dest: 0, Args: [][]byte{big}})
-	if len(cs.msgs[0].ZeroCopy) != 1 {
+	if len(cs.msgs[1].ZeroCopy) != 1 {
 		t.Fatal("argument at threshold should be zero-copy")
 	}
 }
@@ -189,64 +190,4 @@ func TestDefaultsFilled(t *testing.T) {
 	if l.cfg.MaxConnections != 8192 {
 		t.Fatalf("MaxConnections default = %d", l.cfg.MaxConnections)
 	}
-	if l.cfg.ZeroCopyThreshold != serialization.DefaultZeroCopyThreshold {
-		t.Fatalf("ZeroCopyThreshold default = %d", l.cfg.ZeroCopyThreshold)
-	}
-}
-
-func TestMaxMessageBytesSplitsAggregation(t *testing.T) {
-	cs := &captureSend{}
-	// One connection, small outbound cap: a backlog must drain in several
-	// bounded messages instead of one giant aggregate.
-	l := NewLayer(2, Config{MaxConnections: 1, MaxMessageBytes: 1000}, cs.send)
-	l.Put(&serialization.Parcel{Dest: 1, Args: [][]byte{make([]byte, 100)}})
-	if cs.count() != 1 {
-		t.Fatal("first parcel should send immediately")
-	}
-	for i := 0; i < 12; i++ {
-		l.Put(&serialization.Parcel{Dest: 1, Args: [][]byte{make([]byte, 300)}})
-	}
-	// Complete sends one at a time and count messages/parcels.
-	totalParcels := 1
-	messages := 1
-	for l.QueuedParcels(1) > 0 || cs.count() > 0 {
-		cs.mu.Lock()
-		msgs := cs.msgs
-		cs.msgs = nil
-		cs.mu.Unlock()
-		for _, m := range msgs {
-			if messages > 1 { // skip the singleton first message
-				ps, err := serialization.Decode(m)
-				if err != nil {
-					t.Fatal(err)
-				}
-				totalParcels += len(ps)
-				if got := m.TotalBytes(); got > 1500 {
-					t.Fatalf("aggregated message is %d bytes, cap was 1000 (+slack)", got)
-				}
-			} else {
-				totalParcels += 0
-			}
-			messages++
-			m.Done()
-		}
-	}
-	// 1 singleton + 12 queued parcels across >= 4 bounded messages.
-	if totalParcels != 13 {
-		// The first message had 1 parcel; recount: totalParcels started at 1.
-		t.Fatalf("delivered %d parcels, want 13", totalParcels)
-	}
-	if messages < 5 {
-		t.Fatalf("backlog drained in %d messages; cap should force splitting", messages)
-	}
-}
-
-func TestMaxMessageBytesOversizedParcelStillSent(t *testing.T) {
-	cs := &captureSend{}
-	l := NewLayer(2, Config{MaxConnections: 1, MaxMessageBytes: 100}, cs.send)
-	l.Put(&serialization.Parcel{Dest: 1, Args: [][]byte{make([]byte, 5000)}})
-	if cs.count() != 1 {
-		t.Fatal("oversized parcel must still be sent (alone)")
-	}
-	cs.completeAll()
 }

@@ -69,7 +69,8 @@ type Config struct {
 	// 512-byte header buffers that can only piggyback the non-zero-copy
 	// chunk, and a lock-protected tag provider with tag-release messages.
 	Original bool
-	// Aggregate enables the sender-side aggregation layer ("_agg"): small
+	// Aggregate enables the sender-side aggregation layer (rendered as a
+	// trailing "_agg"; set from core.Config.Aggregation, not parsed): small
 	// same-destination messages coalesce into one fabric transfer. Not part
 	// of Table 1; available on every transport.
 	Aggregate bool
@@ -121,13 +122,13 @@ func (c Config) String() string {
 
 // ParseConfig parses a Table 1 abbreviation. Accepted forms:
 //
-//	mpi[_orig][_i][_agg]
-//	tcp[_i][_agg]
-//	lci[_i][_agg]             (aliases for the baseline lci_psr_cq_pin_i)
-//	lci_{sr|psr}_{cq|sy}_{pin|rp|mt}[_i][_agg]
+//	mpi[_orig][_i]
+//	tcp[_i]
+//	lci[_i]                   (aliases for the baseline lci_psr_cq_pin_i)
+//	lci_{sr|psr}_{cq|sy}_{pin|rp|mt}[_i]
 //
-// The trailing "agg" option (not in Table 1) enables the sender-side
-// aggregation layer on any transport.
+// Aggregation is not part of the name: core.Config.Aggregation sets
+// Aggregate, and String renders it as a trailing "_agg".
 func ParseConfig(name string) (Config, error) {
 	parts := strings.Split(strings.ToLower(strings.TrimSpace(name)), "_")
 	if len(parts) == 0 || parts[0] == "" {
@@ -141,8 +142,6 @@ func ParseConfig(name string) (Config, error) {
 			switch p {
 			case "i":
 				c.Immediate = true
-			case "agg":
-				c.Aggregate = true
 			default:
 				return Config{}, fmt.Errorf("parcelport: unknown tcp option %q in %q", p, name)
 			}
@@ -157,8 +156,6 @@ func ParseConfig(name string) (Config, error) {
 				c.Immediate = true
 			case "orig":
 				c.Original = true
-			case "agg":
-				c.Aggregate = true
 			default:
 				return Config{}, fmt.Errorf("parcelport: unknown mpi option %q in %q", p, name)
 			}
@@ -170,21 +167,12 @@ func ParseConfig(name string) (Config, error) {
 		if len(rest) == 0 {
 			return DefaultLCI(), nil
 		}
-		if rest[0] == "i" || rest[0] == "agg" {
-			// Trailing-option shorthand on the baseline alias: lci_i,
-			// lci_agg, lci_i_agg.
-			c = DefaultLCI()
-			for _, p := range rest {
-				switch p {
-				case "i":
-					c.Immediate = true
-				case "agg":
-					c.Aggregate = true
-				default:
-					return Config{}, fmt.Errorf("parcelport: unknown lci option %q in %q", p, name)
-				}
+		if rest[0] == "i" {
+			// Shorthand on the baseline alias: lci_i.
+			if len(rest) > 1 {
+				return Config{}, fmt.Errorf("parcelport: unknown lci option %q in %q", rest[1], name)
 			}
-			return c, nil
+			return DefaultLCI(), nil
 		}
 		if len(rest) < 3 {
 			return Config{}, fmt.Errorf("parcelport: lci configuration %q needs protocol, completion and progress", name)
@@ -217,8 +205,6 @@ func ParseConfig(name string) (Config, error) {
 			switch p {
 			case "i":
 				c.Immediate = true
-			case "agg":
-				c.Aggregate = true
 			default:
 				return Config{}, fmt.Errorf("parcelport: unknown lci option %q in %q", p, name)
 			}

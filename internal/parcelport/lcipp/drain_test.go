@@ -15,7 +15,7 @@ import (
 // passes. The synthetic CompPut records carry no decodable header, so
 // dispatch drops them after the pop — exactly what a starvation test needs:
 // pops are observable through Len without side effects.
-func newDrainPP(t *testing.T, drainBatch int) *Parcelport {
+func newDrainPP(t *testing.T) *Parcelport {
 	t.Helper()
 	net, err := fabric.NewNetwork(fabric.Config{Nodes: 2, DevicesPerNode: 2})
 	if err != nil {
@@ -26,10 +26,7 @@ func newDrainPP(t *testing.T, drainBatch int) *Parcelport {
 		lci.NewDevice(net.DeviceN(0, 1), lci.Config{}, nil),
 	}
 	sched := amt.New(amt.Config{Workers: 1, Name: "drain-test"})
-	pp, err := NewMulti(devs, sched, Config{
-		Progress:   parcelport.WorkerProgress,
-		DrainBatch: drainBatch,
-	})
+	pp, err := NewMulti(devs, sched, Config{Progress: parcelport.WorkerProgress})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,8 +43,7 @@ func newDrainPP(t *testing.T, drainBatch int) *Parcelport {
 // turn. A sequential exhaust-one-queue-first drain fails this (the op CQ
 // would see none of a budget smaller than the hot backlog).
 func TestDrainFairnessOpCQNotStarved(t *testing.T) {
-	const budget = 16
-	pp := newDrainPP(t, budget)
+	pp := newDrainPP(t)
 
 	hot := pp.putCQs[0]
 	const hotDepth = 1000
@@ -65,57 +61,54 @@ func TestDrainFairnessOpCQNotStarved(t *testing.T) {
 
 	opDrained := opDepth - pp.opCQ.Len()
 	if opDrained == 0 {
-		t.Fatalf("op CQ starved: hot put stream consumed the whole %d-record budget", budget)
+		t.Fatalf("op CQ starved: hot put stream consumed the whole %d-record budget", drainBatch)
 	}
 	if hot.Len() == 0 {
 		t.Fatal("bounded pass drained the entire hot queue")
 	}
 	popped := (hotDepth - hot.Len()) + opDrained
-	if popped > budget {
-		t.Fatalf("pass popped %d records, budget is %d", popped, budget)
+	if popped > drainBatch {
+		t.Fatalf("pass popped %d records, budget is %d", popped, drainBatch)
 	}
 }
 
 // TestDrainRotatesStartingQueue checks that successive passes rotate which
 // queue is served first, so no queue is systematically favored when every
-// queue holds work.
+// queue holds work. With every queue deep, the queue a pass starts on is the
+// one it serves most: the budget of drainBatch/drainChunk = 4 chunks covers
+// the three queues of newDrainPP once and the starting queue twice.
 func TestDrainRotatesStartingQueue(t *testing.T) {
-	const budget = drainChunk // exactly one chunk: each pass serves one queue
-	pp := newDrainPP(t, budget)
+	pp := newDrainPP(t)
+	const depth = 4 * drainBatch
 
-	fill := func() {
-		for _, cq := range pp.cqs {
-			for cq.Len() < drainChunk {
-				cq.Push(lci.Request{Type: lci.CompSend})
-			}
-		}
-	}
-
-	served := make(map[int]bool)
+	first := make(map[int]bool)
 	for pass := 0; pass < len(pp.cqs)*2; pass++ {
-		fill()
 		before := make([]int, len(pp.cqs))
 		for i, cq := range pp.cqs {
+			for cq.Len() < depth {
+				cq.Push(lci.Request{Type: lci.CompSend})
+			}
 			before[i] = cq.Len()
 		}
 		pp.drainCQ()
+		most, mostPopped := -1, 0
 		for i, cq := range pp.cqs {
-			if cq.Len() < before[i] {
-				served[i] = true
+			if popped := before[i] - cq.Len(); popped > mostPopped {
+				most, mostPopped = i, popped
 			}
 		}
+		first[most] = true
 	}
-	if len(served) != len(pp.cqs) {
-		t.Fatalf("rotation served %d of %d queues across passes", len(served), len(pp.cqs))
+	if len(first) != len(pp.cqs) {
+		t.Fatalf("rotation started on %d of %d queues across passes", len(first), len(pp.cqs))
 	}
 }
 
 // TestDrainBudgetBoundsOnePass checks the budget is shared across queues,
-// not per queue: with every queue deep, one pass pops at most DrainBatch in
-// total.
+// not per queue: with every queue deep, one pass pops exactly drainBatch
+// records in total.
 func TestDrainBudgetBoundsOnePass(t *testing.T) {
-	const budget = 24
-	pp := newDrainPP(t, budget)
+	pp := newDrainPP(t)
 	const depth = 200
 	for _, cq := range pp.cqs {
 		for i := 0; i < depth; i++ {
@@ -127,10 +120,7 @@ func TestDrainBudgetBoundsOnePass(t *testing.T) {
 	for _, cq := range pp.cqs {
 		popped += depth - cq.Len()
 	}
-	if popped > budget {
-		t.Fatalf("one pass popped %d records across queues, shared budget is %d", popped, budget)
-	}
-	if popped == 0 {
-		t.Fatal("pass popped nothing")
+	if popped != drainBatch {
+		t.Fatalf("one pass popped %d records across queues, shared budget is %d", popped, drainBatch)
 	}
 }

@@ -50,24 +50,17 @@ const tagBound = 1 << 20
 
 // Config tunes the LCI parcelport.
 type Config struct {
-	// ZeroCopyThreshold caps the header message size (HPX default 8192).
-	ZeroCopyThreshold int
-	Protocol          parcelport.Protocol
-	Completion        parcelport.Completion
-	Progress          parcelport.ProgressMode
-
-	// DrainBatch is the shared completion budget of one background drain
-	// pass: at most this many completion records are popped and dispatched
-	// across ALL completion queues (every device's put CQ plus the shared
-	// op CQ), round-robin interleaved so a hot put stream cannot starve
-	// operation completions. Default DefaultDrainBatch. Surfaced through
-	// core.Config.DrainBatch.
-	DrainBatch int
+	Protocol   parcelport.Protocol
+	Completion parcelport.Completion
+	Progress   parcelport.ProgressMode
 }
 
-// DefaultDrainBatch is the Config.DrainBatch default: the per-pass
-// completion budget the historical fixed cqBatch constant provided.
-const DefaultDrainBatch = 32
+// drainBatch is the shared completion budget of one background drain pass:
+// at most this many completion records are popped and dispatched across ALL
+// completion queues (every device's put CQ plus the shared op CQ),
+// round-robin interleaved so a hot put stream cannot starve operation
+// completions.
+const drainBatch = 32
 
 // headerCtx marks completions of the per-device wildcard header receive.
 type headerCtx struct{ dev int }
@@ -159,9 +152,6 @@ func NewMulti(devs []*lci.Device, sched *amt.Scheduler, cfg Config) (*Parcelport
 	if len(devs) == 0 {
 		return nil, fmt.Errorf("lcipp: need at least one device")
 	}
-	if cfg.ZeroCopyThreshold <= 0 {
-		cfg.ZeroCopyThreshold = serialization.DefaultZeroCopyThreshold
-	}
 	if cfg.Progress == parcelport.PinnedProgress && sched == nil {
 		return nil, fmt.Errorf("lcipp: pinned progress requires a scheduler")
 	}
@@ -171,7 +161,7 @@ func NewMulti(devs []*lci.Device, sched *amt.Scheduler, cfg Config) (*Parcelport
 		sched: sched,
 		tags:  parcelport.NewTagAllocator(tagBound),
 	}
-	pp.maxHeader = cfg.ZeroCopyThreshold
+	pp.maxHeader = serialization.DefaultZeroCopyThreshold
 	for _, d := range devs {
 		pp.putCQs = append(pp.putCQs, d.PutCQ())
 		pp.maxHeader = min(pp.maxHeader, d.EagerThreshold())
@@ -182,9 +172,6 @@ func NewMulti(devs []*lci.Device, sched *amt.Scheduler, cfg Config) (*Parcelport
 		pp.opCQ = devs[0].PutCQ()
 	} else {
 		pp.opCQ = lci.NewCompQueue(0)
-	}
-	if pp.cfg.DrainBatch <= 0 {
-		pp.cfg.DrainBatch = DefaultDrainBatch
 	}
 	for i, cq := range pp.putCQs {
 		pp.cqs = append(pp.cqs, cq)
@@ -417,12 +404,12 @@ const drainChunk = 8
 
 // drainCQ pops and dispatches completion-queue entries from every device's
 // put CQ and from the shared op CQ, round-robin interleaved under one shared
-// DrainBatch budget. The rotation cursor advances every pass, so under a
+// drainBatch budget. The rotation cursor advances every pass, so under a
 // sustained hot put stream the op CQ still gets a proportional share of each
 // pass (the historical sequential drain served every put CQ to exhaustion of
 // its own fixed batch before touching operation completions).
 func (pp *Parcelport) drainCQ() bool {
-	budget := pp.cfg.DrainBatch
+	budget := drainBatch
 	nq := len(pp.cqs)
 	start := int(pp.drainCur.Add(1))
 	var buf [drainChunk]lci.Request

@@ -278,7 +278,7 @@ func TestNewValidation(t *testing.T) {
 func TestMaxHeaderBoundedByEager(t *testing.T) {
 	net, _ := fabric.NewNetwork(fabric.Config{Nodes: 1})
 	dev := lci.NewDevice(net.Device(0), lci.Config{EagerThreshold: 2048}, nil)
-	pp, err := New(dev, nil, Config{Progress: parcelport.WorkerProgress, ZeroCopyThreshold: 8192})
+	pp, err := New(dev, nil, Config{Progress: parcelport.WorkerProgress})
 	if err != nil {
 		t.Fatal(err)
 	}

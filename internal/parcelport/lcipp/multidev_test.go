@@ -181,14 +181,6 @@ func TestMultiDeviceHeterogeneousEagerCap(t *testing.T) {
 	if got := r.pps[0].MaxHeaderSize(); got != 2048 {
 		t.Fatalf("MaxHeaderSize = %d, want 2048 (min eager threshold across devices)", got)
 	}
-	// A zero-copy threshold below every eager limit still wins the min.
-	capped, err := NewMulti(r.pps[0].devs, nil, Config{ZeroCopyThreshold: 512, Progress: parcelport.WorkerProgress})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := capped.MaxHeaderSize(); got != 512 {
-		t.Fatalf("MaxHeaderSize = %d, want 512 (zero-copy threshold cap)", got)
-	}
 	// Payloads above the smallest eager limit but below the largest: headers
 	// planned against the old devs[0] cap piggybacked them and overflowed the
 	// small device's packets; they must all round-trip as follow-up chunks.

@@ -43,16 +43,8 @@ const originalHeaderSize = 512
 
 // Config tunes the MPI parcelport beyond the Table 1 axes.
 type Config struct {
-	// ZeroCopyThreshold sets the maximum header size (HPX default 8192).
-	ZeroCopyThreshold int
 	// Original selects the pre-improvement variant (§3.1).
 	Original bool
-	// DrainBatch bounds how many pending connections one BackgroundWork
-	// pass advances, walking the list from a rotating cursor so a long list
-	// cannot monopolize a worker and its tail cannot starve. Zero leaves
-	// the sweep unbounded (the pre-knob behavior). Surfaced through
-	// core.Config.DrainBatch.
-	DrainBatch int
 }
 
 // Stats are cumulative parcelport counters.
@@ -83,9 +75,8 @@ type Parcelport struct {
 	releaseBuf  []byte
 	releaseRecv *mpisim.Request
 
-	pendMu   sync.Mutex // the HPX spinlock protecting the pending list
-	pending  []*connection
-	drainCur atomic.Uint32 // rotating sweep cursor (bounded DrainBatch mode)
+	pendMu  sync.Mutex // the HPX spinlock protecting the pending list
+	pending []*connection
 
 	stopped atomic.Bool
 
@@ -98,9 +89,6 @@ type Parcelport struct {
 
 // New creates the MPI parcelport for the given communicator.
 func New(comm *mpisim.Comm, cfg Config) *Parcelport {
-	if cfg.ZeroCopyThreshold <= 0 {
-		cfg.ZeroCopyThreshold = serialization.DefaultZeroCopyThreshold
-	}
 	name := "mpi"
 	if cfg.Original {
 		name = "mpi_orig"
@@ -124,7 +112,7 @@ func (pp *Parcelport) MaxHeaderSize() int {
 	if pp.cfg.Original {
 		return originalHeaderSize
 	}
-	return pp.cfg.ZeroCopyThreshold
+	return serialization.DefaultZeroCopyThreshold
 }
 
 // Stats returns a snapshot of the counters.
@@ -288,24 +276,16 @@ func (pp *Parcelport) addPending(c *connection) {
 
 // advancePending walks a snapshot of the pending list, advancing every
 // connection whose outstanding operation completed, then compacts the list.
-// With Config.DrainBatch set, each pass advances at most that many
-// connections, starting from a rotating cursor for fairness.
 func (pp *Parcelport) advancePending() bool {
 	pp.pendMu.Lock()
 	conns := pp.pending
 	pp.pendMu.Unlock()
-	n := len(conns)
-	if n == 0 {
+	if len(conns) == 0 {
 		return false
-	}
-	start, limit := 0, n
-	if b := pp.cfg.DrainBatch; b > 0 && b < n {
-		start, limit = int(pp.drainCur.Add(1))%n, b
 	}
 	did := false
 	finished := 0
-	for k := 0; k < limit; k++ {
-		c := conns[(start+k)%n]
+	for _, c := range conns {
 		if c.done.Load() {
 			finished++
 			continue

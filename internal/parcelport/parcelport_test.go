@@ -15,8 +15,6 @@ func TestParseConfigRoundTrip(t *testing.T) {
 		"lci_psr_sy_pin_i", "lci_psr_sy_mt_i",
 		"lci_sr_cq_pin_i", "lci_sr_cq_mt_i",
 		"lci_sr_sy_pin_i", "lci_sr_sy_mt_i",
-		"mpi_agg", "mpi_i_agg", "mpi_orig_i_agg", "tcp_agg", "tcp_i_agg",
-		"lci_psr_cq_pin_agg", "lci_psr_cq_pin_i_agg", "lci_sr_sy_mt_i_agg",
 	}
 	for _, n := range names {
 		c, err := ParseConfig(n)
@@ -25,6 +23,11 @@ func TestParseConfigRoundTrip(t *testing.T) {
 		}
 		if got := c.String(); got != n {
 			t.Fatalf("round trip %q -> %q", n, got)
+		}
+		// Aggregation is set, not parsed, and renders as a suffix.
+		c.Aggregate = true
+		if got := c.String(); got != n+"_agg" {
+			t.Fatalf("%q with aggregation renders as %q", n, got)
 		}
 	}
 }
@@ -52,28 +55,19 @@ func TestParseConfigAliases(t *testing.T) {
 	if _, err := ParseConfig("  MPI_I "); err != nil {
 		t.Fatalf("case-insensitive parse failed: %v", err)
 	}
-	// Trailing-option shorthand on the baseline alias.
-	agg, err := ParseConfig("lci_agg")
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := DefaultLCI()
-	want.Aggregate = true
-	if agg != want {
-		t.Fatalf("lci_agg alias = %+v", agg)
-	}
-	if agg.String() != "lci_psr_cq_pin_i_agg" {
-		t.Fatalf("lci_agg renders as %q", agg.String())
-	}
-	if both, err := ParseConfig("lci_i_agg"); err != nil || both != want {
-		t.Fatalf("lci_i_agg alias = %+v (%v)", both, err)
+	// Send-immediate shorthand on the baseline alias.
+	if i, err := ParseConfig("lci_i"); err != nil || i != c {
+		t.Fatalf("lci_i alias = %+v (%v)", i, err)
 	}
 }
 
 func TestParseConfigErrors(t *testing.T) {
 	for _, bad := range []string{
 		"", "smoke", "mpi_x", "tcp_x", "lci_psr", "lci_xx_cq_pin", "lci_psr_xx_pin",
-		"lci_psr_cq_xx", "lci_psr_cq_pin_z", "lci_aggg", "lci_agg_x", "mpi_agg_x",
+		"lci_psr_cq_xx", "lci_psr_cq_pin_z", "lci_aggg", "lci_agg_x", "mpi_agg_x", "lci_i_x",
+		// Aggregation is core.Config.Aggregation, not a name suffix.
+		"lci_agg", "lci_i_agg", "mpi_agg", "mpi_i_agg", "mpi_orig_i_agg", "tcp_agg", "tcp_i_agg",
+		"lci_psr_cq_pin_agg", "lci_psr_cq_pin_i_agg", "lci_sr_sy_mt_i_agg",
 	} {
 		if _, err := ParseConfig(bad); err == nil {
 			t.Fatalf("ParseConfig(%q) should fail", bad)

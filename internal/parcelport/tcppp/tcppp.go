@@ -34,18 +34,16 @@ const frameMagic uint32 = 0x48505854 // "HPXT"
 // fixed header fields follow it as separate writes.
 const maxHeader = serialization.DefaultZeroCopyThreshold
 
+// sendQueue is the per-destination outbound queue depth.
+const sendQueue = 1024
+
 // Config tunes the TCP parcelport group.
 type Config struct {
-	// SendQueue is the per-destination outbound queue depth. Default 1024.
-	SendQueue int
 	// ListenAddr is the address to listen on. Default "127.0.0.1:0".
 	ListenAddr string
 }
 
 func (c *Config) fillDefaults() {
-	if c.SendQueue <= 0 {
-		c.SendQueue = 1024
-	}
 	if c.ListenAddr == "" {
 		c.ListenAddr = "127.0.0.1:0"
 	}
@@ -241,7 +239,7 @@ func (pp *Parcelport) connTo(dst int) (*outConn, error) {
 	if tc, ok := conn.(*net.TCPConn); ok {
 		tc.SetNoDelay(true)
 	}
-	oc := &outConn{conn: conn, q: make(chan *serialization.Message, pp.group.cfg.SendQueue)}
+	oc := &outConn{conn: conn, q: make(chan *serialization.Message, sendQueue)}
 	pp.out[dst] = oc
 	pp.wg.Add(1)
 	go pp.writeLoop(dst, oc)

@@ -41,7 +41,7 @@ func hashKey(key string) uint64 {
 }
 
 // Ring is a consistent-hash ring over the shard-owning localities. Each
-// owner contributes VNodes points (hashes of owner id × replica index); a
+// owner contributes vnodes points (hashes of owner id × replica index); a
 // key belongs to the owner of the first point clockwise from the key's
 // hash. The ring is built once and immutable, so Owner is lock-free; the
 // consistent-hash property (removing one owner remaps only ~1/N of the
@@ -59,7 +59,7 @@ func NewRing(owners []int, vnodes int) (*Ring, error) {
 		return nil, fmt.Errorf("serve: ring needs at least one owner")
 	}
 	if vnodes <= 0 {
-		vnodes = 64
+		vnodes = ringVNodes
 	}
 	seen := make(map[int]bool, len(owners))
 	r := &Ring{

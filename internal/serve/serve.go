@@ -37,15 +37,11 @@ type Config struct {
 	// owns a slice of the ring; a load-generator locality is usually left
 	// out so all its traffic is remote.
 	Owners []int
-	// VNodes is the number of consistent-hash points per owner (default 64).
-	VNodes int
 	// CacheEntries sizes each client's hot-key cache (rounded up to a
 	// power-of-two set count). Zero selects the default (4096); negative
 	// disables both the cache and single-flight coalescing — the
 	// "cache-off" baseline the serving benchmark gates against.
 	CacheEntries int
-	// StoreStripes stripes each shard's map (default 16).
-	StoreStripes int
 	// AdmitRate is the per-shard token-bucket rate in requests/second
 	// (0 = admission disabled).
 	AdmitRate float64
@@ -66,14 +62,8 @@ func (c *Config) fillDefaults(localities int) {
 			c.Owners[i] = i
 		}
 	}
-	if c.VNodes <= 0 {
-		c.VNodes = 64
-	}
 	if c.CacheEntries == 0 {
 		c.CacheEntries = 4096
-	}
-	if c.StoreStripes <= 0 {
-		c.StoreStripes = 16
 	}
 	if c.AdmitBurst <= 0 {
 		c.AdmitBurst = 64
@@ -104,15 +94,22 @@ type storeStripe struct {
 // store is one locality's shard: a striped map plus the admission bucket
 // and the served/shed counters.
 type store struct {
-	stripes []storeStripe
+	stripes [storeStripes]storeStripe
 	bucket  tokenBucket
 	served  atomic.Uint64
 	shed    atomic.Uint64
 	puts    atomic.Uint64
 }
 
-func newStore(stripes int) *store {
-	s := &store{stripes: make([]storeStripe, stripes)}
+// storeStripes is the lock-stripe count of a shard store; ringVNodes the
+// consistent-hash points each owner contributes to the ring.
+const (
+	storeStripes = 16
+	ringVNodes   = 64
+)
+
+func newStore() *store {
+	s := &store{}
 	for i := range s.stripes {
 		s.stripes[i].m = make(map[string]storeVal)
 	}
@@ -120,7 +117,7 @@ func newStore(stripes int) *store {
 }
 
 func (s *store) stripe(h uint64) *storeStripe {
-	return &s.stripes[h%uint64(len(s.stripes))]
+	return &s.stripes[h%storeStripes]
 }
 
 func (s *store) get(key string, h uint64) ([]byte, uint64, bool) {
@@ -200,7 +197,7 @@ type Service struct {
 // per-locality clients. Must run before rt.Start.
 func New(rt *core.Runtime, cfg Config) (*Service, error) {
 	cfg.fillDefaults(rt.Localities())
-	ring, err := NewRing(cfg.Owners, cfg.VNodes)
+	ring, err := NewRing(cfg.Owners, ringVNodes)
 	if err != nil {
 		return nil, err
 	}
@@ -217,7 +214,7 @@ func New(rt *core.Runtime, cfg Config) (*Service, error) {
 			return nil, fmt.Errorf("serve: owner %d out of range (localities %d)", o, rt.Localities())
 		}
 		s.isOwner[o] = true
-		st := newStore(cfg.StoreStripes)
+		st := newStore()
 		st.bucket.init(cfg.AdmitRate, cfg.AdmitBurst)
 		s.stores[o] = st
 	}
