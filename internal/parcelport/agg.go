@@ -348,8 +348,8 @@ func (a *Aggregator) staleCounter(d *aggDest, now int64) *atomic.Uint64 {
 
 // FlushStale flushes every destination whose producer has gone quiet (no
 // append for aggQuietGap: nobody is coming to share the transfer) or whose
-// oldest frame has aged to FlushDelay. Driven from BackgroundWork and, in
-// lci pin mode, from the dedicated progress thread: a pass takes no lock on
+// oldest frame has aged to FlushDelay. Driven from BackgroundWork, which in
+// lci pin mode the dedicated progress thread runs: a pass takes no lock on
 // a destination still being filled and reads no clock when nothing is
 // pending. Reports whether anything flushed.
 func (a *Aggregator) FlushStale() bool {

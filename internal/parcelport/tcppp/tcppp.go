@@ -219,7 +219,9 @@ func (pp *Parcelport) Send(dst int, m *serialization.Message) {
 }
 
 // BackgroundWork has nothing to do: the kernel and the connection
-// goroutines make progress. It exists to satisfy the Parcelport contract.
+// goroutines make progress. It exists to satisfy the Parcelport contract;
+// core starts no worker poll loop for tcp unless the continuation reaper or
+// the aggregation layer's stale flush needs one.
 func (pp *Parcelport) BackgroundWork(workerID int) bool { return false }
 
 // connTo returns (dialling if needed) the outbound connection to dst.
