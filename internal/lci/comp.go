@@ -67,7 +67,8 @@ type CompQueue struct {
 	r *ring.MPMC[Request]
 
 	ovMu     sync.Mutex
-	overflow []Request
+	overflow []Request // pending records are overflow[ovHead:]
+	ovHead   int
 	ovLen    atomic.Int64
 }
 
@@ -98,15 +99,10 @@ func (q *CompQueue) Pop() (Request, bool) {
 		return req, true
 	}
 	if q.ovLen.Load() > 0 {
-		q.ovMu.Lock()
-		if len(q.overflow) > 0 {
-			req := q.overflow[0]
-			q.overflow = q.overflow[1:]
-			q.ovMu.Unlock()
-			q.ovLen.Add(-1)
-			return req, true
+		var one [1]Request
+		if q.popOverflow(one[:]) == 1 {
+			return one[0], true
 		}
-		q.ovMu.Unlock()
 	}
 	return Request{}, false
 }
@@ -128,24 +124,36 @@ func (q *CompQueue) PopN(buf []Request) int {
 		n++
 	}
 	if n < len(buf) && q.ovLen.Load() > 0 {
-		q.ovMu.Lock()
-		k := copy(buf[n:], q.overflow)
-		if k > 0 {
-			rest := copy(q.overflow, q.overflow[k:])
-			// Zero the vacated tail so Data/Ctx/Pkt references don't pin
-			// buffers past their dequeue.
-			for i := rest; i < len(q.overflow); i++ {
-				q.overflow[i] = Request{}
-			}
-			q.overflow = q.overflow[:rest]
-		}
-		q.ovMu.Unlock()
-		if k > 0 {
-			q.ovLen.Add(int64(-k))
-			n += k
-		}
+		n += q.popOverflow(buf[n:])
 	}
 	return n
+}
+
+// popOverflow moves up to len(buf) records from the head of the overflow
+// list into buf. The head advances by index, so a pop costs what it moves,
+// not the depth of the list behind it: a consumer that has fallen far behind
+// a flood catches up in linear time.
+func (q *CompQueue) popOverflow(buf []Request) int {
+	q.ovMu.Lock()
+	k := copy(buf, q.overflow[q.ovHead:])
+	// Zero the vacated slots so Data/Ctx/Pkt references don't pin buffers
+	// past their dequeue.
+	clear(q.overflow[q.ovHead : q.ovHead+k])
+	q.ovHead += k
+	if 2*q.ovHead >= len(q.overflow) {
+		// Compact once the consumed prefix is at least half the list, so
+		// producers appending behind a consumer that never quite empties it
+		// reuse the space. Moving at most ovHead records after ovHead pops
+		// keeps a pop amortized O(1).
+		rest := copy(q.overflow, q.overflow[q.ovHead:])
+		clear(q.overflow[rest:])
+		q.overflow, q.ovHead = q.overflow[:rest], 0
+	}
+	q.ovMu.Unlock()
+	if k > 0 {
+		q.ovLen.Add(int64(-k))
+	}
+	return k
 }
 
 // Len returns the approximate queue length.

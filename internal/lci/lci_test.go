@@ -803,3 +803,42 @@ func TestPutLongManyUnderHandlePressure(t *testing.T) {
 		}
 	}, a, b)
 }
+
+// TestCompQueueOverflowSteadyState: with the ring full, a consumer that
+// never quite empties a deep overflow list gets its records in push order,
+// and the list's backing array stays bounded by the depth it holds rather
+// than growing with every record that ever passed through it.
+func TestCompQueueOverflowSteadyState(t *testing.T) {
+	q := NewCompQueue(4)
+	for i := 0; i < 4; i++ {
+		q.Push(Request{}) // fill the ring; it is never popped below
+	}
+	const depth = 1000
+	next, want := uint32(0), uint32(0)
+	for ; next < depth; next++ {
+		q.Push(Request{Tag: next})
+	}
+	var buf [8]Request
+	for round := 0; round < 20000; round++ {
+		for k := 0; k < len(buf); k++ {
+			q.Push(Request{Tag: next})
+			next++
+		}
+		n := q.popOverflow(buf[:])
+		if n != len(buf) {
+			t.Fatalf("round %d: popped %d of %d", round, n, len(buf))
+		}
+		for _, r := range buf[:n] {
+			if r.Tag != want {
+				t.Fatalf("round %d: popped tag %d, want %d", round, r.Tag, want)
+			}
+			want++
+		}
+	}
+	if c := cap(q.overflow); c > 4*depth {
+		t.Fatalf("overflow backing array grew to %d records holding %d", c, depth)
+	}
+	if q.Len() != 4+depth {
+		t.Fatalf("Len = %d, want %d", q.Len(), 4+depth)
+	}
+}
