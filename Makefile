@@ -8,8 +8,9 @@ all: build vet test
 
 # The full gate: build, vet, formatting, tests, the race detector over the
 # concurrency-heavy packages (communication libraries, fabric ARQ,
-# parcelports, serving tier), the allocation gate, and the artifacts'
-# in-process structural claims. Nothing here writes inside the repo.
+# parcelports, serving tier, and Octo-Tiger's phase-shared reply buffers),
+# the allocation gate, and the artifacts' in-process structural claims.
+# Nothing here writes inside the repo.
 check: build vet fmt-check test race alloc-gate bench-claims
 
 # The receiver-datapath allocation gate: delivering a warm eager-sized
@@ -19,12 +20,15 @@ check: build vet fmt-check test race alloc-gate bench-claims
 # 1 MiB rendezvous stream must allocate no more than 8 KiB of heap per
 # transfer (its receive buffers are pooled); and on the send side a warm 64 B
 # ApplyID with aggregation off must not allocate (connectionless eager send,
-# DESIGN.md §7). Run with -count=1 so a cached pass never masks a regression.
+# DESIGN.md §7); and a warm Octo-Tiger ot_boundary pull must not allocate
+# (DESIGN.md §16). Run with -count=1 so a cached pass never masks a
+# regression.
 alloc-gate:
 	$(GO) test ./internal/core/ -run 'TestDeliverBundleZeroAllocs|TestDeliverInlineBundleZeroAllocs|TestDeliverHPXBBundleZeroAllocs|TestCollBoxFastPathZeroAlloc|TestRendezvousStreamAllocBytes|TestDirectSendZeroAllocs' -count=1
 	$(GO) test ./internal/serialization/ -run 'TestDecodeIntoSteadyStateAllocs|TestDecodeIntoBundleSteadyStateAllocs' -count=1
 	$(GO) test ./internal/lci/ -run TestChunkedZeroAllocSteadyState -count=1
 	$(GO) test ./internal/serve/ -run 'TestServeCachedGetZeroAllocs|TestTokenBucketZeroAllocs' -count=1
+	$(GO) test ./internal/octotiger/ -run TestBoundaryPullZeroAllocs -count=1
 
 build:
 	$(GO) build ./...
@@ -42,7 +46,7 @@ test:
 	$(GO) test ./... -timeout 900s
 
 race:
-	$(GO) test -race ./internal/ring/... ./internal/lci/... ./internal/mpisim/... ./internal/fabric/... ./internal/parcelport/... ./internal/amt/... ./internal/core/... ./internal/serve/... -timeout 1800s
+	$(GO) test -race ./internal/ring/... ./internal/lci/... ./internal/mpisim/... ./internal/fabric/... ./internal/parcelport/... ./internal/amt/... ./internal/core/... ./internal/serve/... ./internal/octotiger/... -timeout 1800s
 	$(GO) test -race ./internal/wire/ -run Lifetime -count=3 -timeout 1800s
 
 bench:

@@ -50,7 +50,7 @@ func run() int {
 		return 2
 	}
 	if *cpuprofile != "" {
-		// Label the progress / amt-worker / inline-deliver lanes so the
+		// Label the progress / amt-worker / inline-deliver / task lanes so the
 		// profile splits by goroutine role (go tool pprof -tagfocus=lane=...).
 		core.EnableProfilingLabels(true)
 		f, err := os.Create(*cpuprofile)

@@ -98,6 +98,28 @@ type Scheduler struct {
 	started   atomic.Bool
 	pollLoops int // worker poll loops Start launched (0 or Workers)
 	takeovers atomic.Int64
+
+	taskLabels context.Context // pprof labels of task runners (lane=task)
+}
+
+// profilingLabels turns on pprof label upkeep; see EnableProfilingLabels.
+var profilingLabels atomic.Bool
+
+// EnableProfilingLabels turns on the pprof label upkeep that lets
+// `go tool pprof -tags` split a CPU profile by goroutine role: a task runner
+// labels itself lane=task instead of inheriting its spawner's labels, and the
+// worker poll loops, dedicated threads and watchdog helpers put their own
+// labels back after every pass, since a pass may relabel its goroutine (core's
+// inline lane does). Off by default, and while off none of it runs.
+func EnableProfilingLabels(on bool) { profilingLabels.Store(on) }
+
+// ProfilingLabels reports whether EnableProfilingLabels is on.
+func ProfilingLabels() bool { return profilingLabels.Load() }
+
+// roleLabels is the label set a role goroutine carries: lane plus one more
+// key naming the scheduler or thread.
+func roleLabels(lane, key, name string) context.Context {
+	return pprof.WithLabels(context.Background(), pprof.Labels("lane", lane, key, name))
 }
 
 // runnerShard is one stack of parked task runners. Padded so shards sit on
@@ -175,7 +197,7 @@ func (d *dedicated) join(w *Watchdog) {
 // New creates a scheduler. Call Start to launch the workers.
 func New(cfg Config) *Scheduler {
 	cfg.fillDefaults()
-	s := &Scheduler{cfg: cfg}
+	s := &Scheduler{cfg: cfg, taskLabels: roleLabels("task", "sched", cfg.Name)}
 	// One runner shard per worker; half the cache lives in the shards, the
 	// other half in the shared overflow, summing to cfg.MaxIdleRunners.
 	n := cfg.Workers
@@ -338,6 +360,9 @@ func (s *Scheduler) nextHome() int {
 // channel is buffered so a spawner that pops this runner never blocks even
 // if the runner has not reached its receive yet.
 func (s *Scheduler) runTasks(task func(), home int) {
+	if profilingLabels.Load() {
+		pprof.SetGoroutineLabels(s.taskLabels)
+	}
 	rc := make(chan func(), 1)
 	for {
 		task()
@@ -435,11 +460,11 @@ func (s *Scheduler) InlineExecuted() int64 { return s.inline.Load() }
 // with a spin-then-nap backoff.
 func (s *Scheduler) workerLoop(id int) {
 	defer s.wg.Done()
-	// Label the goroutine so CPU profiles split worker-poll time (which
-	// includes inline parcel execution) from task runners and progress
-	// threads: `go tool pprof -tagfocus=lane=amt-worker`.
-	pprof.SetGoroutineLabels(pprof.WithLabels(context.Background(),
-		pprof.Labels("lane", "amt-worker", "sched", s.cfg.Name)))
+	// Label the goroutine so CPU profiles split worker-poll time from task
+	// runners, inline parcel execution and progress threads:
+	// `go tool pprof -tagfocus=lane=amt-worker`.
+	labels := roleLabels("amt-worker", "sched", s.cfg.Name)
+	pprof.SetGoroutineLabels(labels)
 	rng := rand.New(rand.NewSource(int64(id)*2654435761 + 1))
 	idle := 0
 	for !s.stopFlag.Load() {
@@ -448,6 +473,9 @@ func (s *Scheduler) workerLoop(id int) {
 			did = (*bg)(id)
 		}
 		if did {
+			if profilingLabels.Load() {
+				pprof.SetGoroutineLabels(labels)
+			}
 			idle = 0
 			continue
 		}
@@ -502,8 +530,8 @@ func (s *Scheduler) StartDedicated(name string, lockThread bool, loop func()) (s
 	}
 	go func() {
 		defer close(d.done)
-		pprof.SetGoroutineLabels(pprof.WithLabels(context.Background(),
-			pprof.Labels("lane", "progress", "thread", name)))
+		labels := roleLabels("progress", "thread", name)
+		pprof.SetGoroutineLabels(labels)
 		if lockThread {
 			runtime.LockOSThread()
 			defer runtime.UnlockOSThread()
@@ -515,6 +543,9 @@ func (s *Scheduler) StartDedicated(name string, lockThread bool, loop func()) (s
 			d.pass.Add(1)
 			loop()
 			d.pass.Add(1)
+			if profilingLabels.Load() {
+				pprof.SetGoroutineLabels(labels)
+			}
 			runtime.Gosched()
 		}
 	}()

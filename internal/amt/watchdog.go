@@ -131,12 +131,15 @@ func (w *Watchdog) takeOverLocked(d *dedicated, seq uint64) {
 	d.root.helpers.Add(1)
 	go func() {
 		defer d.root.helpers.Done()
-		pprof.SetGoroutineLabels(pprof.WithLabels(context.Background(),
-			pprof.Labels("lane", "takeover", "thread", d.name)))
+		labels := roleLabels("takeover", "thread", d.name)
+		pprof.SetGoroutineLabels(labels)
 		for d.pass.Load() == seq && !d.root.halted() {
 			h.pass.Add(1)
 			h.loop()
 			h.pass.Add(1)
+			if profilingLabels.Load() {
+				pprof.SetGoroutineLabels(labels)
+			}
 			runtime.Gosched()
 		}
 		w.mu.Lock()

@@ -104,7 +104,7 @@ type Scale struct {
 	Windows      []int // window sizes of Figs 8-9
 
 	// Octo-Tiger (Figs 10-11).
-	OctoSteps     int   // stop step (paper: 5)
+	OctoSteps     int   // stop step (paper: 5; more here, so a point outlasts start-up noise)
 	OctoNodes     []int // node counts per platform sweep
 	OctoNodesR    []int
 	OctoSubgrid   int
@@ -144,7 +144,7 @@ func FullScale() Scale {
 		LatencySteps:  300,
 		Sizes7:        []int{8, 64, 512, 1024, 4096, 8192, 16384, 65536}, // 8B to 64KiB
 		Windows:       []int{1, 2, 4, 8, 16, 32, 64},                     // paper: 1 to 64
-		OctoSteps:     3,
+		OctoSteps:     800,                                               // ≥ 0.5 s at the fastest point (Rostam, 2 nodes, ~1,400 steps/s)
 		OctoNodes:     []int{2, 4, 8, 16, 32},
 		OctoNodesR:    []int{2, 4, 8, 16},
 		OctoSubgrid:   6,

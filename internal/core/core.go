@@ -260,9 +260,10 @@ func (rt *Runtime) buildLocality(i int) (*Locality, error) {
 	if rt.cfg.InlineBudget > 0 {
 		loc.inlineBudget = rt.cfg.InlineBudget
 	}
+	name := fmt.Sprintf("locality-%d", i)
 	loc.sched = amt.New(amt.Config{
 		Workers:   rt.cfg.WorkersPerLocality,
-		Name:      fmt.Sprintf("locality-%d", i),
+		Name:      name,
 		IdleSleep: rt.cfg.IdleSleep,
 		Watchdog:  rt.wd,
 	})
@@ -325,18 +326,25 @@ func (rt *Runtime) buildLocality(i int) (*Locality, error) {
 			return did
 		}
 	}
+	drainLane := "amt-worker"
+	if rt.ppCfg.Transport == parcelport.TransportTCP {
+		drainLane = "tcp-read" // tcppp delivers on its connection readers
+	}
 	switch {
 	case lpp != nil && rt.ppCfg.Progress == parcelport.PinnedProgress:
 		// The dedicated progress thread runs the whole pass after each
 		// progress call and is the locality's only poller: with no
 		// background pass installed the scheduler starts no poll loops.
 		lpp.SetProgressHook(func() { pass(0) })
+		drainLane = "progress"
 	case rt.ppCfg.Transport == parcelport.TransportTCP && loc.agg == nil && !reap:
 		// The kernel and tcppp's connection goroutines make all progress;
 		// there is nothing to poll.
 	default:
 		loc.sched.SetBackground(pass)
 	}
+	loc.inlineLabels = pprof.WithLabels(context.Background(), pprof.Labels("lane", "inline-deliver", "sched", name))
+	loc.drainLabels = pprof.WithLabels(context.Background(), pprof.Labels("lane", drainLane, "sched", name))
 	return loc, nil
 }
 
@@ -588,6 +596,11 @@ type Locality struct {
 	// bundle, resolved from Config.InlineBudget at construction (0 = lane
 	// off).
 	inlineBudget int
+	// inlineLabels and drainLabels are the pprof labels of the inline lane
+	// and of the goroutines that drain this locality (its progress threads
+	// in lci pin mode, its worker poll loops otherwise); see
+	// EnableProfilingLabels.
+	inlineLabels, drainLabels context.Context
 
 	contMu   sync.Mutex
 	conts    map[uint64]contEntry
@@ -1054,16 +1067,14 @@ func (l *Locality) observeService(aid uint32, ns int64) {
 	}
 }
 
-// profilingLabels gates the per-delivery pprof label swap on the inline
-// lane. SetGoroutineLabels allocates, so the swap is off by default to keep
-// the steady-state receive path at zero allocations; profiling runs flip it
-// on to split inline execution from worker polling in CPU profiles.
-var profilingLabels atomic.Bool
-
-// EnableProfilingLabels toggles pprof goroutine labels on the inline
-// delivery lane ("lane=inline-deliver"). Costs one allocation per delivered
-// message while enabled.
-func EnableProfilingLabels(on bool) { profilingLabels.Store(on) }
+// EnableProfilingLabels toggles the pprof label upkeep that splits a CPU
+// profile into progress, worker-poll, inline-deliver and task samples
+// (`go tool pprof -tags`): the inline lane runs its batch under
+// lane=inline-deliver and then relabels the draining goroutine with the
+// locality's drain lane, and amt keeps its runners and poll goroutines
+// labelled (amt.EnableProfilingLabels). The label sets are built once per
+// locality, so the swap does not allocate; off by default.
+func EnableProfilingLabels(on bool) { amt.EnableProfilingLabels(on) }
 
 // deliver is the parcelport's delivery callback: decode the transfer — one
 // HPX message, or every frame of an aggregation bundle — into a pooled
@@ -1162,10 +1173,10 @@ func (l *Locality) deliver(m *serialization.Message) {
 	}
 	ran := 0
 	if len(inl) > 0 {
-		if profilingLabels.Load() {
-			pprof.Do(context.Background(), pprof.Labels("lane", "inline-deliver"), func(context.Context) {
-				ran = l.runInlineBatch(d)
-			})
+		if amt.ProfilingLabels() {
+			pprof.SetGoroutineLabels(l.inlineLabels)
+			ran = l.runInlineBatch(d)
+			pprof.SetGoroutineLabels(l.drainLabels)
 		} else {
 			ran = l.runInlineBatch(d)
 		}

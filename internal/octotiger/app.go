@@ -21,9 +21,11 @@ type App struct {
 	// states is indexed by leaf index; entry i is logically resident on
 	// Leaves[i].Owner and only ever touched by that locality's tasks.
 	states []*leafState
-	// weights is momentWeights(SubgridSize). Regrid keeps the subgrid size,
-	// so the table built in New stays valid for the App's lifetime.
+	// weights is momentWeights(SubgridSize) and faces is
+	// faceTable(SubgridSize). Regrid keeps the subgrid size, so the tables
+	// built in New stay valid for the App's lifetime.
 	weights []float64
+	faces   [6][]int32
 
 	aBoundary uint32
 	aPartial  uint32
@@ -40,32 +42,18 @@ func New(rt *core.Runtime, p Params) (*App, error) {
 	if err != nil {
 		return nil, err
 	}
-	a := &App{rt: rt, p: p, tree: tree, weights: momentWeights(p.SubgridSize)}
+	a := &App{rt: rt, p: p, tree: tree, weights: momentWeights(p.SubgridSize), faces: faceTable(p.SubgridSize)}
 	a.states = make([]*leafState, len(tree.Leaves))
 	for i, lf := range tree.Leaves {
 		a.states[i] = newLeafState(p, lf)
 		a.initialMass += a.states[i].mass()
 	}
 
-	// ot_boundary returns the committed hydro face payload and the multipole
-	// moments of one leaf: the per-face exchange of the real application
-	// (one multi-KiB zero-copy-eligible blob plus one small blob). It copies
-	// one face and never blocks, so it carries the inline hint: a pull that
-	// arrives by parcel runs on the draining goroutine, and a pull of a leaf
-	// the caller's own locality owns runs directly on the caller (HPX's
-	// direct action; see core.Locality.CallID).
-	a.aBoundary = rt.MustRegisterInlineAction("ot_boundary", func(loc *core.Locality, args [][]byte) [][]byte {
-		if len(args) != 1 || len(args[0]) != 5 {
-			return nil
-		}
-		leafIdx := int(binary.LittleEndian.Uint32(args[0]))
-		face := int(args[0][4])
-		if leafIdx < 0 || leafIdx >= len(a.states) || face < 0 || face > 5 {
-			return nil
-		}
-		st := a.states[leafIdx]
-		return [][]byte{st.extractBoundary(a.p, face), st.encodeMoments()}
-	})
+	// ot_boundary pulls one face of a leaf; it never blocks, so it carries
+	// the inline hint: a pull that arrives by parcel runs on the draining
+	// goroutine, and a pull of a leaf the caller's own locality owns runs
+	// directly on the caller (HPX's direct action; see core.Locality.CallID).
+	a.aBoundary = rt.MustRegisterInlineAction("ot_boundary", a.boundary)
 
 	// ot_partial returns a locality's partial mass, for the per-step global
 	// reduction (a latency-sensitive small-message phase).
@@ -77,6 +65,23 @@ func New(rt *core.Runtime, p Params) (*App, error) {
 		return [][]byte{wire.F64(mass)}
 	})
 	return a, nil
+}
+
+// boundary is the ot_boundary action: it returns the committed hydro face
+// payload and the multipole moments of one leaf, the per-face exchange of the
+// real application (one multi-KiB zero-copy-eligible blob plus one small
+// blob). Both were built by the leaf's Phase A, so a pull copies and
+// allocates nothing; the reply is valid until the next step's Phase A.
+func (a *App) boundary(_ *core.Locality, args [][]byte) [][]byte {
+	if len(args) != 1 || len(args[0]) != 5 {
+		return nil
+	}
+	leafIdx := int(binary.LittleEndian.Uint32(args[0]))
+	face := int(args[0][4])
+	if leafIdx < 0 || leafIdx >= len(a.states) || face > 5 {
+		return nil
+	}
+	return a.states[leafIdx].replies[face][:]
 }
 
 // Tree exposes the octree (tests, reporting).
@@ -119,10 +124,13 @@ const stepTimeout = 5 * time.Minute
 
 // Step executes one simulation step across all localities.
 func (a *App) Step() error {
-	// Phase A: multipole moments (local compute, no communication).
+	// Phase A: multipole moments and the ot_boundary replies built from
+	// them (local compute, no communication).
 	if err := a.forAllLocalities(func(loc *core.Locality) error {
 		for _, idx := range a.tree.OwnedLeaves(loc.ID()) {
-			a.states[idx].computeMoments(a.weights)
+			st := a.states[idx]
+			st.computeMoments(a.weights)
+			st.prepareReplies(&a.faces)
 		}
 		return nil
 	}); err != nil {
@@ -277,7 +285,7 @@ func (a *App) processLeaves(loc *core.Locality, leaves []int) error {
 			if err != nil {
 				return fmt.Errorf("boundary pull: %w", err)
 			}
-			if err := st.applyBoundary(a.p, f, res); err != nil {
+			if err := st.applyBoundary(a.p, &a.faces, f, res); err != nil {
 				return fmt.Errorf("boundary pull of leaf %d face %d: %w", nb, f^1, err)
 			}
 		}

@@ -32,9 +32,41 @@ func BenchmarkExtractBoundary(b *testing.B) {
 	p := Params{SubgridSize: 8, Fields: 4}
 	p.fillDefaults()
 	st := newLeafState(p, &Leaf{Morton: 1})
+	faces := faceTable(p.SubgridSize)
+	out := make([]byte, p.Fields*p.SubgridSize*p.SubgridSize*8)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		st.extractBoundary(p, i%6)
+		st.extractBoundary(faces[i%6], out)
+	}
+}
+
+func BenchmarkApplyBoundary(b *testing.B) {
+	p := Params{SubgridSize: 8, Fields: 4}
+	p.fillDefaults()
+	faces := faceTable(p.SubgridSize)
+	src := newLeafState(p, &Leaf{Morton: 2})
+	src.computeMoments(momentWeights(p.SubgridSize))
+	src.prepareReplies(&faces)
+	st := newLeafState(p, &Leaf{Morton: 1})
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		f := i % 6
+		if err := st.applyBoundary(p, &faces, f, src.replies[f^1][:]); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkComputeMoments(b *testing.B) {
+	p := Params{SubgridSize: 8, Fields: 4}
+	p.fillDefaults()
+	st := newLeafState(p, &Leaf{Morton: 1})
+	weights := momentWeights(p.SubgridSize)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		st.computeMoments(weights)
 	}
 }

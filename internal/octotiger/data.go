@@ -7,7 +7,8 @@ import (
 )
 
 // momentCount is the number of multipole coefficients exchanged per leaf
-// (order-3 expansion, as in Octo-Tiger's FMM).
+// (order-3 expansion, as in Octo-Tiger's FMM). computeMoments takes them
+// four at a time.
 const momentCount = 20
 
 // leafState is the simulation state of one leaf, resident on its owner
@@ -18,6 +19,13 @@ type leafState struct {
 	fields    [][]float64 // committed hydro fields, each SubgridSize^3
 	potential []float64   // kernel scratch, SubgridSize^3
 	moments   [momentCount]float64
+
+	// The ot_boundary reply, built by prepareReplies in Phase A and only
+	// read in Phase B (DESIGN.md §16): replies[f] is the two blobs a pull
+	// of face f returns, its face payload and momentBytes, the encoded
+	// moments. Empty until the leaf's first Phase A; reused across steps.
+	momentBytes [momentCount * 8]byte
+	replies     [6][2][]byte
 }
 
 // newLeafState deterministically initializes a leaf's subgrid from its
@@ -65,22 +73,33 @@ func momentWeights(s int) []float64 {
 
 // computeMoments builds the multipole coefficients from field 0: a cheap
 // polynomial reduction standing in for the real multipole expansion, one dot
-// product per coefficient against its row of momentWeights.
+// product per coefficient against its row of momentWeights. Four
+// coefficients share each pass over the cells: every coefficient still sums
+// its products in cell order, so the result is bit-identical to one dot
+// product at a time, but the four independent sums keep the FPU busy where
+// one would wait out each add's latency.
 func (st *leafState) computeMoments(weights []float64) {
 	f0 := st.fields[0]
 	n := len(f0)
-	for m := range st.moments {
-		row := weights[m*n : (m+1)*n]
-		var acc float64
+	for m := 0; m < momentCount; m += 4 {
+		r0 := weights[m*n:][:n]
+		r1 := weights[(m+1)*n:][:n]
+		r2 := weights[(m+2)*n:][:n]
+		r3 := weights[(m+3)*n:][:n]
+		var a0, a1, a2, a3 float64
 		for i, v := range f0 {
-			acc += v * row[i]
+			a0 += v * r0[i]
+			a1 += v * r1[i]
+			a2 += v * r2[i]
+			a3 += v * r3[i]
 		}
-		st.moments[m] = acc
+		st.moments[m], st.moments[m+1], st.moments[m+2], st.moments[m+3] = a0, a1, a2, a3
 	}
 }
 
 // faceIndices iterates the subgrid indices of face f (0..5 = -X,+X,-Y,+Y,
 // -Z,+Z) in a fixed deterministic order, calling fn with each linear index.
+// Only faceTable calls it; the kernels loop over the table.
 func faceIndices(s int, f int, fn func(idx int)) {
 	fixed := 0
 	if f&1 == 1 {
@@ -108,27 +127,51 @@ func faceIndices(s int, f int, fn func(idx int)) {
 	}
 }
 
-// extractBoundary serializes the committed values of face f across all
-// fields: the hydro boundary payload (Fields × SubgridSize² float64s).
-func (st *leafState) extractBoundary(p Params, f int) []byte {
-	s := p.SubgridSize
-	out := make([]byte, 0, p.Fields*s*s*8)
-	for k := 0; k < p.Fields; k++ {
-		faceIndices(s, f, func(idx int) {
-			out = binary.LittleEndian.AppendUint64(out, math.Float64bits(st.fields[k][idx]))
-		})
+// faceTable lists the subgrid indices of each face of an s³ subgrid in
+// faceIndices order. Like momentWeights it depends only on the subgrid size,
+// so an App builds it once and the face kernels run plain loops over it.
+func faceTable(s int) (tab [6][]int32) {
+	for f := range tab {
+		idx := make([]int32, 0, s*s)
+		faceIndices(s, f, func(i int) { idx = append(idx, int32(i)) })
+		tab[f] = idx
 	}
-	return out
+	return tab
 }
 
-// encodeMoments serializes the multipole coefficients (the small message of
-// each exchange).
-func (st *leafState) encodeMoments() []byte {
-	out := make([]byte, 0, momentCount*8)
-	for _, m := range st.moments {
-		out = binary.LittleEndian.AppendUint64(out, math.Float64bits(m))
+// extractBoundary writes the committed values of one face (its index list)
+// across all fields into out: the hydro boundary payload, Fields × SubgridSize²
+// little-endian float64s. out must hold exactly that many bytes.
+func (st *leafState) extractBoundary(face []int32, out []byte) {
+	j := 0
+	for _, fk := range st.fields {
+		for _, idx := range face {
+			binary.LittleEndian.PutUint64(out[j:], math.Float64bits(fk[idx]))
+			j += 8
+		}
 	}
-	return out
+}
+
+// prepareReplies is the second half of Phase A: it encodes the leaf's fresh
+// moments and extracts its six face payloads into the leaf's own buffers, so
+// every ot_boundary pull of the step returns replies[face] without copying or
+// allocating. The buffers are allocated at the leaf's first Phase A (a leaf
+// created by Regrid included) and rewritten in place afterwards, which is
+// safe because no pull is outstanding when Phase A starts.
+func (st *leafState) prepareReplies(faces *[6][]int32) {
+	if st.replies[0][0] == nil {
+		n := len(st.fields) * len(faces[0]) * 8
+		buf := make([]byte, 6*n)
+		for f := range st.replies {
+			st.replies[f] = [2][]byte{buf[f*n : (f+1)*n : (f+1)*n], st.momentBytes[:]}
+		}
+	}
+	for m, v := range st.moments {
+		binary.LittleEndian.PutUint64(st.momentBytes[m*8:], math.Float64bits(v))
+	}
+	for f := range st.replies {
+		st.extractBoundary(faces[f], st.replies[f][0])
+	}
 }
 
 // f64At reads the i-th little-endian float64 of a packed payload.
@@ -139,9 +182,9 @@ func f64At(b []byte, i int) float64 {
 // applyBoundary accumulates one neighbour's ot_boundary reply — its face
 // payload and its moments, read in place — into the potential: the
 // FMM-flavoured interaction kernel. face is this leaf's face index toward the
-// neighbour. A reply of the wrong shape is rejected before anything is
-// applied.
-func (st *leafState) applyBoundary(p Params, face int, reply [][]byte) error {
+// neighbour and faces is the App's face table. A reply of the wrong shape is
+// rejected before anything is applied.
+func (st *leafState) applyBoundary(p Params, faces *[6][]int32, face int, reply [][]byte) error {
 	s := p.SubgridSize
 	if len(reply) != 2 {
 		return fmt.Errorf("boundary reply has %d blobs, want 2", len(reply))
@@ -154,12 +197,13 @@ func (st *leafState) applyBoundary(p Params, face int, reply [][]byte) error {
 		return fmt.Errorf("moments payload is %d bytes, want %d", len(moments), momentCount*8)
 	}
 	// Near-field: boundary values push on this leaf's touching face.
+	touch := faces[face^1] // our touching face is opposite
 	for k := 0; k < p.Fields; k++ {
 		j := k * s * s
-		faceIndices(s, face^1, func(idx int) { // our touching face is opposite
+		for _, idx := range touch {
 			st.potential[idx] += 0.1 * f64At(boundary, j) / float64(k+1)
 			j++
-		})
+		}
 	}
 	// Far-field: the neighbour's multipole moments contribute a smooth term.
 	var far float64

@@ -177,7 +177,8 @@ func TestBoundaryRoundTrip(t *testing.T) {
 	p.fillDefaults()
 	lf := &Leaf{Morton: 123}
 	st := newLeafState(p, lf)
-	payload := st.extractBoundary(p, 3)
+	payload := make([]byte, 8*p.Fields*p.SubgridSize*p.SubgridSize)
+	st.extractBoundary(faceTable(p.SubgridSize)[3], payload)
 	if len(payload) != 8*p.Fields*p.SubgridSize*p.SubgridSize {
 		t.Fatalf("boundary has %d bytes", len(payload))
 	}
@@ -265,6 +266,45 @@ func TestChecksumIndependentOfParcelportAndPartition(t *testing.T) {
 		got := runApp(t, tc.pp, tc.locs, 2).PotentialChecksum()
 		if math.Abs(got-ref) > 1e-6*math.Abs(ref) {
 			t.Fatalf("%s x%d: checksum %g, want %g", tc.pp, tc.locs, got, ref)
+		}
+	}
+}
+
+// TestPotentialChecksumGolden pins PotentialChecksum's bits after 30 steps
+// at the benchmark's parameters (octotiger_4n) and at runApp's: a change to
+// the kernel, the exchange or the step's phase order that moves one
+// floating-point operation fails here, on either parcelport.
+func TestPotentialChecksumGolden(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		locs int
+		p    Params
+		want uint64
+	}{
+		{"benchmark", 4, Params{MaxLevel: 3, MinLevel: 2, SubgridSize: 6, Fields: 4, Seed: 1, StopStep: 30}, 0x40cc70f9d5006aeb},
+		{"runApp", 2, Params{MaxLevel: 2, MinLevel: 2, SubgridSize: 4, Fields: 2, StopStep: 30}, 0x408fd8114e100503},
+	} {
+		for _, pp := range []string{"lci_i", "mpi_i"} {
+			t.Run(tc.name+"/"+pp, func(t *testing.T) {
+				rt, err := core.NewRuntime(core.Config{Localities: tc.locs, WorkersPerLocality: 2, Parcelport: pp})
+				if err != nil {
+					t.Fatal(err)
+				}
+				app, err := New(rt, tc.p)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := rt.Start(); err != nil {
+					t.Fatal(err)
+				}
+				defer rt.Shutdown()
+				if _, err := app.Run(); err != nil {
+					t.Fatal(err)
+				}
+				if got := math.Float64bits(app.PotentialChecksum()); got != tc.want {
+					t.Fatalf("checksum bits %#x after %d steps, want %#x", got, app.Steps(), tc.want)
+				}
+			})
 		}
 	}
 }
