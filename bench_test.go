@@ -184,8 +184,3 @@ func BenchmarkOctoRegrid(b *testing.B) {
 	}
 	b.ReportMetric(sps, "steps/s")
 }
-
-// TCP parcelport reference point (not part of the paper's figures).
-func BenchmarkTCPMessageRate8B(b *testing.B) {
-	msgRate(b, "tcp", 8, 100, 5000)
-}

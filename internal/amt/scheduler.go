@@ -44,8 +44,8 @@ type Config struct {
 	Workers int
 	// IdleSleep is how long a worker poll loop naps after a stretch of
 	// fruitless polling, bounding busy-wait burn on oversubscribed hosts.
-	// Only worker poll loops nap (LCI mt mode, MPI, tcp); a dedicated
-	// thread never does. Default 20µs.
+	// Only worker poll loops nap (LCI mt mode, MPI); a dedicated thread
+	// never does. Default 20µs.
 	IdleSleep time.Duration
 	// MaxIdleRunners bounds the parked task-runner cache across all shards
 	// plus the overflow. Default DefaultMaxIdleRunners.

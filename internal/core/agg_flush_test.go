@@ -21,7 +21,6 @@ func TestAggBlockingPathWaitsForNoTimer(t *testing.T) {
 		{"lci_agg", "lci"},
 		{"lci_psr_cq_mt_i", "lci_psr_cq_mt_i"},
 		{"mpi_i_agg", "mpi_i"},
-		{"tcp_agg", "tcp"},
 	} {
 		for _, idle := range []time.Duration{0, 10 * time.Millisecond} {
 			tc, idle := tc, idle

@@ -14,8 +14,9 @@ import (
 )
 
 // TestNewRuntimeRejectsBadConfig: negative knobs are configuration errors,
-// not requests for the default. Zero still selects the default and a
-// negative InlineBudget still means "lane off".
+// not requests for the default, and so is a transport that no longer exists.
+// Zero still selects the default and a negative InlineBudget still means
+// "lane off".
 func TestNewRuntimeRejectsBadConfig(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
@@ -31,6 +32,7 @@ func TestNewRuntimeRejectsBadConfig(t *testing.T) {
 		{"LCIDevices", func(c *Config) { c.LCIDevices = -1 }, "LCIDevices"},
 		{"IdleSleep", func(c *Config) { c.IdleSleep = -time.Microsecond }, "IdleSleep"},
 		{"DeliveryTimeout", func(c *Config) { c.DeliveryTimeout = -time.Second }, "DeliveryTimeout"},
+		{"removed transport", func(c *Config) { c.Parcelport = "tcp" }, `transport "tcp"`},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := Config{Parcelport: "lci_i", Aggregation: true, Fabric: fabric.Config{LatencyNs: 500, GbitsPerSec: 100, Rails: 2}}

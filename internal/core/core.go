@@ -28,7 +28,6 @@ import (
 	"hpxgo/internal/parcelport"
 	"hpxgo/internal/parcelport/lcipp"
 	"hpxgo/internal/parcelport/mpipp"
-	"hpxgo/internal/parcelport/tcppp"
 	"hpxgo/internal/serialization"
 	"hpxgo/internal/trace"
 	"hpxgo/internal/wire"
@@ -82,8 +81,8 @@ type Config struct {
 	// LCIDevices replicates the LCI device (and its fabric context) per
 	// locality — the §7.2 future-work configuration. Default 1.
 	LCIDevices int
-	// IdleSleep tunes the nap of worker poll loops (lci mt mode, MPI, and
-	// tcp when it polls); see amt.Config. In lci pin mode nothing naps.
+	// IdleSleep tunes the nap of worker poll loops (lci mt mode and MPI);
+	// see amt.Config. In lci pin mode nothing naps.
 	IdleSleep time.Duration
 	// DeliveryTimeout bounds how long a Call future may wait for its remote
 	// result before failing with ErrPeerUnreachable. Zero disables the
@@ -158,7 +157,6 @@ type Runtime struct {
 	net    *fabric.Network
 	locs   []*Locality
 	world  *mpisim.World // MPI transport only
-	tcpg   *tcppp.Group  // TCP transport only
 	tracer *trace.Tracer
 	// wd watches the localities' dedicated progress threads (lci pin mode
 	// only; nil otherwise): one ticker for the whole runtime.
@@ -233,15 +231,8 @@ func NewRuntime(cfg Config) (*Runtime, error) {
 	// The tree-collective relay and data-plane actions (collectives.go).
 	rt.registerCollectiveActions()
 
-	switch ppCfg.Transport {
-	case parcelport.TransportMPI:
+	if ppCfg.Transport == parcelport.TransportMPI {
 		rt.world = mpisim.NewWorld(net, mpisim.Config{})
-	case parcelport.TransportTCP:
-		g, err := tcppp.NewGroup(cfg.Localities, tcppp.Config{})
-		if err != nil {
-			return nil, err
-		}
-		rt.tcpg = g
 	}
 	rt.locs = make([]*Locality, cfg.Localities)
 	for i := range rt.locs {
@@ -287,8 +278,6 @@ func (rt *Runtime) buildLocality(i int) (*Locality, error) {
 		}
 		loc.pp = lpp
 		loc.lciDevs = devs
-	case parcelport.TransportTCP:
-		loc.pp = rt.tcpg.Parcelport(i)
 	}
 	if rt.ppCfg.Aggregate {
 		agg := parcelport.NewAggregator(loc.pp, rt.cfg.Localities, parcelport.AggConfig{
@@ -327,20 +316,13 @@ func (rt *Runtime) buildLocality(i int) (*Locality, error) {
 		}
 	}
 	drainLane := "amt-worker"
-	if rt.ppCfg.Transport == parcelport.TransportTCP {
-		drainLane = "tcp-read" // tcppp delivers on its connection readers
-	}
-	switch {
-	case lpp != nil && rt.ppCfg.Progress == parcelport.PinnedProgress:
+	if lpp != nil && rt.ppCfg.Progress == parcelport.PinnedProgress {
 		// The dedicated progress thread runs the whole pass after each
 		// progress call and is the locality's only poller: with no
 		// background pass installed the scheduler starts no poll loops.
 		lpp.SetProgressHook(func() { pass(0) })
 		drainLane = "progress"
-	case rt.ppCfg.Transport == parcelport.TransportTCP && loc.agg == nil && !reap:
-		// The kernel and tcppp's connection goroutines make all progress;
-		// there is nothing to poll.
-	default:
+	} else {
 		loc.sched.SetBackground(pass)
 	}
 	loc.inlineLabels = pprof.WithLabels(context.Background(), pprof.Labels("lane", "inline-deliver", "sched", name))
@@ -786,11 +768,7 @@ func (l *Locality) directAction(id uint32) bool {
 }
 
 // peerDown reports whether the fabric has declared the path to dst dead.
-// Always false on the TCP transport (it does not ride the simulated fabric).
 func (l *Locality) peerDown(dst int) bool {
-	if l.rt.ppCfg.Transport == parcelport.TransportTCP {
-		return false
-	}
 	return l.rt.net.PeerHealth(l.id, dst) == fabric.HealthDown
 }
 

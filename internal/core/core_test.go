@@ -21,7 +21,7 @@ func allConfigs() []string {
 	for _, c := range parcelport.Table1() {
 		names = append(names, c.String())
 	}
-	return append(names, "mpi_orig", "mpi_orig_i", "tcp", "tcp_i")
+	return append(names, "mpi_orig", "mpi_orig_i")
 }
 
 // newRuntime builds a started runtime with an echo action registered.
@@ -370,7 +370,6 @@ func TestStatsTextCoversTransports(t *testing.T) {
 	}{
 		{pp: "lci", needles: []string{"lci parcelport", "lci device 0:", "fabric device 0:"}},
 		{pp: "mpi_i", needles: []string{"mpi library", "fabric device 0:"}},
-		{pp: "tcp", needles: []string{"tcp parcelport"}},
 		{pp: "lci", agg: true, needles: []string{"direct), flushes 1 quiet / 0 size / 0 age / 0 cap / 0 order / 0 stop"}},
 		// Every replicated device gets its own lci and fabric line.
 		{pp: "lci", devices: 2, needles: []string{"lci device 0:", "lci device 1:", "fabric device 0:", "fabric device 1:"}},

@@ -4,10 +4,8 @@ import (
 	"fmt"
 	"strings"
 
-	"hpxgo/internal/parcelport"
 	"hpxgo/internal/parcelport/lcipp"
 	"hpxgo/internal/parcelport/mpipp"
-	"hpxgo/internal/parcelport/tcppp"
 	"hpxgo/internal/wire"
 )
 
@@ -69,46 +67,40 @@ func (rt *Runtime) StatsText() string {
 				fmt.Fprintf(&b, "  lci device %d: %d medium / %d puts / %d long sent, %d progress calls, %d unexpected\n",
 					d, ds.MediumSent, ds.PutsSent, ds.LongSent, ds.ProgressCalls, ds.Unexpected)
 			}
-		case *tcppp.Parcelport:
-			ps := pp.Stats()
-			fmt.Fprintf(&b, "  tcp parcelport: %d msgs / %d bytes sent, %d msgs / %d bytes recvd\n",
-				ps.MessagesSent, ps.BytesSent, ps.MessagesRecvd, ps.BytesRecvd)
 		}
-		if rt.ppCfg.Transport != parcelport.TransportTCP {
-			ncfg := rt.net.Config()
+		ncfg := rt.net.Config()
+		for d := 0; d < ncfg.DevicesPerNode; d++ {
+			fs := rt.net.DeviceN(i, d).Stats()
+			fmt.Fprintf(&b, "  fabric device %d: injected %d pkts / %d B, delivered %d pkts / %d B, backpressured %d\n",
+				d, fs.InjectedPackets, fs.InjectedBytes, fs.DeliveredPackets, fs.DeliveredBytes, fs.Backpressured)
+			if ncfg.Reliability {
+				fmt.Fprintf(&b, "  fabric device %d reliability: %d retransmits, %d acks sent, dropped %d corrupt / %d dup / %d to-down-links, %d links downed\n",
+					d, fs.Retransmits, fs.AcksSent, fs.CorruptDropped, fs.DupDropped, fs.DownDropped, fs.LinksDowned)
+				if ncfg.Faults.Active() {
+					fmt.Fprintf(&b, "  fabric device %d faults: %d dropped, %d duplicated, %d corrupted, %d latency spikes\n",
+						d, fs.FaultDropped, fs.FaultDuplicated, fs.FaultCorrupted, fs.LatencySpikes)
+				}
+			}
+		}
+		// Which peer is unhealthy, slow to ack, or falling behind on its
+		// polling, over all of this node's devices like PeerHealth: worst
+		// rtt, summed depth. Health and rtt_ns stay healthy/0 without
+		// reliability.
+		peers := make([]string, 0, rt.Localities()-1)
+		for j := 0; j < rt.Localities(); j++ {
+			if j == i {
+				continue
+			}
+			var rtt int64
+			depth := 0
 			for d := 0; d < ncfg.DevicesPerNode; d++ {
-				fs := rt.net.DeviceN(i, d).Stats()
-				fmt.Fprintf(&b, "  fabric device %d: injected %d pkts / %d B, delivered %d pkts / %d B, backpressured %d\n",
-					d, fs.InjectedPackets, fs.InjectedBytes, fs.DeliveredPackets, fs.DeliveredBytes, fs.Backpressured)
-				if ncfg.Reliability {
-					fmt.Fprintf(&b, "  fabric device %d reliability: %d retransmits, %d acks sent, dropped %d corrupt / %d dup / %d to-down-links, %d links downed\n",
-						d, fs.Retransmits, fs.AcksSent, fs.CorruptDropped, fs.DupDropped, fs.DownDropped, fs.LinksDowned)
-					if ncfg.Faults.Active() {
-						fmt.Fprintf(&b, "  fabric device %d faults: %d dropped, %d duplicated, %d corrupted, %d latency spikes\n",
-							d, fs.FaultDropped, fs.FaultDuplicated, fs.FaultCorrupted, fs.LatencySpikes)
-					}
-				}
+				dev := rt.net.DeviceN(i, d)
+				rtt = max(rtt, dev.LinkRTTNs(j))
+				depth += dev.EgressQueueDepth(j)
 			}
-			// Which peer is unhealthy, slow to ack, or falling behind on its
-			// polling, over all of this node's devices like PeerHealth: worst
-			// rtt, summed depth. Health and rtt_ns stay healthy/0 without
-			// reliability.
-			peers := make([]string, 0, rt.Localities()-1)
-			for j := 0; j < rt.Localities(); j++ {
-				if j == i {
-					continue
-				}
-				var rtt int64
-				depth := 0
-				for d := 0; d < ncfg.DevicesPerNode; d++ {
-					dev := rt.net.DeviceN(i, d)
-					rtt = max(rtt, dev.LinkRTTNs(j))
-					depth += dev.EgressQueueDepth(j)
-				}
-				peers = append(peers, fmt.Sprintf("%d:%s/%d/%d", j, rt.net.PeerHealth(i, j), rtt, depth))
-			}
-			fmt.Fprintf(&b, "  peers (health/rtt_ns/egress_depth): %s\n", strings.Join(peers, " "))
+			peers = append(peers, fmt.Sprintf("%d:%s/%d/%d", j, rt.net.PeerHealth(i, j), rtt, depth))
 		}
+		fmt.Fprintf(&b, "  peers (health/rtt_ns/egress_depth): %s\n", strings.Join(peers, " "))
 	}
 	return b.String()
 }

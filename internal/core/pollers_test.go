@@ -115,7 +115,7 @@ func TestWatchdogTakesOverStalledPass(t *testing.T) {
 // watchdog or parked task runner of any transport is left running — the
 // goroutine count returns to what it was before NewRuntime.
 func TestShutdownJoinsPollers(t *testing.T) {
-	for _, pp := range []string{"lci_i", "lci_psr_cq_mt_i", "mpi_i", "tcp_i"} {
+	for _, pp := range []string{"lci_i", "lci_psr_cq_mt_i", "mpi_i"} {
 		t.Run(pp, func(t *testing.T) {
 			before := runtime.NumGoroutine()
 			rt, err := NewRuntime(Config{Localities: 2, WorkersPerLocality: 2, Parcelport: pp})

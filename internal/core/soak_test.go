@@ -18,7 +18,7 @@ func TestSoakMixedTraffic(t *testing.T) {
 	if testing.Short() {
 		t.Skip("soak in -short mode")
 	}
-	for _, pp := range []string{"lci", "mpi_i", "tcp"} {
+	for _, pp := range []string{"lci", "mpi_i"} {
 		pp := pp
 		t.Run(pp, func(t *testing.T) {
 			rt, err := NewRuntime(Config{

@@ -65,7 +65,8 @@ func TestDefaultModeSendsAndCompletes(t *testing.T) {
 	if cs.count() != 1 {
 		t.Fatalf("sent %d messages, want 1", cs.count())
 	}
-	ps, err := serialization.Decode(cs.msgs[0])
+	var buf serialization.DecodeBuf
+	ps, err := serialization.DecodeInto(&buf, cs.msgs[0])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +98,8 @@ func TestAggregationWhenConnectionBusy(t *testing.T) {
 	if cs.count() != 1 {
 		t.Fatalf("drain after completion sent %d messages, want 1", cs.count())
 	}
-	ps, err := serialization.Decode(cs.msgs[0])
+	var buf serialization.DecodeBuf
+	ps, err := serialization.DecodeInto(&buf, cs.msgs[0])
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -473,7 +473,8 @@ func TestAggregatorSendParcelDirectEncode(t *testing.T) {
 		t.Fatalf("flush produced %d transfers (bundle=%v), want 1 bundle",
 			len(sends), len(sends) == 1 && wire.IsBundle(sends[0].m.NonZeroCopy))
 	}
-	delivered, err := serialization.Decode(sends[0].m)
+	var buf serialization.DecodeBuf
+	delivered, err := serialization.DecodeInto(&buf, sends[0].m)
 	if err != nil || len(delivered) != 3 {
 		t.Fatalf("decoded %d parcels, err %v; want 3", len(delivered), err)
 	}

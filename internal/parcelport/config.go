@@ -13,10 +13,6 @@ const (
 	TransportMPI Transport = iota
 	// TransportLCI uses the LCI-like library (internal/lci).
 	TransportLCI
-	// TransportTCP uses real loopback TCP (internal/parcelport/tcppp), the
-	// other backend HPX shipped before this project. Not part of the
-	// paper's evaluation.
-	TransportTCP
 )
 
 // Protocol selects how the LCI parcelport transfers header messages (§3.2.2).
@@ -41,6 +37,7 @@ const (
 	// list, polled round-robin like the MPI parcelport's connection list.
 	// Header puts still complete through the pre-configured CQ (an LCI
 	// implementation limitation noted in the paper).
+	// Needed by Figs 2/3/5/6/7–9 (bench.lciImmediateVariants, Table1).
 	Synchronizer
 )
 
@@ -53,6 +50,7 @@ const (
 	PinnedProgress ProgressMode = iota
 	// WorkerProgress ("mt") has idle worker threads call the (thread-safe)
 	// progress function from background work.
+	// Needed by Figs 2/3/5/6/7–9 (bench.lciImmediateVariants, Table1).
 	WorkerProgress
 )
 
@@ -63,11 +61,13 @@ type Config struct {
 	Completion Completion   // LCI only
 	Progress   ProgressMode // LCI only
 	// Immediate enables the send-immediate optimization ("_i"): the upper
-	// layer bypasses the connection cache and parcel queue.
+	// layer bypasses the connection cache and parcel queue. The
+	// non-immediate forms are needed by Figs 1/4 (lci_psr_cq_pin, mpi).
 	Immediate bool
 	// Original selects the pre-improvement MPI parcelport of §3.1: fixed
 	// 512-byte header buffers that can only piggyback the non-zero-copy
 	// chunk, and a lock-protected tag provider with tag-release messages.
+	// Needed by ablation-mpi and its mpi-ablation claim.
 	Original bool
 	// Aggregate enables the sender-side aggregation layer (rendered as a
 	// trailing "_agg"; set from core.Config.Aggregation, not parsed): small
@@ -91,8 +91,6 @@ func (c Config) String() string {
 		if c.Original {
 			parts = append(parts, "orig")
 		}
-	case TransportTCP:
-		parts = append(parts, "tcp")
 	default:
 		parts = append(parts, "lci")
 		if c.Protocol == SendRecv {
@@ -120,63 +118,43 @@ func (c Config) String() string {
 	return strings.Join(parts, "_")
 }
 
-// ParseConfig parses a Table 1 abbreviation. Accepted forms:
+// ParseConfig parses a Table 1 abbreviation. Accepted forms, each option at
+// most once and in this order:
 //
 //	mpi[_orig][_i]
-//	tcp[_i]
 //	lci[_i]                   (aliases for the baseline lci_psr_cq_pin_i)
 //	lci_{sr|psr}_{cq|sy}_{pin|rp|mt}[_i]
 //
+// so every name but the aliases (and "rp" for "pin") is what String renders.
 // Aggregation is not part of the name: core.Config.Aggregation sets
 // Aggregate, and String renders it as a trailing "_agg".
 func ParseConfig(name string) (Config, error) {
 	parts := strings.Split(strings.ToLower(strings.TrimSpace(name)), "_")
-	if len(parts) == 0 || parts[0] == "" {
+	if parts[0] == "" {
 		return Config{}, fmt.Errorf("parcelport: empty configuration name")
 	}
 	var c Config
-	switch parts[0] {
-	case "tcp":
-		c.Transport = TransportTCP
-		for _, p := range parts[1:] {
-			switch p {
-			case "i":
-				c.Immediate = true
-			default:
-				return Config{}, fmt.Errorf("parcelport: unknown tcp option %q in %q", p, name)
-			}
+	rest := parts[1:]
+	// take consumes the next option if it is opt.
+	take := func(opt string) bool {
+		if len(rest) > 0 && rest[0] == opt {
+			rest = rest[1:]
+			return true
 		}
-		return c, nil
+		return false
+	}
+	switch parts[0] {
 	case "mpi":
 		c.Transport = TransportMPI
-		rest := parts[1:]
-		for _, p := range rest {
-			switch p {
-			case "i":
-				c.Immediate = true
-			case "orig":
-				c.Original = true
-			default:
-				return Config{}, fmt.Errorf("parcelport: unknown mpi option %q in %q", p, name)
-			}
-		}
-		return c, nil
+		c.Original = take("orig")
 	case "lci":
-		c.Transport = TransportLCI
-		rest := parts[1:]
-		if len(rest) == 0 {
-			return DefaultLCI(), nil
-		}
-		if rest[0] == "i" {
-			// Shorthand on the baseline alias: lci_i.
-			if len(rest) > 1 {
-				return Config{}, fmt.Errorf("parcelport: unknown lci option %q in %q", rest[1], name)
-			}
+		if len(rest) == 0 || len(rest) == 1 && rest[0] == "i" {
 			return DefaultLCI(), nil
 		}
 		if len(rest) < 3 {
 			return Config{}, fmt.Errorf("parcelport: lci configuration %q needs protocol, completion and progress", name)
 		}
+		c.Transport = TransportLCI
 		switch rest[0] {
 		case "sr":
 			c.Protocol = SendRecv
@@ -201,18 +179,15 @@ func ParseConfig(name string) (Config, error) {
 		default:
 			return Config{}, fmt.Errorf("parcelport: unknown progress mode %q in %q", rest[2], name)
 		}
-		for _, p := range rest[3:] {
-			switch p {
-			case "i":
-				c.Immediate = true
-			default:
-				return Config{}, fmt.Errorf("parcelport: unknown lci option %q in %q", p, name)
-			}
-		}
-		return c, nil
+		rest = rest[3:]
 	default:
 		return Config{}, fmt.Errorf("parcelport: unknown transport %q in %q", parts[0], name)
 	}
+	c.Immediate = take("i")
+	if len(rest) > 0 {
+		return Config{}, fmt.Errorf("parcelport: unknown, repeated or misplaced %s option %q in %q", parts[0], rest[0], name)
+	}
+	return c, nil
 }
 
 // Table1 returns every configuration the paper's figures evaluate, in the

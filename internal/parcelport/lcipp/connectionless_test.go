@@ -204,7 +204,8 @@ func TestConnectionlessExactlyOnceUnderBackpressure(t *testing.T) {
 			defer r.mu.Unlock()
 			seen := make([]int, n)
 			for _, m := range r.received[1] {
-				ps, err := serialization.Decode(m)
+				var buf serialization.DecodeBuf
+				ps, err := serialization.DecodeInto(&buf, m)
 				if err != nil {
 					t.Fatal(err)
 				}

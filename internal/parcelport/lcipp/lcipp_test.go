@@ -91,7 +91,8 @@ func msgWith(t *testing.T, argSizes ...int) (*serialization.Message, *serializat
 
 func checkRoundTrip(t *testing.T, m *serialization.Message, want *serialization.Parcel) {
 	t.Helper()
-	ps, err := serialization.Decode(m)
+	var buf serialization.DecodeBuf
+	ps, err := serialization.DecodeInto(&buf, m)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +143,8 @@ func TestAllVariantsRoundTrip(t *testing.T) {
 			})
 			// LCI does not guarantee ordering across messages: match by shape.
 			for _, m := range r.received[1] {
-				ps, err := serialization.Decode(m)
+				var buf serialization.DecodeBuf
+				ps, err := serialization.DecodeInto(&buf, m)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -199,7 +201,8 @@ func TestRetryUnderBackpressure(t *testing.T) {
 	// Account for every parcel (order not guaranteed).
 	seen := make([]bool, n)
 	for _, m := range r.received[1] {
-		ps, err := serialization.Decode(m)
+		var buf serialization.DecodeBuf
+		ps, err := serialization.DecodeInto(&buf, m)
 		if err != nil {
 			t.Fatal(err)
 		}

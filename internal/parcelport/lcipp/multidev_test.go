@@ -74,7 +74,8 @@ func TestMultiDeviceRoundTripAllVariants(t *testing.T) {
 			// across devices).
 			seen := make([]bool, n)
 			for _, m := range r.received[1] {
-				ps, err := serialization.Decode(m)
+				var buf serialization.DecodeBuf
+				ps, err := serialization.DecodeInto(&buf, m)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -196,7 +197,8 @@ func TestMultiDeviceHeterogeneousEagerCap(t *testing.T) {
 	})
 	seen := make([]bool, n)
 	for _, m := range r.received[1] {
-		ps, err := serialization.Decode(m)
+		var buf serialization.DecodeBuf
+		ps, err := serialization.DecodeInto(&buf, m)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -88,7 +88,8 @@ func msgWith(t *testing.T, argSizes ...int) (*serialization.Message, *serializat
 // checkRoundTrip decodes the received message and compares to the parcel.
 func checkRoundTrip(t *testing.T, m *serialization.Message, want *serialization.Parcel) {
 	t.Helper()
-	ps, err := serialization.Decode(m)
+	var buf serialization.DecodeBuf
+	ps, err := serialization.DecodeInto(&buf, m)
 	if err != nil {
 		t.Fatal(err)
 	}

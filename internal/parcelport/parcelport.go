@@ -1,11 +1,11 @@
 // Package parcelport defines the HPX parcelport abstraction: the layer that
 // transfers serialized HPX messages between localities. It hosts what the
-// three concrete parcelports (internal/parcelport/mpipp,
-// internal/parcelport/lcipp and internal/parcelport/tcppp) share — the
-// interface, the Table 1 configuration grammar, the header-message codec
-// with piggybacking and the sender's follow-up order (AppendFollowUps), the
-// shared receiver that validates a header and reassembles its message
-// (Recv), and the atomic tag allocator described in §3 of the paper.
+// two concrete parcelports (internal/parcelport/mpipp and
+// internal/parcelport/lcipp) share — the interface, the Table 1
+// configuration grammar, the header-message codec with piggybacking and the
+// sender's follow-up order (AppendFollowUps), the shared receiver that
+// validates a header and reassembles its message (Recv), and the atomic tag
+// allocator described in §3 of the paper.
 package parcelport
 
 import (

@@ -10,7 +10,7 @@ import (
 
 func TestParseConfigRoundTrip(t *testing.T) {
 	names := []string{
-		"mpi", "mpi_i", "mpi_orig", "mpi_orig_i", "tcp", "tcp_i",
+		"mpi", "mpi_i", "mpi_orig", "mpi_orig_i",
 		"lci_psr_cq_pin", "lci_psr_cq_pin_i", "lci_psr_cq_mt_i",
 		"lci_psr_sy_pin_i", "lci_psr_sy_mt_i",
 		"lci_sr_cq_pin_i", "lci_sr_cq_mt_i",
@@ -63,11 +63,15 @@ func TestParseConfigAliases(t *testing.T) {
 
 func TestParseConfigErrors(t *testing.T) {
 	for _, bad := range []string{
-		"", "smoke", "mpi_x", "tcp_x", "lci_psr", "lci_xx_cq_pin", "lci_psr_xx_pin",
+		"", "smoke", "mpi_x", "lci_psr", "lci_xx_cq_pin", "lci_psr_xx_pin",
 		"lci_psr_cq_xx", "lci_psr_cq_pin_z", "lci_aggg", "lci_agg_x", "mpi_agg_x", "lci_i_x",
 		// Aggregation is core.Config.Aggregation, not a name suffix.
-		"lci_agg", "lci_i_agg", "mpi_agg", "mpi_i_agg", "mpi_orig_i_agg", "tcp_agg", "tcp_i_agg",
+		"lci_agg", "lci_i_agg", "mpi_agg", "mpi_i_agg", "mpi_orig_i_agg",
 		"lci_psr_cq_pin_agg", "lci_psr_cq_pin_i_agg", "lci_sr_sy_mt_i_agg",
+		// Only the names String renders: each option once, in order.
+		"mpi_i_i", "mpi_orig_orig", "mpi_i_orig", "lci_psr_cq_pin_i_i",
+		// The TCP transport is gone.
+		"tcp", "tcp_i", "tcp_x",
 	} {
 		if _, err := ParseConfig(bad); err == nil {
 			t.Fatalf("ParseConfig(%q) should fail", bad)

@@ -29,10 +29,11 @@ func BenchmarkEncodeZeroCopy16K(b *testing.B) {
 
 func BenchmarkDecodeSmall(b *testing.B) {
 	m := Encode(benchParcels(0), 0)
+	var buf DecodeBuf
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Decode(m); err != nil {
+		if _, err := DecodeInto(&buf, m); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -41,9 +42,10 @@ func BenchmarkDecodeSmall(b *testing.B) {
 func BenchmarkDecodeZeroCopy16K(b *testing.B) {
 	m := Encode(benchParcels(16*1024), 0)
 	b.SetBytes(16 * 1024)
+	var buf DecodeBuf
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Decode(m); err != nil {
+		if _, err := DecodeInto(&buf, m); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -113,11 +113,6 @@ func TestDecodeIntoBundle(t *testing.T) {
 			if buf.Frames() != wantFrames {
 				t.Fatalf("Frames() = %d, want %d", buf.Frames(), wantFrames)
 			}
-			// The detaching wrapper is the same decode.
-			ps, derr := Decode(m)
-			if (derr != nil) != tc.bad || len(ps) != tc.good {
-				t.Fatalf("Decode = %d parcels, err %v; want %d, error: %v", len(ps), derr, tc.good, tc.bad)
-			}
 		})
 	}
 }

@@ -115,39 +115,3 @@ func TestDecodeIntoErrorKeepsBufUsable(t *testing.T) {
 	}
 	checkDecoded(t, got, want)
 }
-
-// TestDecodeZeroArgParcels: the Decode wrapper preserves its historical
-// contract — zero-argument parcels come back with a non-nil empty Args.
-func TestDecodeZeroArgParcels(t *testing.T) {
-	m := Encode([]*Parcel{{Action: 7}, {Action: 8}}, 0)
-	ps, err := Decode(m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, p := range ps {
-		if p.Args == nil {
-			t.Fatalf("parcel %d: Args is nil, want non-nil empty", i)
-		}
-		if len(p.Args) != 0 {
-			t.Fatalf("parcel %d: len(Args) = %d, want 0", i, len(p.Args))
-		}
-	}
-}
-
-// TestDecodeDetachesFromSlab: parcels returned by the Decode wrapper must
-// survive a subsequent decode reusing internal storage (they did historically
-// own their slices).
-func TestDecodeDetachesFromSlab(t *testing.T) {
-	m, want := bundleOf(3, 2)
-	ps, err := Decode(m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Decode a different message; if ps aliased shared storage this would
-	// clobber it. Decode uses a fresh DecodeBuf per call, so instead check
-	// mutating one parcel's Args slice leaves the others untouched.
-	ps[0].Args[0] = []byte("clobbered")
-	if !bytes.Equal(ps[1].Args[0], want[1].Args[0]) {
-		t.Fatalf("parcel 1 arg changed after mutating parcel 0: %q", ps[1].Args[0])
-	}
-}

@@ -19,14 +19,17 @@ func FuzzDecode(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0x31, 0x58, 0x50, 0x48}) // magic only
 	f.Fuzz(func(t *testing.T, data []byte) {
-		m := &Message{NonZeroCopy: data}
-		ps, err := Decode(m)
+		var buf, buf2 DecodeBuf
+		ps, err := DecodeInto(&buf, &Message{NonZeroCopy: data})
 		if err != nil {
 			return
 		}
 		// Whatever decoded must re-encode and decode to the same parcels.
-		m2 := Encode(ps, 0)
-		ps2, err := Decode(m2)
+		reenc := make([]*Parcel, len(ps))
+		for i := range ps {
+			reenc[i] = &ps[i]
+		}
+		ps2, err := DecodeInto(&buf2, Encode(reenc, 0))
 		if err != nil {
 			t.Fatalf("re-decode failed: %v", err)
 		}
@@ -69,7 +72,7 @@ func FuzzDecodeBundle(f *testing.F) {
 		}
 		for i := range ps {
 			one := EncodeOne(&ps[i], inlineAll)
-			back, derr := Decode(one)
+			back, derr := decode(one)
 			if derr != nil || len(back) != 1 || back[0].Action != ps[i].Action ||
 				back[0].ContID != ps[i].ContID || len(back[0].Args) != len(ps[i].Args) {
 				t.Fatalf("parcel %d does not survive a round trip: %v", i, derr)

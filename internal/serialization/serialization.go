@@ -97,15 +97,6 @@ func (m *Message) Recycle() {
 	}
 }
 
-// TotalBytes returns the message payload size across all chunks.
-func (m *Message) TotalBytes() int {
-	n := len(m.NonZeroCopy) + len(m.Transmission)
-	for _, zc := range m.ZeroCopy {
-		n += len(zc)
-	}
-	return n
-}
-
 // Aliases reports whether b's backing array lies inside one of the chunks
 // decoded arguments point into (NonZeroCopy, ZeroCopy). The receiver uses it
 // to tell a result that echoes an argument — which dies with the message's
@@ -255,7 +246,7 @@ func (m *Message) buildTransmission() {
 	m.Transmission = tc.bytes
 }
 
-// Errors returned by Decode.
+// Errors returned by DecodeInto.
 var (
 	ErrBadMagic  = errors.New("serialization: bad message magic")
 	ErrTruncated = errors.New("serialization: truncated message")
@@ -280,8 +271,8 @@ func (b *DecodeBuf) Frames() int { return b.frames }
 // DecodeInto reconstructs the parcels of a received transfer into buf's
 // reused storage: a plain HPX message, or an aggregation bundle ("HPXB",
 // package wire) whose frames are each one HPX message — every frame decodes
-// into the same slab, so the caller sees one parcel list per transfer. It is
-// Decode without the per-call allocations: the returned slice and every
+// into the same slab, so the caller sees one parcel list per transfer. It
+// allocates nothing once buf is warm: the returned slice and every
 // Parcel.Args window alias buf and stay valid only until the next DecodeInto
 // on the same buf. Argument bytes alias m's chunks (inline args point into
 // m.NonZeroCopy, zero-copy args into m.ZeroCopy), so the message buffers
@@ -428,27 +419,6 @@ func (b *DecodeBuf) appendMessage(nzc, trans []byte, zc [][]byte) error {
 		b.spans = append(b.spans, len(b.args))
 	}
 	return nil
-}
-
-// Decode reconstructs the parcels of a message or aggregation bundle (see
-// DecodeInto, whose partial-bundle contract it shares). Zero-copy arguments
-// alias m.ZeroCopy chunks. It validates chunk counts and lengths against the
-// transmission chunk. Allocation-sensitive callers use DecodeInto instead.
-func Decode(m *Message) ([]*Parcel, error) {
-	var buf DecodeBuf
-	ps, err := DecodeInto(&buf, m)
-	if ps == nil {
-		return nil, err
-	}
-	// Detach the parcels from buf's shared storage so they have independent
-	// lifetimes, the historical Decode contract.
-	out := make([]*Parcel, len(ps))
-	for i := range ps {
-		p := ps[i]
-		p.Args = append(make([][]byte, 0, len(p.Args)), p.Args...)
-		out[i] = &p
-	}
-	return out, err
 }
 
 // MaxChunkSize bounds the length of any single chunk a transport accepts

@@ -9,17 +9,22 @@ import (
 	"testing/quick"
 )
 
+// decode is DecodeInto with a fresh buffer, for tests that decode once.
+func decode(m *Message) ([]Parcel, error) {
+	return DecodeInto(new(DecodeBuf), m)
+}
+
 func TestEncodeDecodeSmallArgs(t *testing.T) {
 	p := &Parcel{Source: 1, Dest: 2, Action: 77, ContID: 99, Args: [][]byte{[]byte("a"), []byte("bb")}}
 	m := Encode([]*Parcel{p}, 0)
 	if m.Transmission != nil || len(m.ZeroCopy) != 0 {
 		t.Fatal("small args must not produce zero-copy chunks")
 	}
-	got, err := Decode(m)
+	got, err := decode(m)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got) != 1 || !reflect.DeepEqual(got[0], p) {
+	if len(got) != 1 || !reflect.DeepEqual(&got[0], p) {
 		t.Fatalf("round trip mismatch: %+v", got[0])
 	}
 }
@@ -40,7 +45,7 @@ func TestEncodeDecodeZeroCopy(t *testing.T) {
 	if &m.ZeroCopy[0][0] != &big[0] {
 		t.Fatal("zero-copy chunk was copied")
 	}
-	got, err := Decode(m)
+	got, err := decode(m)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +79,7 @@ func TestMultipleParcelsAggregated(t *testing.T) {
 	if len(m.ZeroCopy) != 10 {
 		t.Fatalf("ZeroCopy = %d, want 10", len(m.ZeroCopy))
 	}
-	got, err := Decode(m)
+	got, err := decode(m)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +100,7 @@ func TestEmptyArgsAndNoArgs(t *testing.T) {
 		{Action: 3, Args: [][]byte{nil, {1}}}, // nil arg
 	}
 	m := Encode(ps, 0)
-	got, err := Decode(m)
+	got, err := decode(m)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +117,7 @@ func TestEmptyArgsAndNoArgs(t *testing.T) {
 
 func TestDecodeBadMagic(t *testing.T) {
 	m := &Message{NonZeroCopy: []byte{1, 2, 3, 4, 5, 6, 7, 8}}
-	if _, err := Decode(m); !errors.Is(err, ErrBadMagic) {
+	if _, err := decode(m); !errors.Is(err, ErrBadMagic) {
 		t.Fatalf("err = %v, want ErrBadMagic", err)
 	}
 }
@@ -122,7 +127,7 @@ func TestDecodeTruncated(t *testing.T) {
 	m := Encode([]*Parcel{p}, 0)
 	for cut := 1; cut < len(m.NonZeroCopy); cut += 3 {
 		trunc := &Message{NonZeroCopy: m.NonZeroCopy[:cut]}
-		if _, err := Decode(trunc); err == nil {
+		if _, err := decode(trunc); err == nil {
 			t.Fatalf("decode of %d/%d bytes succeeded", cut, len(m.NonZeroCopy))
 		}
 	}
@@ -134,17 +139,17 @@ func TestDecodeChunkMismatch(t *testing.T) {
 
 	// Wrong chunk length.
 	bad := &Message{NonZeroCopy: m.NonZeroCopy, Transmission: m.Transmission, ZeroCopy: [][]byte{big[:100]}}
-	if _, err := Decode(bad); !errors.Is(err, ErrChunk) {
+	if _, err := decode(bad); !errors.Is(err, ErrChunk) {
 		t.Fatalf("err = %v, want ErrChunk", err)
 	}
 	// Missing chunk entirely (decode path without transmission validation).
 	bad2 := &Message{NonZeroCopy: m.NonZeroCopy}
-	if _, err := Decode(bad2); err == nil {
+	if _, err := decode(bad2); err == nil {
 		t.Fatal("decode with missing zero-copy chunk succeeded")
 	}
 	// Chunk-count mismatch in transmission chunk.
 	bad3 := &Message{NonZeroCopy: m.NonZeroCopy, Transmission: m.Transmission, ZeroCopy: [][]byte{big, big}}
-	if _, err := Decode(bad3); !errors.Is(err, ErrChunk) {
+	if _, err := decode(bad3); !errors.Is(err, ErrChunk) {
 		t.Fatalf("err = %v, want ErrChunk", err)
 	}
 }
@@ -160,16 +165,7 @@ func TestMessageDoneOnce(t *testing.T) {
 	(&Message{}).Done() // nil-safe
 }
 
-func TestTotalBytes(t *testing.T) {
-	big := make([]byte, 10000)
-	m := Encode([]*Parcel{{Args: [][]byte{[]byte("abc"), big}}}, 0)
-	want := len(m.NonZeroCopy) + len(m.Transmission) + len(big)
-	if m.TotalBytes() != want {
-		t.Fatalf("TotalBytes = %d, want %d", m.TotalBytes(), want)
-	}
-}
-
-// TestRoundTripProperty exercises Encode/Decode over randomly generated
+// TestRoundTripProperty exercises Encode/DecodeInto over randomly generated
 // parcel batches, including arguments straddling the zero-copy threshold.
 func TestRoundTripProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
@@ -202,7 +198,7 @@ func TestRoundTripProperty(t *testing.T) {
 	}
 	for iter := 0; iter < 200; iter++ {
 		ps := gen()
-		got, err := Decode(Encode(ps, 0))
+		got, err := decode(Encode(ps, 0))
 		if err != nil {
 			t.Fatalf("iter %d: %v", iter, err)
 		}
@@ -233,7 +229,7 @@ func TestInlineArgQuick(t *testing.T) {
 			return true // only inline args in this property
 		}
 		p := &Parcel{Action: action, ContID: cont, Args: [][]byte{a, b}}
-		got, err := Decode(Encode([]*Parcel{p}, 0))
+		got, err := decode(Encode([]*Parcel{p}, 0))
 		if err != nil || len(got) != 1 {
 			return false
 		}
@@ -271,7 +267,7 @@ func TestAppendEncodeInline(t *testing.T) {
 		if !bytes.Equal(got[:len(prefix)], prefix) {
 			t.Fatalf("parcel %d: prefix clobbered", i)
 		}
-		decoded, err := Decode(&Message{NonZeroCopy: got[len(prefix):]})
+		decoded, err := decode(&Message{NonZeroCopy: got[len(prefix):]})
 		if err != nil || len(decoded) != 1 {
 			t.Fatalf("parcel %d: decode: %v (%d parcels)", i, err, len(decoded))
 		}

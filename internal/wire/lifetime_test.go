@@ -29,7 +29,7 @@ func TestMain(m *testing.M) {
 
 const lifetimeTimeout = 30 * time.Second
 
-var lifetimeTransports = []string{"lci", "mpi_i", "tcp"}
+var lifetimeTransports = []string{"lci", "mpi_i"}
 
 // pattern returns n bytes determined by seed, none of them a run a recycled
 // buffer could imitate.
