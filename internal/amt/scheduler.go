@@ -81,15 +81,13 @@ type Scheduler struct {
 
 	// Parked task-runner goroutines, recycled between tasks (LIFO so the
 	// hottest stack is reused first), sharded per worker so concurrent
-	// spawners and parkers do not serialize on one lock. Runners that find
-	// their home shard full spill into the overflow shard. See Spawn.
-	shards      []runnerShard
-	overflow    runnerShard
-	shardCap    int          // parked runners allowed per shard
-	overflowCap int          // parked runners allowed in overflow
-	idleCount   atomic.Int64 // parked runners across all shards (approximate)
-	spawnCur    atomic.Uint32
-	parkCur     atomic.Uint32
+	// spawners and parkers do not serialize on one lock. The last shard is
+	// the overflow: runners that find their home shard full spill into it,
+	// and spawners scan it after the home shards. See Spawn.
+	shards    []runnerShard
+	idleCount atomic.Int64 // parked runners across all shards (approximate)
+	spawnCur  atomic.Uint32
+	parkCur   atomic.Uint32
 
 	stopFlag  atomic.Bool
 	wg        sync.WaitGroup
@@ -122,12 +120,23 @@ func roleLabels(lane, key, name string) context.Context {
 	return pprof.WithLabels(context.Background(), pprof.Labels("lane", lane, key, name))
 }
 
-// runnerShard is one stack of parked task runners. Padded so shards sit on
-// separate cache lines.
+// runnerShard is one stack of parked task runners, holding at most limit.
+// Padded so shards sit on separate cache lines.
 type runnerShard struct {
-	mu   sync.Mutex
-	idle []chan func()
-	_    [64]byte
+	mu    sync.Mutex
+	idle  []chan func()
+	limit int
+	_     [64]byte
+}
+
+// pop removes the most recently parked runner; the caller holds mu and has
+// checked that one is parked.
+func (sh *runnerShard) pop() chan func() {
+	k := len(sh.idle) - 1
+	rc := sh.idle[k]
+	sh.idle[k] = nil
+	sh.idle = sh.idle[:k]
+	return rc
 }
 
 // DefaultMaxIdleRunners bounds the parked task-runner cache. Beyond this,
@@ -198,18 +207,16 @@ func (d *dedicated) join(w *Watchdog) {
 func New(cfg Config) *Scheduler {
 	cfg.fillDefaults()
 	s := &Scheduler{cfg: cfg, taskLabels: roleLabels("task", "sched", cfg.Name)}
-	// One runner shard per worker; half the cache lives in the shards, the
-	// other half in the shared overflow, summing to cfg.MaxIdleRunners.
+	// One runner shard per worker plus the overflow; half the cache lives
+	// in the home shards, the other half in the overflow, summing to
+	// cfg.MaxIdleRunners.
 	n := cfg.Workers
-	s.shards = make([]runnerShard, n)
-	s.shardCap = cfg.MaxIdleRunners / (2 * n)
-	if s.shardCap < 1 {
-		s.shardCap = 1
+	s.shards = make([]runnerShard, n+1)
+	shardCap := max(1, cfg.MaxIdleRunners/(2*n))
+	for i := range s.shards[:n] {
+		s.shards[i].limit = shardCap
 	}
-	s.overflowCap = cfg.MaxIdleRunners - s.shardCap*n
-	if s.overflowCap < 0 {
-		s.overflowCap = 0
-	}
+	s.shards[n].limit = max(0, cfg.MaxIdleRunners-shardCap*n)
 	return s
 }
 
@@ -276,35 +283,17 @@ func (s *Scheduler) SpawnBatch(tasks []func()) {
 	s.spawned.Add(int64(len(tasks)))
 	i := 0
 	if s.idleCount.Load() > 0 {
-		n := len(s.shards)
 		start := int(s.spawnCur.Add(1))
-		for si := 0; si < n && i < len(tasks); si++ {
-			sh := &s.shards[(start+si)%n]
+		for si := 0; si < len(s.shards) && i < len(tasks); si++ {
+			sh := s.scan(start, si)
 			sh.mu.Lock()
-			for k := len(sh.idle); k > 0 && i < len(tasks); k-- {
-				rc := sh.idle[k-1]
-				sh.idle[k-1] = nil
-				sh.idle = sh.idle[:k-1]
+			for ; len(sh.idle) > 0 && i < len(tasks); i++ {
 				s.idleCount.Add(-1)
 				// The buffered handoff of a parked runner is empty, so this
 				// send never blocks under the shard lock.
-				rc <- tasks[i]
-				i++
+				sh.pop() <- tasks[i]
 			}
 			sh.mu.Unlock()
-		}
-		if i < len(tasks) {
-			o := &s.overflow
-			o.mu.Lock()
-			for k := len(o.idle); k > 0 && i < len(tasks); k-- {
-				rc := o.idle[k-1]
-				o.idle[k-1] = nil
-				o.idle = o.idle[:k-1]
-				s.idleCount.Add(-1)
-				rc <- tasks[i]
-				i++
-			}
-			o.mu.Unlock()
 		}
 	}
 	for ; i < len(tasks); i++ {
@@ -321,38 +310,34 @@ func (s *Scheduler) popRunner() chan func() {
 	if s.idleCount.Load() <= 0 {
 		return nil
 	}
-	n := len(s.shards)
 	start := int(s.spawnCur.Add(1))
-	for i := 0; i < n; i++ {
-		sh := &s.shards[(start+i)%n]
+	for i := range s.shards {
+		sh := s.scan(start, i)
 		sh.mu.Lock()
-		if k := len(sh.idle); k > 0 {
-			rc := sh.idle[k-1]
-			sh.idle[k-1] = nil
-			sh.idle = sh.idle[:k-1]
+		if len(sh.idle) > 0 {
+			rc := sh.pop()
 			s.idleCount.Add(-1)
 			sh.mu.Unlock()
 			return rc
 		}
 		sh.mu.Unlock()
 	}
-	o := &s.overflow
-	o.mu.Lock()
-	if k := len(o.idle); k > 0 {
-		rc := o.idle[k-1]
-		o.idle[k-1] = nil
-		o.idle = o.idle[:k-1]
-		s.idleCount.Add(-1)
-		o.mu.Unlock()
-		return rc
-	}
-	o.mu.Unlock()
 	return nil
+}
+
+// scan returns the i-th shard a spawner visits: the home shards in turn from
+// the rotating cursor start, then the overflow.
+func (s *Scheduler) scan(start, i int) *runnerShard {
+	homes := len(s.shards) - 1
+	if i < homes {
+		return &s.shards[(start+i)%homes]
+	}
+	return &s.shards[homes]
 }
 
 // nextHome assigns a home shard to a fresh runner round-robin.
 func (s *Scheduler) nextHome() int {
-	return int(s.parkCur.Add(1)) % len(s.shards)
+	return int(s.parkCur.Add(1)) % (len(s.shards) - 1)
 }
 
 // runTasks executes task, then parks in the idle-runner cache waiting for
@@ -382,29 +367,22 @@ func (s *Scheduler) runTasks(task func(), home int) {
 // scheduler is stopping. The stop flag is checked under each lock so a
 // runner can never park after Stop's drain passed its shard (see Stop).
 func (s *Scheduler) parkRunner(rc chan func(), home int) bool {
-	sh := &s.shards[home]
-	sh.mu.Lock()
-	if s.stopFlag.Load() {
+	for _, i := range [2]int{home, len(s.shards) - 1} {
+		sh := &s.shards[i]
+		sh.mu.Lock()
+		if s.stopFlag.Load() {
+			sh.mu.Unlock()
+			return false
+		}
+		if len(sh.idle) < sh.limit {
+			sh.idle = append(sh.idle, rc)
+			s.idleCount.Add(1)
+			sh.mu.Unlock()
+			return true
+		}
 		sh.mu.Unlock()
-		return false
 	}
-	if len(sh.idle) < s.shardCap {
-		sh.idle = append(sh.idle, rc)
-		s.idleCount.Add(1)
-		sh.mu.Unlock()
-		return true
-	}
-	sh.mu.Unlock()
-	o := &s.overflow
-	o.mu.Lock()
-	if s.stopFlag.Load() || len(o.idle) >= s.overflowCap {
-		o.mu.Unlock()
-		return false
-	}
-	o.idle = append(o.idle, rc)
-	s.idleCount.Add(1)
-	o.mu.Unlock()
-	return true
+	return false
 }
 
 // IdleRunners returns the number of parked task runners across all shards
@@ -417,9 +395,6 @@ func (s *Scheduler) IdleRunners() int {
 		n += len(sh.idle)
 		sh.mu.Unlock()
 	}
-	s.overflow.mu.Lock()
-	n += len(s.overflow.idle)
-	s.overflow.mu.Unlock()
 	return n
 }
 
@@ -601,11 +576,6 @@ func (s *Scheduler) Stop() {
 		sh.idle = nil
 		sh.mu.Unlock()
 	}
-	s.overflow.mu.Lock()
-	idle = append(idle, s.overflow.idle...)
-	s.idleCount.Add(-int64(len(s.overflow.idle)))
-	s.overflow.idle = nil
-	s.overflow.mu.Unlock()
 	for _, rc := range idle {
 		close(rc)
 	}

@@ -3,6 +3,7 @@ package core
 import (
 	"encoding/binary"
 	"errors"
+	"regexp"
 	"sync"
 	"testing"
 	"time"
@@ -231,6 +232,10 @@ func TestDeliveryTimeoutSurfacesError(t *testing.T) {
 	f := rt.Locality(0).Call(1, "never_runs", []byte("x"))
 	if _, err := f.GetTimeout(30 * time.Second); !errors.Is(err, ErrPeerUnreachable) {
 		t.Fatalf("call over black-hole link: err = %v, want ErrPeerUnreachable", err)
+	}
+	// The reaper failed it, and StatsText counts it on locality 0's line.
+	if !regexp.MustCompile(`locality 0:\n  parcels sent .*, reaped calls 1\n`).MatchString(rt.StatsText()) {
+		t.Fatalf("StatsText does not count the reaped call:\n%s", rt.StatsText())
 	}
 
 	// By now the retry budget is long exhausted: the peer reads as down and

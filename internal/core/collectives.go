@@ -780,7 +780,6 @@ func (rt *Runtime) Broadcast(from int, timeout time.Duration, action string, arg
 	if !ok {
 		return fmt.Errorf("core: unknown action %q", action)
 	}
-	rt.tracer.Emit("coll", "bcast", int64(rt.Localities()))
 	h := rt.newCollHdr(collKindBcast, from, timeout)
 	h.action = id
 	if _, err := rt.startCollective(h, rt.coll.bcastID, timeout, args); err != nil {
@@ -807,7 +806,6 @@ func (rt *Runtime) Reduce(root int, timeout time.Duration, action string,
 	if !ok {
 		return nil, fmt.Errorf("core: unknown action %q", action)
 	}
-	rt.tracer.Emit("coll", "reduce", int64(rt.Localities()))
 	h := rt.newCollHdr(collKindReduce, root, timeout)
 	h.action = id
 	h.fold = rt.registerFold(fold)
@@ -830,7 +828,6 @@ func (rt *Runtime) Gather(root int, timeout time.Duration, action string, args .
 	if !ok {
 		return nil, fmt.Errorf("core: unknown action %q", action)
 	}
-	rt.tracer.Emit("coll", "gather", int64(rt.Localities()))
 	h := rt.newCollHdr(collKindGather, root, timeout)
 	h.action = id
 	recs, err := rt.startCollective(h, rt.coll.gatherID, timeout, args)
@@ -869,7 +866,6 @@ func (rt *Runtime) AllReduce(timeout time.Duration, action string, fold FoldFunc
 	if !ok {
 		return nil, fmt.Errorf("core: unknown action %q", action)
 	}
-	rt.tracer.Emit("coll", "allreduce", int64(rt.Localities()))
 	h := rt.newCollHdr(collKindAllReduce, 0, timeout)
 	h.action = id
 	h.fold = rt.registerFold(fold)
@@ -896,7 +892,6 @@ func (rt *Runtime) AllToAll(timeout time.Duration, produce, consume string, args
 	if !ok {
 		return fmt.Errorf("core: unknown action %q", consume)
 	}
-	rt.tracer.Emit("coll", "alltoall", int64(rt.Localities()))
 	h := rt.newCollHdr(collKindAllToAll, 0, timeout)
 	h.action = pid
 	h.aux = cid
@@ -913,32 +908,45 @@ func (rt *Runtime) AllToAll(timeout time.Duration, produce, consume string, args
 // tree implementations are property-tested against, and as the baseline the
 // experiments harness measures the trees' ~log N scaling against.
 
+// fanOut is the one loop behind the flat collectives: it calls action on
+// every locality from root and waits for each reply under one deadline,
+// returning the results in root-relative order (out[k] is locality
+// (root+k) mod N's). what names the collective in errors.
+func (rt *Runtime) fanOut(what string, root int, timeout time.Duration, action string, args [][]byte) ([][][]byte, error) {
+	id, ok := rt.ActionID(action)
+	if !ok {
+		return nil, fmt.Errorf("core: unknown action %q", action)
+	}
+	n := rt.Localities()
+	rootLoc := rt.Locality(root)
+	futs := make([]*amt.Future[[][]byte], n)
+	for k := range futs {
+		futs[k] = rootLoc.CallID((root+k)%n, id, args)
+	}
+	out := make([][][]byte, n)
+	deadline := time.Now().Add(timeout)
+	for k, f := range futs {
+		remain := time.Until(deadline)
+		if remain <= 0 {
+			return nil, fmt.Errorf("core: %s of %q timed out at locality %d", what, action, (root+k)%n)
+		}
+		res, err := f.GetTimeout(remain)
+		if err != nil {
+			return nil, fmt.Errorf("core: %s of %q at locality %d: %w", what, action, (root+k)%n, err)
+		}
+		out[k] = res
+	}
+	return out, nil
+}
+
 // BroadcastFlat invokes an action on every locality directly from `from`
 // and waits for all of them — the O(N) reference for Broadcast.
 func (rt *Runtime) BroadcastFlat(from int, timeout time.Duration, action string, args ...[]byte) error {
 	if from < 0 || from >= rt.Localities() {
 		return fmt.Errorf("core: invalid broadcast source %d", from)
 	}
-	id, ok := rt.ActionID(action)
-	if !ok {
-		return fmt.Errorf("core: unknown action %q", action)
-	}
-	src := rt.Locality(from)
-	futs := make([]*amt.Future[[][]byte], rt.Localities())
-	for l := 0; l < rt.Localities(); l++ {
-		futs[l] = src.CallID(l, id, args)
-	}
-	deadline := time.Now().Add(timeout)
-	for l, f := range futs {
-		remain := time.Until(deadline)
-		if remain <= 0 {
-			return fmt.Errorf("core: broadcast of %q timed out at locality %d", action, l)
-		}
-		if _, err := f.GetTimeout(remain); err != nil {
-			return fmt.Errorf("core: broadcast of %q to locality %d: %w", action, l, err)
-		}
-	}
-	return nil
+	_, err := rt.fanOut("broadcast", from, timeout, action, args)
+	return err
 }
 
 // ReduceFlat invokes an action on every locality directly from `root` and
@@ -953,32 +961,13 @@ func (rt *Runtime) ReduceFlat(root int, timeout time.Duration, action string,
 	if fold == nil {
 		return nil, fmt.Errorf("core: nil fold function")
 	}
-	id, ok := rt.ActionID(action)
-	if !ok {
-		return nil, fmt.Errorf("core: unknown action %q", action)
+	partials, err := rt.fanOut("reduce", root, timeout, action, args)
+	if err != nil {
+		return nil, err
 	}
-	n := rt.Localities()
-	rootLoc := rt.Locality(root)
-	futs := make([]*amt.Future[[][]byte], n)
-	for k := 0; k < n; k++ {
-		futs[k] = rootLoc.CallID((root+k)%n, id, args)
-	}
-	deadline := time.Now().Add(timeout)
-	var acc [][]byte
-	for k, f := range futs {
-		remain := time.Until(deadline)
-		if remain <= 0 {
-			return nil, fmt.Errorf("core: reduce of %q timed out at locality %d", action, (root+k)%n)
-		}
-		partial, err := f.GetTimeout(remain)
-		if err != nil {
-			return nil, fmt.Errorf("core: reduce of %q at locality %d: %w", action, (root+k)%n, err)
-		}
-		if k == 0 {
-			acc = partial // the root's own partial seeds the fold
-		} else {
-			acc = fold(acc, partial)
-		}
+	acc := partials[0] // the root's own partial seeds the fold
+	for _, p := range partials[1:] {
+		acc = fold(acc, p)
 	}
 	return acc, nil
 }
@@ -989,27 +978,14 @@ func (rt *Runtime) GatherFlat(root int, timeout time.Duration, action string, ar
 	if root < 0 || root >= rt.Localities() {
 		return nil, fmt.Errorf("core: invalid gather root %d", root)
 	}
-	id, ok := rt.ActionID(action)
-	if !ok {
-		return nil, fmt.Errorf("core: unknown action %q", action)
+	res, err := rt.fanOut("gather", root, timeout, action, args)
+	if err != nil {
+		return nil, err
 	}
-	rootLoc := rt.Locality(root)
-	futs := make([]*amt.Future[[][]byte], rt.Localities())
-	for l := 0; l < rt.Localities(); l++ {
-		futs[l] = rootLoc.CallID(l, id, args)
-	}
-	out := make([][][]byte, rt.Localities())
-	deadline := time.Now().Add(timeout)
-	for l, f := range futs {
-		remain := time.Until(deadline)
-		if remain <= 0 {
-			return nil, fmt.Errorf("core: gather of %q timed out at locality %d", action, l)
-		}
-		res, err := f.GetTimeout(remain)
-		if err != nil {
-			return nil, fmt.Errorf("core: gather of %q at locality %d: %w", action, l, err)
-		}
-		out[l] = res
+	n := len(res)
+	out := make([][][]byte, n)
+	for k, r := range res {
+		out[(root+k)%n] = r
 	}
 	return out, nil
 }

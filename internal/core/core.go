@@ -29,7 +29,6 @@ import (
 	"hpxgo/internal/parcelport/lcipp"
 	"hpxgo/internal/parcelport/mpipp"
 	"hpxgo/internal/serialization"
-	"hpxgo/internal/trace"
 	"hpxgo/internal/wire"
 )
 
@@ -152,12 +151,11 @@ func (c *Config) fillDefaults() {
 // Runtime is the simulated cluster: all localities plus the shared fabric
 // and action registry.
 type Runtime struct {
-	cfg    Config
-	ppCfg  parcelport.Config
-	net    *fabric.Network
-	locs   []*Locality
-	world  *mpisim.World // MPI transport only
-	tracer *trace.Tracer
+	cfg   Config
+	ppCfg parcelport.Config
+	net   *fabric.Network
+	locs  []*Locality
+	world *mpisim.World // MPI transport only
 	// wd watches the localities' dedicated progress threads (lci pin mode
 	// only; nil otherwise): one ticker for the whole runtime.
 	wd     *amt.Watchdog
@@ -210,11 +208,10 @@ func NewRuntime(cfg Config) (*Runtime, error) {
 	if err != nil {
 		return nil, err
 	}
-	rt := &Runtime{cfg: cfg, ppCfg: ppCfg, net: net, byName: make(map[string]uint32), tracer: trace.New(0)}
+	rt := &Runtime{cfg: cfg, ppCfg: ppCfg, net: net, byName: make(map[string]uint32)}
 	if ppCfg.Transport == parcelport.TransportLCI && ppCfg.Progress == parcelport.PinnedProgress {
 		rt.wd = amt.NewWatchdog()
 	}
-	net.SetTrace(rt.tracer.Emit)
 	// Reserve the continuation action. It is inline-hinted: Future.Set is
 	// non-blocking (mutex, close, callback spawns), so completing a Call on
 	// the draining goroutine saves the spawn that dominates small-response
@@ -493,10 +490,6 @@ func (rt *Runtime) ParcelportName() string { return rt.ppCfg.String() }
 // Network exposes the fabric (tests and stats).
 func (rt *Runtime) Network() *fabric.Network { return rt.net }
 
-// Trace returns the runtime's event tracer (disabled by default; call
-// Trace().Enable(true) to record).
-func (rt *Runtime) Trace() *trace.Tracer { return rt.tracer }
-
 // MPIComm exposes a locality's MPI communicator for profiling; nil when the
 // runtime does not use the MPI transport.
 func (rt *Runtime) MPIComm(loc int) *mpisim.Comm {
@@ -599,6 +592,7 @@ type Locality struct {
 	parcelsExecuted atomic.Uint64
 	decodeErrors    atomic.Uint64
 	unknownDrops    atomic.Uint64 // parcels dropped for an unregistered action id
+	reapedCalls     atomic.Uint64 // Call futures failed by reapDeadContinuations
 	inlineExecuted  atomic.Uint64 // parcels run on the inline lane
 	inlineSpilled   atomic.Uint64 // inline-eligible parcels demoted to spawn
 	inlineDemotions atomic.Uint64 // actions whose EWMA crossed up over inlineHeavyNs
@@ -647,8 +641,10 @@ func (l *Locality) InlineReadmissions() uint64 { return l.inlineReadmits.Load() 
 func (l *Locality) UnknownActionDrops() uint64 { return l.unknownDrops.Load() }
 
 // PendingContinuations reports Call futures still awaiting their remote
-// results. A steadily growing value means calls are timing out (their table
-// entries are reclaimed only when the response eventually arrives).
+// results. An entry leaves the table when its response arrives or, with
+// Config.DeliveryTimeout > 0 or fabric reliability on, when the reaper fails
+// it (deadline passed, or peer declared down); otherwise a call whose
+// response never comes stays pending.
 func (l *Locality) PendingContinuations() int {
 	l.contMu.Lock()
 	defer l.contMu.Unlock()
@@ -691,7 +687,6 @@ func (l *Locality) ApplyID(dst int, id uint32, args [][]byte) error {
 	if l.peerDown(dst) {
 		return fmt.Errorf("core: apply to locality %d: %w", dst, ErrPeerUnreachable)
 	}
-	l.rt.tracer.Emit("parcel", "apply", int64(dst))
 	l.layer.PutOne(serialization.Parcel{Source: l.id, Dest: dst, Action: id, Args: args})
 	return nil
 }
@@ -741,7 +736,6 @@ func (l *Locality) callID(dst int, id uint32, args [][]byte, f *amt.Future[[][]b
 		f.Set(nil, fmt.Errorf("core: call to locality %d: %w", dst, ErrPeerUnreachable))
 		return f
 	}
-	l.rt.tracer.Emit("parcel", "call", int64(dst))
 	cid := l.nextCont.Add(1)
 	var deadline int64
 	if d := l.rt.cfg.DeliveryTimeout; d > 0 {
@@ -805,8 +799,8 @@ func (l *Locality) reapDeadContinuations() bool {
 			l.layer.DiscardDest(dst)
 		}
 	}
+	l.reapedCalls.Add(uint64(len(victims)))
 	for _, e := range victims {
-		l.rt.tracer.Emit("parcel", "reap", int64(e.dst))
 		e.f.Set(nil, fmt.Errorf("core: call to locality %d: no response before delivery timeout: %w",
 			e.dst, ErrPeerUnreachable))
 	}
@@ -860,20 +854,17 @@ func (d *delivery) task(i int) *parcelTask {
 func (t *parcelTask) exec() {
 	d := t.d
 	d.l.parcelsExecuted.Add(1) // before the action: whoever sees its effects sees it counted
-	t.invoke(t.sample, d.l.rt.tracer.Enabled())
+	t.invoke(t.sample)
 	d.unref(1)
 }
 
 // invoke runs one parcel's action and sends the reply its continuation asks
 // for. Both lanes call it; the accounting (counters, delivery reference) is
 // the caller's, so the inline lane can do it per run and per batch.
-func (t *parcelTask) invoke(sample, traced bool) {
+func (t *parcelTask) invoke(sample bool) {
 	d := t.d
 	l := d.l
 	p := t.p
-	if traced {
-		l.rt.tracer.Emit("action", "run", int64(p.Action))
-	}
 	if p.Action == continuationAction {
 		// runContinuation publishes args[1:] to the Call future, which the
 		// caller reads after this task is gone, the parcel slab recycled and
@@ -1017,9 +1008,8 @@ func defaultInlineBudget(flushBytes int) int {
 // observeService folds one service-time sample of action aid into its EWMA.
 // The sample is clipped (inlineSampleClipNs), the first one seeds the
 // estimate. A crossing of the heavy ceiling in either direction is a state
-// change: it bumps this locality's demotion or re-admission counter and
-// emits a trace event — the CAS makes every crossing observed by exactly one
-// caller.
+// change: it bumps this locality's demotion or re-admission counter — the
+// CAS makes every crossing observed by exactly one caller.
 func (l *Locality) observeService(aid uint32, ns int64) {
 	ns = max(1, min(ns, inlineSampleClipNs)) // 0 is "never sampled"
 	sv := &l.rt.actionSvc[aid]
@@ -1035,10 +1025,8 @@ func (l *Locality) observeService(aid uint32, ns int64) {
 		if heavy := est >= inlineHeavyNs; heavy != (old >= inlineHeavyNs) {
 			if heavy {
 				l.inlineDemotions.Add(1)
-				l.rt.tracer.Emit("inline", "demote", int64(aid))
 			} else {
 				l.inlineReadmits.Add(1)
-				l.rt.tracer.Emit("inline", "readmit", int64(aid))
 			}
 		}
 		return
@@ -1082,7 +1070,6 @@ func (l *Locality) deliver(m *serialization.Message) {
 		// Corrupted transfer: count it and drop it — for a bundle, from the
 		// corrupt frame on; the frames before it are in parcels and deliver.
 		l.decodeErrors.Add(1)
-		l.rt.tracer.Emit("parcel", "decode-error", int64(l.id))
 	}
 	if frames := d.buf.Frames(); frames > 0 && l.agg != nil {
 		l.agg.NoteUnbundled(frames)
@@ -1093,7 +1080,6 @@ func (l *Locality) deliver(m *serialization.Message) {
 		d.recycle()
 		return
 	}
-	l.rt.tracer.Emit("parcel", "deliver", int64(len(parcels)))
 	// The registry is sealed before any parcelport starts (Runtime.Start).
 	actions := *l.rt.actionTab.Load()
 	var hints []bool
@@ -1111,7 +1097,6 @@ func (l *Locality) deliver(m *serialization.Message) {
 		p := &parcels[i]
 		if int(p.Action) >= len(actions) || actions[p.Action] == nil {
 			l.unknownDrops.Add(1)
-			l.rt.tracer.Emit("parcel", "unknown-action", int64(p.Action))
 			continue
 		}
 		t := d.task(n)
@@ -1173,7 +1158,6 @@ func (l *Locality) deliver(m *serialization.Message) {
 // run or per batch, never per parcel.
 func (l *Locality) runInlineBatch(d *delivery) int {
 	inl := d.inline
-	traced := l.rt.tracer.Enabled()
 	start := monoNs()
 	t0 := start
 	i := 0
@@ -1190,7 +1174,7 @@ func (l *Locality) runInlineBatch(d *delivery) int {
 		l.sched.BeginInline(j - i)
 		l.parcelsExecuted.Add(uint64(j - i)) // before the actions, as on the spawned path
 		for _, t := range inl[i:j] {
-			t.invoke(false, traced)
+			t.invoke(false)
 		}
 		t1 := monoNs()
 		l.observeService(aid, (t1-t0)/int64(j-i))

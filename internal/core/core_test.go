@@ -408,33 +408,6 @@ func TestStatsTextCoversTransports(t *testing.T) {
 	}
 }
 
-func TestTracerRecordsParcelFlow(t *testing.T) {
-	rt := newRuntime(t, "lci", 2)
-	rt.Trace().Enable(true)
-	if _, err := rt.Locality(0).Call(1, "echo", []byte("traced")).GetTimeout(20 * time.Second); err != nil {
-		t.Fatal(err)
-	}
-	deadline := time.Now().Add(5 * time.Second)
-	for rt.Trace().Total() < 3 && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
-	var sawCall, sawDeliver, sawRun bool
-	for _, e := range rt.Trace().Dump() {
-		switch e.Cat + "/" + e.Label {
-		case "parcel/call":
-			sawCall = true
-		case "parcel/deliver":
-			sawDeliver = true
-		case "action/run":
-			sawRun = true
-		}
-	}
-	if !sawCall || !sawDeliver || !sawRun {
-		t.Fatalf("trace missing events: call=%v deliver=%v run=%v\n%s",
-			sawCall, sawDeliver, sawRun, rt.Trace().String())
-	}
-}
-
 func TestPendingContinuationsDrains(t *testing.T) {
 	rt := newRuntime(t, "lci", 2)
 	loc := rt.Locality(0)

@@ -34,8 +34,8 @@ func (rt *Runtime) StatsText() string {
 	for i, loc := range rt.locs {
 		fmt.Fprintf(&b, "locality %d:\n", i)
 		ls := loc.layer.Stats()
-		fmt.Fprintf(&b, "  parcels sent %d in %d messages (%d aggregated, %d cache-exhausted), actions run %d, decode errors %d, unknown-action drops %d\n",
-			ls.ParcelsSent, ls.MessagesSent, ls.AggregatedSends, ls.CacheExhausted, loc.ParcelsExecuted(), loc.DecodeErrors(), loc.UnknownActionDrops())
+		fmt.Fprintf(&b, "  parcels sent %d in %d messages (%d aggregated, %d cache-exhausted), actions run %d, decode errors %d, unknown-action drops %d, reaped calls %d\n",
+			ls.ParcelsSent, ls.MessagesSent, ls.AggregatedSends, ls.CacheExhausted, loc.ParcelsExecuted(), loc.DecodeErrors(), loc.UnknownActionDrops(), loc.reapedCalls.Load())
 		fmt.Fprintf(&b, "  inline lane: %d run-to-completion, %d demoted to spawn, %d spawned tasks total\n",
 			loc.InlineExecuted(), loc.InlineSpilled(), loc.sched.Executed())
 		fmt.Fprintf(&b, "  inline escape: %d demotions, %d re-admissions; service EWMA ns:%s\n",

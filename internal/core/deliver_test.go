@@ -77,7 +77,7 @@ func TestDeliverBundleZeroAllocs(t *testing.T) {
 	}
 }
 
-// TestDeliverDecodeError checks that a corrupt message is counted, traced
+// TestDeliverDecodeError checks that a corrupt message is counted, reported
 // and dropped with its pooled receive buffers released.
 func TestDeliverDecodeError(t *testing.T) {
 	rt, err := NewRuntime(Config{Localities: 2, WorkersPerLocality: 1, Parcelport: "lci"})

@@ -259,7 +259,6 @@ func TestInlineRecoversFromDemotion(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer rt.Shutdown()
-	rt.Trace().Enable(true)
 	l := rt.Locality(0)
 	heavy.Store(true)
 	deliverParcels(l, &ran, act, 16, 1)
@@ -280,16 +279,6 @@ func TestInlineRecoversFromDemotion(t *testing.T) {
 	deliverParcels(l, &ran, act, 1000, 8)
 	if got := l.InlineExecuted() - before; got < 900 {
 		t.Fatalf("%d of 1000 parcels ran inline after re-admission, want >= 900", got)
-	}
-	var demote, readmit bool
-	for _, e := range rt.Trace().Dump() {
-		if e.Cat == "inline" && e.Arg == int64(act) {
-			demote = demote || e.Label == "demote"
-			readmit = readmit || e.Label == "readmit"
-		}
-	}
-	if !demote || !readmit {
-		t.Fatalf("trace events with the action id: inline/demote %v, inline/readmit %v; want both", demote, readmit)
 	}
 	if txt := rt.StatsText(); !strings.Contains(txt, " demotions, ") || !strings.Contains(txt, "inline_phases=") {
 		t.Fatalf("StatsText does not report the escape:\n%s", txt)

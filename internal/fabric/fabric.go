@@ -131,7 +131,6 @@ type Network struct {
 	start   time.Time
 	railCap int         // rail ring slots (power of two)
 	devices [][]*Device // [node][deviceIndex]
-	trace   func(cat, label string, arg int64)
 }
 
 // pow2ceil rounds n up to the next power of two (minimum 2).
@@ -205,11 +204,6 @@ func NewNetwork(cfg Config) (*Network, error) {
 	}
 	return n, nil
 }
-
-// SetTrace installs an event sink for reliability events (retransmit, ack,
-// corrupt-drop, dup-drop, link-down). Call before traffic starts; the hook
-// is read without synchronization on hot paths.
-func (n *Network) SetTrace(fn func(cat, label string, arg int64)) { n.trace = fn }
 
 // PeerHealth reports the worst directed-link health from any of src's
 // devices toward dst. Always HealthHealthy when reliability is off.
@@ -456,13 +450,6 @@ type Device struct {
 	faultDuplicated atomic.Uint64
 	faultCorrupted  atomic.Uint64
 	latencySpikes   atomic.Uint64
-}
-
-// trace emits a reliability event to the network's trace hook, if any.
-func (d *Device) trace(cat, label string, arg int64) {
-	if fn := d.net.trace; fn != nil {
-		fn(cat, label, arg)
-	}
 }
 
 // PeerHealth reports this device's directed-link health toward dst.
@@ -783,20 +770,6 @@ func (d *Device) Poll() *Packet {
 		}
 	}
 	return nil
-}
-
-// PollInto appends up to max arrived packets to out and returns the extended
-// slice. It is the batched form of Poll used by progress engines. Every
-// appended packet is owned by the caller (Release each).
-func (d *Device) PollInto(out []*Packet, max int) []*Packet {
-	for i := 0; i < max; i++ {
-		p := d.Poll()
-		if p == nil {
-			break
-		}
-		out = append(out, p)
-	}
-	return out
 }
 
 // Pending reports whether any packet is queued for this device, arrived or

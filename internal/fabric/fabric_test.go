@@ -209,23 +209,6 @@ func TestStatsCounters(t *testing.T) {
 	}
 }
 
-func TestPollInto(t *testing.T) {
-	n := mustNet(t, Config{Nodes: 2, LatencyNs: 0})
-	for i := 0; i < 8; i++ {
-		if err := n.Device(0).Inject(Packet{Dst: 1, T0: uint64(i)}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	deadline := time.Now().Add(time.Second)
-	var got []*Packet
-	for len(got) < 8 && time.Now().Before(deadline) {
-		got = n.Device(1).PollInto(got, 3)
-	}
-	if len(got) != 8 {
-		t.Fatalf("PollInto collected %d packets, want 8", len(got))
-	}
-}
-
 func TestSelfSend(t *testing.T) {
 	// Loopback (node sending to itself) must work: localities on the same
 	// node still route through the device in some configurations.

@@ -5,8 +5,7 @@ package fabric
 // communication library built on top (tag bits, handle indices, sizes, ...).
 //
 // Packets returned by Poll are owned by the caller and must be given back
-// with Release (see pool.go for the full ownership protocol); the payload
-// can be kept past Release only via DetachData.
+// with Release (see pool.go for the full ownership protocol).
 type Packet struct {
 	Src, Dst int
 	Op       uint8

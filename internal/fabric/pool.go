@@ -21,8 +21,6 @@ import (
 //   - Poll transfers ownership of the returned *Packet to the caller, who
 //     must call Release exactly once when finished with the packet AND its
 //     Data. Holding either past Release is a use-after-free.
-//   - DetachData hands the payload buffer to the caller permanently (the
-//     zero-copy dynamic-put path); the packet itself is still Released.
 //   - Packets the fabric consumes internally (acks, duplicates, corrupt
 //     arrivals) are released by the fabric; upper layers never see them.
 //
@@ -155,14 +153,4 @@ func (p *Packet) Release() {
 		pp.drops.Add(1)
 		p.owner = nil // freelist full: let the GC have it
 	}
-}
-
-// DetachData transfers ownership of the payload buffer to the caller: the
-// pool will not recycle it, so the caller may hold it indefinitely (the
-// zero-copy handoff of the dynamic-put path). The packet itself must still
-// be Released.
-func (p *Packet) DetachData() []byte {
-	b := p.Data
-	p.Data = nil
-	return b
 }

@@ -209,7 +209,7 @@ func packetChecksum(p *Packet) uint32 {
 
 // clonePacket copies a pristine stored packet into a pooled packet for one
 // transmission attempt. The payload is copied too: the delivered clone is
-// handed to the upper layer (which may mutate or detach it) and corruption
+// handed to the upper layer (which may mutate it) and corruption
 // injection must never poison the retransmission copy.
 func (d *Device) clonePacket(p *Packet) *Packet {
 	w := d.getPacket()
@@ -396,7 +396,6 @@ func (rs *relState) admit(p *Packet) bool {
 		p.sum = 0
 		if packetChecksum(p) != sum {
 			d.corruptDropped.Add(1)
-			d.trace("fabric", "corrupt-drop", int64(p.Src))
 			return false // cannot trust any field, not even relAck
 		}
 		p.sum = sum
@@ -478,7 +477,6 @@ func (rs *relState) admit(p *Packet) bool {
 	rxl.mu.Unlock()
 	if !fresh {
 		d.dupDropped.Add(1)
-		d.trace("fabric", "dup-drop", int64(p.Src))
 		return false
 	}
 	return true
@@ -522,7 +520,7 @@ func (rs *relState) maintain() {
 			continue
 		}
 		linkNext := int64(1) << 62
-		for seq, pend := range tl.unacked {
+		for _, pend := range tl.unacked {
 			if pend.dueNs > now {
 				if pend.dueNs < linkNext {
 					linkNext = pend.dueNs
@@ -535,12 +533,10 @@ func (rs *relState) maintain() {
 				tl.down = true
 				tl.unacked = make(map[uint64]*relPending)
 				d.linksDowned.Add(1)
-				d.trace("fabric", "link-down", int64(dst))
 				break
 			}
 			tl.noteRetransmitLocked()
 			d.retransmits.Add(1)
-			d.trace("fabric", "retransmit", int64(seq))
 			rs.transmitLocked(tl, pend, d.railFor(dst, 0))
 			if pend.dueNs < linkNext {
 				linkNext = pend.dueNs
@@ -616,7 +612,6 @@ func (rs *relState) sendAck(dst int) {
 	}
 	d.enqueue(d.railFor(dst, 0), w, extraNs)
 	d.acksSent.Add(1)
-	d.trace("fabric", "ack", int64(dst))
 }
 
 // setDown administratively cuts the directed link to dst (test hook and

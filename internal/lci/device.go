@@ -42,10 +42,6 @@ const (
 	opRTS                        // rendezvous request-to-send
 	opCTS                        // rendezvous clear-to-send
 	opLongData                   // rendezvous payload
-	opShort                      // two-sided short message (payload in metadata)
-	opPutRTS                     // one-sided long put: request-to-send
-	opPutCTS                     // one-sided long put: clear-to-send
-	opPutData                    // one-sided long put: payload
 	opLongChunk                  // rendezvous payload chunk (striped across rails)
 	opLongFin                    // rendezvous remote-completion notification
 )
@@ -57,11 +53,6 @@ const (
 // allocation-free; one byte more and every chunk's payload would fall to
 // the garbage collector.
 const DefaultChunkSize = 64 << 10
-
-// ShortSize is the maximum payload of a short send: it travels entirely in
-// the packet's metadata words, the analogue of LCI's LCI_SHORT_SIZE
-// immediate-data path that never touches a buffer.
-const ShortSize = 8
 
 // Config tunes a Device.
 type Config struct {
@@ -77,9 +68,6 @@ type Config struct {
 	// MaxLongHandles bounds concurrent rendezvous operations per side.
 	// Default 4096.
 	MaxLongHandles int
-	// MaxRegisteredBytes caps explicitly registered memory (RegisterMemory).
-	// Zero means unlimited.
-	MaxRegisteredBytes int64
 	// ChunkSize is the rendezvous chunk size: a long payload larger than
 	// this is split into ChunkSize pieces striped across the fabric rails
 	// instead of travelling as one monolithic opLongData packet. Default
@@ -148,7 +136,6 @@ type Device struct {
 	recvHandles *handleTable[longRecv]
 
 	def deferred // backpressured injections awaiting retry
-	reg registry // explicit memory-registration accounting
 
 	// prPool recycles postedRecv records so the steady-state Recvm/Recvl →
 	// deliver cycle allocates nothing; waves recycles the scratch packet
@@ -198,7 +185,6 @@ func NewDevice(fdev *fabric.Device, cfg Config, putCQ *CompQueue) *Device {
 	}
 	d.sendHandles = newHandleTable[longSend](cfg.MaxLongHandles)
 	d.recvHandles = newHandleTable[longRecv](cfg.MaxLongHandles)
-	d.reg.limit = cfg.MaxRegisteredBytes
 	return d
 }
 
@@ -294,34 +280,6 @@ func (d *Device) PutPacket(p *Packet) {
 	d.pool.TryPush(p) // pool is sized to hold all packets; push cannot fail
 }
 
-// Sends posts a short send: up to ShortSize bytes packed into the packet
-// metadata, completing locally on return. The receive side matches it like
-// a medium message (Recvm), so short and medium sends share a tag space.
-func (d *Device) Sends(dst int, tag uint32, data []byte) error {
-	if len(data) > ShortSize {
-		return fmt.Errorf("lci: short send of %d bytes exceeds %d", len(data), ShortSize)
-	}
-	var word uint64
-	for i, b := range data {
-		word |= uint64(b) << (8 * i)
-	}
-	err := d.fdev.Inject(fabric.Packet{
-		Dst: dst, Op: opShort,
-		T0: uint64(tag),
-		T1: word,
-		T2: uint64(len(data)),
-	})
-	if err != nil {
-		if errors.Is(err, fabric.ErrBackpressure) {
-			d.stats.retries.Add(1)
-			return ErrRetry
-		}
-		return err
-	}
-	d.stats.mediumSent.Add(1)
-	return nil
-}
-
 // Sendm posts a medium (eager) send of data to dst with the given tag and
 // signals comp locally once the buffer may be reused. Returns ErrRetry under
 // resource exhaustion; the data must fit EagerThreshold.
@@ -392,39 +350,6 @@ func (d *Device) PutdPacket(dst int, meta uint32, p *Packet, n int) error {
 		d.PutPacket(p)
 	}
 	return err
-}
-
-// Putl performs a one-sided long put: like Putd the target buffer is
-// allocated by the runtime and the completion (carrying meta) lands in the
-// target's pre-configured completion queue, but the payload moves through
-// the rendezvous protocol, so arbitrarily large buffers work without
-// consuming eager resources. comp is signalled locally once the payload has
-// been handed to the fabric.
-func (d *Device) Putl(dst int, meta uint32, data []byte, comp Comp, ctx any) error {
-	h, idx, ok := d.sendHandles.alloc()
-	if !ok {
-		d.stats.retries.Add(1)
-		return ErrRetry
-	}
-	h.data = data
-	h.comp = comp
-	h.ctx = ctx
-	h.dst = dst
-	h.tag = meta
-	err := d.fdev.Inject(fabric.Packet{
-		Dst: dst, Op: opPutRTS,
-		T0: uint64(meta),
-		T1: uint64(idx)<<32 | uint64(uint32(len(data))),
-	})
-	if err != nil {
-		d.sendHandles.release(idx)
-		if errors.Is(err, fabric.ErrBackpressure) {
-			d.stats.retries.Add(1)
-			return ErrRetry
-		}
-		return err
-	}
-	return nil
 }
 
 // Sendl posts a long (rendezvous) send. comp is signalled once the payload

@@ -504,85 +504,6 @@ func TestDeviceAccessors(t *testing.T) {
 	}
 }
 
-func TestShortSend(t *testing.T) {
-	a, b := pair(t, fabric.Config{LatencyNs: 50}, Config{})
-	cq := NewCompQueue(16)
-	buf := make([]byte, 16)
-	if err := b.Recvm(0, 4, buf, cq, nil); err != nil {
-		t.Fatal(err)
-	}
-	if err := a.Sends(1, 4, []byte{1, 2, 3, 4, 5}); err != nil {
-		t.Fatal(err)
-	}
-	var got Request
-	progressUntil(t, time.Second, func() bool {
-		r, ok := cq.Pop()
-		if ok {
-			got = r
-		}
-		return ok
-	}, b)
-	if !bytes.Equal(got.Data, []byte{1, 2, 3, 4, 5}) {
-		t.Fatalf("short payload %v", got.Data)
-	}
-}
-
-func TestShortSendLimits(t *testing.T) {
-	a, b := pair(t, fabric.Config{}, Config{})
-	if err := a.Sends(1, 1, make([]byte, ShortSize+1)); err == nil {
-		t.Fatal("oversized short send should fail")
-	}
-	// Empty and max-size shorts round-trip.
-	cq := NewCompQueue(16)
-	for i, payload := range [][]byte{{}, bytes.Repeat([]byte{0xAB}, ShortSize)} {
-		buf := make([]byte, ShortSize)
-		if err := b.Recvm(0, uint32(10+i), buf, cq, nil); err != nil {
-			t.Fatal(err)
-		}
-		if err := a.Sends(1, uint32(10+i), payload); err != nil {
-			t.Fatal(err)
-		}
-		var got Request
-		progressUntil(t, time.Second, func() bool {
-			r, ok := cq.Pop()
-			if ok {
-				got = r
-			}
-			return ok
-		}, b)
-		if !bytes.Equal(got.Data, payload) {
-			t.Fatalf("case %d: %v != %v", i, got.Data, payload)
-		}
-	}
-}
-
-func TestMemoryRegistration(t *testing.T) {
-	a, _ := pair(t, fabric.Config{}, Config{MaxRegisteredBytes: 1000})
-	m1, err := a.RegisterMemory(make([]byte, 600))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.RegisteredBytes() != 600 {
-		t.Fatalf("RegisteredBytes = %d", a.RegisteredBytes())
-	}
-	if _, err := a.RegisterMemory(make([]byte, 600)); !errors.Is(err, ErrRetry) {
-		t.Fatalf("over-cap registration: %v", err)
-	}
-	m1.Deregister()
-	m1.Deregister() // idempotent
-	if a.RegisteredBytes() != 0 {
-		t.Fatalf("RegisteredBytes after deregister = %d", a.RegisteredBytes())
-	}
-	m2, err := a.RegisterMemory(make([]byte, 900))
-	if err != nil {
-		t.Fatalf("registration after release failed: %v", err)
-	}
-	m2.Deregister()
-	if _, err := a.RegisterMemory(nil); err == nil {
-		t.Fatal("empty registration should fail")
-	}
-}
-
 func TestSendmPacketRoundTrip(t *testing.T) {
 	a, b := pair(t, fabric.Config{}, Config{PoolPackets: 4})
 	cq := NewCompQueue(4)
@@ -723,85 +644,6 @@ func TestPutPacketForeignDeviceIgnored(t *testing.T) {
 	if _, err := a.GetPacket(); err != nil {
 		t.Fatal("packet lost after foreign PutPacket")
 	}
-}
-
-func TestPutLong(t *testing.T) {
-	a, b := pair(t, fabric.Config{LatencyNs: 100}, Config{EagerThreshold: 64})
-	payload := make([]byte, 50000)
-	for i := range payload {
-		payload[i] = byte(i * 11)
-	}
-	sendCQ := NewCompQueue(4)
-	if err := a.Putl(1, 0xF00D, payload, sendCQ, "putl"); err != nil {
-		t.Fatal(err)
-	}
-	var got Request
-	progressUntil(t, 5*time.Second, func() bool {
-		r, ok := b.PutCQ().Pop()
-		if ok {
-			got = r
-		}
-		return ok
-	}, a, b)
-	if got.Type != CompPut || got.Tag != 0xF00D || !bytes.Equal(got.Data, payload) {
-		t.Fatalf("long put completion wrong: type=%v tag=%#x len=%d", got.Type, got.Tag, len(got.Data))
-	}
-	// Local completion with the caller's context.
-	var local Request
-	progressUntil(t, 5*time.Second, func() bool {
-		r, ok := sendCQ.Pop()
-		if ok {
-			local = r
-		}
-		return ok
-	}, a, b)
-	if local.Type != CompSend || local.Ctx != "putl" {
-		t.Fatalf("local put completion wrong: %+v", local)
-	}
-	if a.Stats().PutsSent != 1 || b.Stats().PutsRecvd != 1 {
-		t.Fatalf("put counters: %+v / %+v", a.Stats(), b.Stats())
-	}
-}
-
-func TestPutLongManyUnderHandlePressure(t *testing.T) {
-	a, b := pair(t, fabric.Config{LatencyNs: 50}, Config{EagerThreshold: 32, MaxLongHandles: 2})
-	const n = 10
-	payloads := make([][]byte, n)
-	for i := range payloads {
-		payloads[i] = bytes.Repeat([]byte{byte(i + 1)}, 500+i)
-	}
-	for i := range payloads {
-		for {
-			err := a.Putl(1, uint32(i), payloads[i], nil, nil)
-			if err == nil {
-				break
-			}
-			if !errors.Is(err, ErrRetry) {
-				t.Fatal(err)
-			}
-			a.Progress()
-			b.Progress()
-		}
-	}
-	seen := make([]bool, n)
-	count := 0
-	progressUntil(t, 10*time.Second, func() bool {
-		for {
-			r, ok := b.PutCQ().Pop()
-			if !ok {
-				return count == n
-			}
-			i := int(r.Tag)
-			if seen[i] {
-				t.Fatalf("duplicate put %d", i)
-			}
-			if !bytes.Equal(r.Data, payloads[i]) {
-				t.Fatalf("put %d corrupted", i)
-			}
-			seen[i] = true
-			count++
-		}
-	}, a, b)
 }
 
 // TestCompQueueOverflowSteadyState: with the ring full, a consumer that

@@ -230,7 +230,6 @@ type longRecv struct {
 	ctx  any
 	src  int
 	tag  uint32
-	put  bool // one-sided long put: completes into the put CQ
 
 	// Chunked reassembly: expect is the total payload size announced by the
 	// RTS; remaining counts undelivered bytes and is decremented atomically

@@ -1,7 +1,6 @@
 package lci
 
 import (
-	"encoding/binary"
 	"errors"
 	"sync"
 	"sync/atomic"
@@ -21,9 +20,8 @@ const chunkWave = 16
 // deferred holds fabric injections that hit backpressure inside the progress
 // engine (e.g. rendezvous payloads triggered by a CTS) and must be retried.
 type deferred struct {
-	mu     sync.Mutex
-	pkts   []deferredSend
-	replay []*fabric.Packet // arrived packets to re-dispatch (resource pressure)
+	mu   sync.Mutex
+	pkts []deferredSend
 }
 
 // deferKind says what a deferred entry represents and what completes when
@@ -33,8 +31,6 @@ type deferKind uint8
 const (
 	// deferLong: a monolithic opLongData payload; completes the long send.
 	deferLong deferKind = iota
-	// deferPut: a one-sided long put payload; completes the put.
-	deferPut
 	// deferControl: a control packet (CTS) that must not be lost — the
 	// rendezvous deadlocks without it. Nothing completes on injection.
 	deferControl
@@ -61,9 +57,6 @@ type deferredSend struct {
 func (d *Device) Progress() bool {
 	d.stats.progressCalls.Add(1)
 	did := d.retryDeferred()
-	if d.replayDeferred() {
-		did = true
-	}
 	for i := 0; i < progressBatch; i++ {
 		pkt := d.fdev.Poll()
 		if pkt == nil {
@@ -73,63 +66,6 @@ func (d *Device) Progress() bool {
 		d.dispatch(pkt)
 	}
 	return did
-}
-
-// deferPacket re-queues an arrived packet whose handling hit a transient
-// resource limit; the next Progress pass re-dispatches it.
-func (d *Device) deferPacket(pkt *fabric.Packet) {
-	d.def.mu.Lock()
-	d.def.replay = append(d.def.replay, pkt)
-	d.def.mu.Unlock()
-}
-
-// replayDeferred re-dispatches packets parked by deferPacket.
-func (d *Device) replayDeferred() bool {
-	d.def.mu.Lock()
-	if len(d.def.replay) == 0 {
-		d.def.mu.Unlock()
-		return false
-	}
-	pkts := d.def.replay
-	d.def.replay = nil
-	d.def.mu.Unlock()
-	for _, pkt := range pkts {
-		d.dispatch(pkt)
-	}
-	return true
-}
-
-// handlePutCTS sends a one-sided long put's payload in response to the
-// target's clear-to-send and signals local completion.
-func (d *Device) handlePutCTS(cts *fabric.Packet) {
-	sendIdx := uint32(cts.T0)
-	recvIdx := uint32(cts.T1)
-	h := d.sendHandles.get(sendIdx)
-	out := fabric.Packet{Dst: h.dst, Op: opPutData, T0: uint64(recvIdx), Data: h.data}
-	if err := d.fdev.Inject(out); err != nil {
-		if errors.Is(err, fabric.ErrBackpressure) {
-			d.deferPutSend(out, sendIdx)
-			return
-		}
-	}
-	d.completePutSend(sendIdx)
-}
-
-// completePutSend signals the put's local completion and frees the handle.
-func (d *Device) completePutSend(sendIdx uint32) {
-	h := d.sendHandles.get(sendIdx)
-	if h.comp != nil {
-		h.comp.signal(Request{Type: CompSend, Rank: h.dst, Tag: h.tag, Ctx: h.ctx})
-	}
-	d.sendHandles.release(sendIdx)
-	d.stats.putsSent.Add(1)
-}
-
-// deferPutSend queues a backpressured put payload for retry.
-func (d *Device) deferPutSend(pkt fabric.Packet, sendIdx uint32) {
-	d.def.mu.Lock()
-	d.def.pkts = append(d.def.pkts, deferredSend{pkt: pkt, sendIdx: sendIdx, kind: deferPut})
-	d.def.mu.Unlock()
 }
 
 // deferControl queues a backpressured control packet (CTS) for retry. Unlike
@@ -153,24 +89,6 @@ func (d *Device) deferChunks(sendIdx uint32) {
 func (d *Device) dispatch(pkt *fabric.Packet) {
 	switch pkt.Op {
 	case opMedium:
-		tag := uint32(pkt.T0)
-		if pr := d.match.arrive(kindMedium, pkt, tag); pr != nil {
-			d.deliverMedium(pkt, pr)
-		} else {
-			d.stats.unexpected.Add(1)
-		}
-	case opShort:
-		// Unpack the immediate payload into the packet's own data slot so the
-		// ordinary medium delivery path applies. Pooled packets arrive with
-		// payload capacity to spare, so this is allocation-free.
-		n := int(pkt.T2)
-		b := pkt.Data
-		if cap(b) < ShortSize {
-			b = make([]byte, ShortSize)
-		}
-		b = b[:ShortSize]
-		binary.LittleEndian.PutUint64(b, pkt.T1)
-		pkt.Data = b[:n]
 		tag := uint32(pkt.T0)
 		if pr := d.match.arrive(kindMedium, pkt, tag); pr != nil {
 			d.deliverMedium(pkt, pr)
@@ -202,40 +120,6 @@ func (d *Device) dispatch(pkt *fabric.Packet) {
 		// Remote completion of a chunked (zero-copy) long send: the
 		// receiver has copied every borrowed chunk out of our buffer.
 		d.completeLongSend(uint32(pkt.T0))
-		pkt.Release()
-	case opPutRTS:
-		// One-sided long put: allocate the target buffer now, accept.
-		size := int(uint32(pkt.T1))
-		h, idx, ok := d.recvHandles.alloc()
-		if !ok {
-			// Requeue for the next progress pass rather than dropping.
-			d.deferPacket(pkt)
-			d.stats.retries.Add(1)
-			return
-		}
-		h.buf = make([]byte, size)
-		h.src = pkt.Src
-		h.tag = uint32(pkt.T0) // the put's meta word
-		h.put = true
-		sendIdx := uint32(pkt.T1 >> 32)
-		if err := d.fdev.Inject(fabric.Packet{Dst: pkt.Src, Op: opPutCTS, T0: uint64(sendIdx), T1: uint64(idx)}); err != nil {
-			d.recvHandles.release(idx)
-			d.deferPacket(pkt) // keeps ownership; released when it finally lands
-			return
-		}
-		pkt.Release()
-	case opPutCTS:
-		d.handlePutCTS(pkt)
-		pkt.Release()
-	case opPutData:
-		idx := uint32(pkt.T0)
-		h := d.recvHandles.get(idx)
-		copy(h.buf, pkt.Data)
-		// The "LCI runtime allocated" buffer surfaces through the
-		// pre-configured put CQ, like a dynamic put.
-		d.putCQ.Push(Request{Type: CompPut, Rank: h.src, Tag: h.tag, Data: h.buf})
-		d.recvHandles.release(idx)
-		d.stats.putsRecvd.Add(1)
 		pkt.Release()
 	case opLongData:
 		idx := uint32(pkt.T0)
@@ -427,8 +311,6 @@ func (d *Device) retryDeferred() bool {
 			continue
 		}
 		switch ds.kind {
-		case deferPut:
-			d.completePutSend(ds.sendIdx)
 		case deferLong:
 			d.completeLongSend(ds.sendIdx)
 		case deferControl:

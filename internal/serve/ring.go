@@ -7,7 +7,7 @@
 // An open-loop load generator (loadgen.go) drives it with Zipf or uniform
 // key mixes and reports p50/p99/p999 via internal/stats.
 //
-// Unlike the HPC workloads (octotiger, dfft, sparse), requests here are
+// Unlike the HPC workloads (octotiger, dfft, graphbfs), requests here are
 // irregular, latency-sensitive and tiny — exactly the traffic shape the
 // HPX+LCI communication-needs study (arXiv 2503.12774) identifies as where
 // an AMT network stack earns its keep. Every request rides the full stack

@@ -1,8 +1,8 @@
-// Package trace provides a lightweight bounded event tracer for the
-// runtime: a fixed-capacity ring of timestamped events that is cheap enough
-// to leave compiled in (a disabled tracer costs one atomic load per call
-// site) and small enough to dump into a bug report. It is the observability
-// companion to the counter-based Stats reports.
+// Package trace provides a lightweight bounded event tracer: a
+// fixed-capacity ring of timestamped events that is cheap enough to leave
+// compiled in (a disabled tracer costs one atomic load per call site) and
+// small enough to dump into a bug report. The runtime does not emit into
+// it; the benchmark's layer walk times one event (trace.event_ns).
 package trace
 
 import (

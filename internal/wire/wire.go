@@ -9,21 +9,6 @@ import (
 	"math"
 )
 
-// U32 encodes a uint32.
-func U32(v uint32) []byte {
-	out := make([]byte, 4)
-	binary.LittleEndian.PutUint32(out, v)
-	return out
-}
-
-// ToU32 decodes a U32 blob.
-func ToU32(b []byte) (uint32, error) {
-	if len(b) != 4 {
-		return 0, fmt.Errorf("wire: u32 blob has %d bytes", len(b))
-	}
-	return binary.LittleEndian.Uint32(b), nil
-}
-
 // U64 encodes a uint64.
 func U64(v uint64) []byte {
 	out := make([]byte, 8)
@@ -92,12 +77,6 @@ func ToF64s(b []byte) ([]float64, error) {
 	}
 	return out, nil
 }
-
-// String encodes a string.
-func String(s string) []byte { return []byte(s) }
-
-// ToString decodes a String blob.
-func ToString(b []byte) string { return string(b) }
 
 // ChecksumSeed is the FNV-1a 32-bit offset basis, the starting value for
 // Checksum32Add chains.

@@ -7,24 +7,15 @@ import (
 )
 
 func TestScalarRoundTrips(t *testing.T) {
-	if v, err := ToU32(U32(0xDEADBEEF)); err != nil || v != 0xDEADBEEF {
-		t.Fatalf("u32: %v %v", v, err)
-	}
 	if v, err := ToU64(U64(1 << 60)); err != nil || v != 1<<60 {
 		t.Fatalf("u64: %v %v", v, err)
 	}
 	if v, err := ToF64(F64(-3.25)); err != nil || v != -3.25 {
 		t.Fatalf("f64: %v %v", v, err)
 	}
-	if ToString(String("hi")) != "hi" {
-		t.Fatal("string")
-	}
 }
 
 func TestScalarErrors(t *testing.T) {
-	if _, err := ToU32([]byte{1}); err == nil {
-		t.Fatal("short u32")
-	}
 	if _, err := ToU64([]byte{1, 2, 3}); err == nil {
 		t.Fatal("short u64")
 	}
