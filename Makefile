@@ -67,13 +67,15 @@ $(ARTIFACTS:%=bench-%): bench-%:
 
 # The testing.B siblings of the two datapath artifacts print first
 # (results/fabric-datapath.txt and results/receiver-datapath.txt have the
-# prose before/after): per-packet inject/poll cost and poll-cost-vs-cluster-
-# size scaling; bundled delivery and batched task spawn.
+# prose before/after): per-packet inject/poll cost, poll-cost-vs-cluster-
+# size scaling and the cost of one idle and one 64-put progress pass;
+# bundled delivery and batched task spawn.
 bench-fabric: microbench-fabric
 bench-deliver: microbench-deliver
 
 microbench-fabric:
 	$(GO) test -bench 'BenchmarkInjectPoll|BenchmarkPoll' -benchmem ./internal/fabric/ -timeout 1800s
+	$(GO) test -run '^$$' -bench 'BenchmarkProgressIdle|BenchmarkProgressDrain64' -benchmem ./internal/parcelport/lcipp/ -timeout 1800s
 
 microbench-deliver:
 	$(GO) test -bench BenchmarkDeliverBundle -benchmem ./internal/core/ -timeout 1800s

@@ -96,19 +96,41 @@ type dpRow struct {
 	run func(iters int) (Record, error)
 }
 
-// measureRows runs every row and names its record.
+// dpRounds is how many slices each row's iterations are split into. The
+// rows take turns slice by slice, each slice on a fresh harness, so drift of
+// the host over the run lands on every row — and both sides of every ratio
+// claim — alike.
+const dpRounds = 5
+
+// measureRows runs every row round-robin (dpRounds slices of iters/dpRounds
+// iterations each) and names its record: the mean of the slices' per-op
+// wall time and allocations.
 func measureRows(rows []dpRow, iters int) ([]Record, error) {
-	recs := make([]Record, 0, len(rows))
-	for _, r := range rows {
-		rec, err := r.run(iters)
-		if err != nil {
-			return nil, fmt.Errorf("%s: %w", r.op, err)
+	ns := make([]float64, len(rows))
+	allocs := make([]float64, len(rows))
+	per := max(1, iters/dpRounds)
+	for round := 0; round < dpRounds; round++ {
+		for i, r := range rows {
+			rec, err := r.run(per)
+			if err != nil {
+				return nil, fmt.Errorf("%s: %w", r.op, err)
+			}
+			ns[i] += rec.Num("ns_op") / dpRounds
+			allocs[i] += rec.Num("allocs_op") / dpRounds
 		}
-		rec.Op = r.op
-		recs = append(recs, rec)
+	}
+	recs := make([]Record, len(rows))
+	for i, r := range rows {
+		recs[i] = row(r.op, "ns_op", ns[i], "allocs_op", allocs[i])
 	}
 	return recs, nil
 }
+
+// pollEmptyScale multiplies a quiescent-poll row's iterations: an empty
+// poll costs a few ns, so at the plain count its timed region would be a
+// fraction of a millisecond and one interrupt could double a row. Scaled,
+// a slice runs for milliseconds and the flatness claim compares code.
+const pollEmptyScale = 40
 
 // measureFabric measures one-packet and quiescent polls across cluster
 // sizes.
@@ -120,7 +142,7 @@ func measureFabric(sc Scale) ([]Record, error) {
 	}
 	for _, nodes := range []int{2, 16, 64} {
 		rows = append(rows, dpRow{fmt.Sprintf("fabric/pollempty/n%d", nodes),
-			func(n int) (Record, error) { return fabricPollEmpty(nodes, n) }})
+			func(n int) (Record, error) { return fabricPollEmpty(nodes, n*pollEmptyScale) }})
 	}
 	return measureRows(rows, sc.FabricIters)
 }

@@ -47,6 +47,24 @@ type RendezvousResult struct {
 // time, not host scheduling, dominates). Every transfer is verified
 // byte-identical against the payload.
 func Rendezvous(p RendezvousParams) (RendezvousResult, error) {
+	res, err := rendezvousRounds([]RendezvousParams{p})
+	if err != nil {
+		return RendezvousResult{}, err
+	}
+	return res[0], nil
+}
+
+// rendezvousRig is one point's device pair and buffers, warmed up.
+type rendezvousRig struct {
+	p        RendezvousParams
+	transfer func(fill byte) (time.Duration, error)
+	times    []time.Duration
+	mallocs  uint64
+}
+
+// newRendezvousRig builds one point's devices and runs its warm-up
+// transfers.
+func newRendezvousRig(p RendezvousParams) (*rendezvousRig, error) {
 	if p.Size <= 0 {
 		p.Size = 1 << 20
 	}
@@ -67,7 +85,7 @@ func Rendezvous(p RendezvousParams) (RendezvousResult, error) {
 		PacketOverheadBytes: 64,
 	})
 	if err != nil {
-		return RendezvousResult{}, err
+		return nil, err
 	}
 	lcfg := lci.Config{ChunkSize: p.ChunkSize, StripeWidth: p.Stripe, SingleBlobLong: p.SingleBlob}
 	snd := lci.NewDevice(net.Device(0), lcfg, nil)
@@ -109,31 +127,67 @@ func Rendezvous(p RendezvousParams) (RendezvousResult, error) {
 
 	for w := 0; w < p.Warmup; w++ {
 		if _, err := transfer(byte(w)); err != nil {
-			return RendezvousResult{}, err
+			return nil, err
 		}
 	}
-	durations := make([]time.Duration, 0, p.Reps)
-	runtime.GC() // settle GC debt from setup so no cycle fires mid-bracket
-	var ms0, ms1 runtime.MemStats
-	runtime.ReadMemStats(&ms0)
-	for r := 0; r < p.Reps; r++ {
-		el, err := transfer(byte(r + 101))
+	return &rendezvousRig{p: p, transfer: transfer}, nil
+}
+
+// rendezvousRounds measures several points round-robin: every rig is built
+// and warmed first, then each round times one transfer of every point, so
+// drift of the host over the run lands on every point — and both sides of
+// every ratio claim — alike. Each timed transfer is bracketed by its own
+// MemStats reads, so a point's allocation count is its own.
+func rendezvousRounds(ps []RendezvousParams) ([]RendezvousResult, error) {
+	rigs := make([]*rendezvousRig, len(ps))
+	reps := 0
+	for i, p := range ps {
+		rig, err := newRendezvousRig(p)
 		if err != nil {
-			return RendezvousResult{}, err
+			return nil, err
 		}
-		durations = append(durations, el)
+		rigs[i] = rig
+		reps = max(reps, rig.p.Reps)
 	}
-	runtime.ReadMemStats(&ms1)
-	sort.Slice(durations, func(i, j int) bool { return durations[i] < durations[j] })
-	median := durations[len(durations)/2]
-	res := RendezvousResult{
-		NsOp:     float64(median.Nanoseconds()),
-		AllocsOp: float64(ms1.Mallocs-ms0.Mallocs) / float64(p.Reps),
+	var ms0, ms1 runtime.MemStats
+	for r := 0; r < reps; r++ {
+		// Settle the GC debt of setup and of the last round's blob
+		// transfers (each allocates its payload afresh), so no cycle runs
+		// beside a timed transfer.
+		runtime.GC()
+		for _, rig := range rigs {
+			if r >= rig.p.Reps {
+				continue
+			}
+			// One untimed transfer first: the previous rig's buffers have
+			// pushed this one's out of cache, and a row times the warm
+			// transfer, as when its reps ran back to back.
+			if _, err := rig.transfer(byte(r + 51)); err != nil {
+				return nil, err
+			}
+			runtime.ReadMemStats(&ms0)
+			el, err := rig.transfer(byte(r + 101))
+			runtime.ReadMemStats(&ms1)
+			if err != nil {
+				return nil, err
+			}
+			rig.times = append(rig.times, el)
+			rig.mallocs += ms1.Mallocs - ms0.Mallocs
+		}
 	}
-	if res.NsOp > 0 {
-		res.Gbps = float64(p.Size) * 8 / res.NsOp // bits per ns == Gbit/s
+	out := make([]RendezvousResult, len(rigs))
+	for i, rig := range rigs {
+		sort.Slice(rig.times, func(a, b int) bool { return rig.times[a] < rig.times[b] })
+		median := rig.times[len(rig.times)/2]
+		out[i] = RendezvousResult{
+			NsOp:     float64(median.Nanoseconds()),
+			AllocsOp: float64(rig.mallocs) / float64(len(rig.times)),
+		}
+		if out[i].NsOp > 0 {
+			out[i].Gbps = float64(rig.p.Size) * 8 / out[i].NsOp // bits per ns == Gbit/s
+		}
 	}
-	return res, nil
+	return out, nil
 }
 
 // Row names the rendezvous claims reference.
@@ -162,15 +216,20 @@ func rendezvousPoints(sc Scale) []point[RendezvousParams] {
 	}
 }
 
-// measureRendezvous measures every row.
+// measureRendezvous measures every row, round-robin (rendezvousRounds).
 func measureRendezvous(sc Scale) ([]Record, error) {
-	var recs []Record
-	for _, pt := range rendezvousPoints(sc) {
-		res, err := Rendezvous(pt.p)
-		if err != nil {
-			return nil, fmt.Errorf("%s: %w", pt.op, err)
-		}
-		recs = append(recs, row(pt.op, "ns_op", res.NsOp, "gbps", res.Gbps, "allocs_op", res.AllocsOp))
+	pts := rendezvousPoints(sc)
+	ps := make([]RendezvousParams, len(pts))
+	for i, pt := range pts {
+		ps[i] = pt.p
+	}
+	res, err := rendezvousRounds(ps)
+	if err != nil {
+		return nil, err
+	}
+	recs := make([]Record, len(pts))
+	for i, pt := range pts {
+		recs[i] = row(pt.op, "ns_op", res[i].NsOp, "gbps", res[i].Gbps, "allocs_op", res[i].AllocsOp)
 	}
 	return recs, nil
 }

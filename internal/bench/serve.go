@@ -70,7 +70,7 @@ func servePoints(sc Scale) []servePoint {
 }
 
 // serveRow builds a fresh runtime and service for one row, preloads the
-// keyspace, and drives the load.
+// keyspace, and drives the load once.
 func serveRow(sc Scale, pt servePoint) (serve.LoadResult, error) {
 	rt, err := core.NewRuntime(core.Config{
 		Localities:         sc.ServeLocalities,
@@ -90,40 +90,45 @@ func serveRow(sc Scale, pt servePoint) (serve.LoadResult, error) {
 	}
 	defer rt.Shutdown()
 	svc.Preload(serve.KeySet(pt.load.Keys), make([]byte, 64))
-	// Best-of-2 by throughput: a single GC or descheduling stall on the
-	// 1-CPU host lands in *every* open-loop latency (measured from the
-	// scheduled arrival, so the stall is honestly billed) and can poison a
-	// whole row — observed once as a 242 ms admit-row p99 against a stable
-	// 11 ms. The stalled rep also loses throughput, so keeping the faster
-	// rep keeps the stall-free one. Stalls are rare and independent, so
-	// two reps make a poisoned row vanishingly unlikely.
-	var best serve.LoadResult
-	for r := 0; r < 2; r++ {
-		res, err := serve.RunLoad(svc, 0, pt.load)
-		if err != nil {
-			return serve.LoadResult{}, err
-		}
-		if r == 0 || res.Throughput > best.Throughput {
-			best = res
-		}
-	}
-	return best, nil
+	return serve.RunLoad(svc, 0, pt.load)
 }
 
-// measureServe measures every load-mix row. Latencies are from the
-// *scheduled* arrival; hit_rate is cache hits / remote GETs; shed_frac is
-// shed (admission + backpressure) / offered.
+// serveRounds is how many times each row runs. Best-of-2 by throughput: a
+// single GC or descheduling stall on the 1-CPU host lands in *every*
+// open-loop latency (measured from the scheduled arrival, so the stall is
+// honestly billed) and can poison a whole row — observed once as a 242 ms
+// admit-row p99 against a stable 11 ms. The stalled run also loses
+// throughput, so keeping the faster run keeps the stall-free one. Stalls are
+// rare and independent, so two runs make a poisoned row vanishingly
+// unlikely.
+const serveRounds = 2
+
+// measureServe measures every load-mix row. The rows take turns round by
+// round, each run on a fresh runtime, so drift of the host over the run
+// lands on both sides of the cache/nocache ratio alike. Latencies are from
+// the *scheduled* arrival; hit_rate is cache hits / remote GETs; shed_frac
+// is shed (admission + backpressure) / offered.
 func measureServe(sc Scale) ([]Record, error) {
-	var recs []Record
-	for _, pt := range servePoints(sc) {
-		res, err := serveRow(sc, pt)
-		if err != nil {
-			return nil, fmt.Errorf("%s: %w", pt.op, err)
+	pts := servePoints(sc)
+	best := make([]serve.LoadResult, len(pts))
+	for r := 0; r < serveRounds; r++ {
+		for i, pt := range pts {
+			res, err := serveRow(sc, pt)
+			if err != nil {
+				return nil, fmt.Errorf("%s: %w", pt.op, err)
+			}
+			if r == 0 || res.Throughput > best[i].Throughput {
+				best[i] = res
+			}
 		}
-		recs = append(recs, row(pt.op, "ops_sec", res.Throughput,
+	}
+	recs := make([]Record, len(pts))
+	for i, pt := range pts {
+		res := best[i]
+		recs[i] = row(pt.op, "ops_sec", res.Throughput,
 			"p50_us", res.P50Us, "p99_us", res.P99Us, "p999_us", res.P999Us,
 			"hit_rate", res.HitRate, "shed_frac", res.ShedFrac,
-			"completed", res.Completed, "offered", res.Offered))
+			"completed", res.Completed, "offered", res.Offered)
 	}
 	return recs, nil
 }

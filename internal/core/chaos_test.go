@@ -201,6 +201,48 @@ func TestBarrierDeadLink(t *testing.T) {
 	}
 }
 
+// TestDeliveryTimeoutOnHealthyLink: a Call whose action never replies, over
+// a link that stays healthy, fails with ErrPeerUnreachable once its
+// DeliveryTimeout has passed — not before it, and not long after (the reaper
+// runs at most once a millisecond, on the monotonic clock).
+func TestDeliveryTimeoutOnHealthyLink(t *testing.T) {
+	const timeout = 300 * time.Millisecond
+	rt, err := NewRuntime(Config{Localities: 2, WorkersPerLocality: 2, Parcelport: "lci", DeliveryTimeout: timeout})
+	if err != nil {
+		t.Fatal(err)
+	}
+	release := make(chan struct{})
+	rt.MustRegisterAction("never_replies", func(*Locality, [][]byte) [][]byte {
+		<-release
+		return nil
+	})
+	if err := rt.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer rt.Shutdown()
+	defer close(release) // before Shutdown: the blocked task must finish
+
+	start := time.Now()
+	f := rt.Locality(0).Call(1, "never_replies", []byte("x"))
+	_, err = f.GetTimeout(30 * time.Second)
+	waited := time.Since(start)
+	if !errors.Is(err, ErrPeerUnreachable) {
+		t.Fatalf("call to a silent action: err = %v, want ErrPeerUnreachable", err)
+	}
+	if waited < timeout {
+		t.Fatalf("call failed after %v, before its %v delivery timeout", waited, timeout)
+	}
+	if waited > timeout+2*time.Second {
+		t.Fatalf("call failed after %v, long past its %v delivery timeout", waited, timeout)
+	}
+	if h := rt.Network().PeerHealth(0, 1); h != fabric.HealthHealthy {
+		t.Fatalf("peer health %v, want healthy", h)
+	}
+	if n := rt.Locality(0).PendingContinuations(); n != 0 {
+		t.Fatalf("%d continuations left after the timeout", n)
+	}
+}
+
 // TestDeliveryTimeoutSurfacesError: a black-hole link (100% drop, tiny retry
 // budget) exhausts its budget, the fabric declares the peer down, and the
 // pending Call future fails with ErrPeerUnreachable instead of hanging;

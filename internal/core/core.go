@@ -554,7 +554,7 @@ func (rt *Runtime) runContinuation(loc *Locality, args [][]byte) [][]byte {
 type contEntry struct {
 	f          *amt.Future[[][]byte]
 	dst        int
-	deadlineNs int64 // unix nanos; 0 = no deadline
+	deadlineNs int64 // monoNs deadline; 0 = no deadline
 }
 
 // Locality is one simulated compute node: scheduler, parcelport, parcel
@@ -597,6 +597,7 @@ type Locality struct {
 	inlineSpilled   atomic.Uint64 // inline-eligible parcels demoted to spawn
 	inlineDemotions atomic.Uint64 // actions whose EWMA crossed up over inlineHeavyNs
 	inlineReadmits  atomic.Uint64 // actions whose EWMA came back under it
+	inlineTick      atomic.Uint32 // alternates the timing of cheap single-run batches
 
 	// delivPool recycles delivery contexts (parcel slab + task slots) so the
 	// steady-state receive path allocates nothing. See deliver.
@@ -739,7 +740,7 @@ func (l *Locality) callID(dst int, id uint32, args [][]byte, f *amt.Future[[][]b
 	cid := l.nextCont.Add(1)
 	var deadline int64
 	if d := l.rt.cfg.DeliveryTimeout; d > 0 {
-		deadline = time.Now().Add(d).UnixNano()
+		deadline = monoNs() + int64(d)
 	}
 	l.contMu.Lock()
 	l.conts[cid] = contEntry{f: f, dst: dst, deadlineNs: deadline}
@@ -769,9 +770,11 @@ func (l *Locality) peerDown(dst int) bool {
 // reapDeadContinuations fails Call futures whose deadline passed or whose
 // destination the fabric declared down, and discards parcels queued for dead
 // peers. Rate-gated to one pass per millisecond per locality; reports
-// whether any future was reaped.
+// whether any future was reaped. Deadlines and the gate are on the
+// monotonic clock, so a wall-clock step neither reaps a live call early nor
+// holds a dead one past its deadline.
 func (l *Locality) reapDeadContinuations() bool {
-	now := time.Now().UnixNano()
+	now := monoNs()
 	next := l.nextReapNs.Load()
 	if now < next || !l.nextReapNs.CompareAndSwap(next, now+int64(time.Millisecond)) {
 		return false
@@ -981,6 +984,11 @@ const (
 	// inlineRunMax is the longest run of same-action parcels executed
 	// between two clock reads.
 	inlineRunMax = 8
+	// inlineCheapNs is the service EWMA under which a batch that is one
+	// run is timed only every other time: such a run is far from both the
+	// heavy ceiling and the wall cap, and half its samples keep the EWMA
+	// current (a heavy sample lifts it over this line at once).
+	inlineCheapNs = inlineHeavyNs / 4
 )
 
 // monoBase anchors monoNs.
@@ -1154,32 +1162,44 @@ func (l *Locality) deliver(m *serialization.Message) {
 // under the heavy ceiling (a never-sampled action runs alone). The clock is
 // read once per run: the run's mean feeds the action's EWMA, and the wall
 // cap is checked there; once it has expired the remainder of the batch
-// spills to spawned tasks. Scheduler and locality counters are bumped per
-// run or per batch, never per parcel.
+// spills to spawned tasks. A batch that is a single run of a sampled action
+// under inlineCheapNs reads no clock every other time (inlineTick) — on the
+// direct path that is every single-parcel delivery of a light action.
+// Scheduler and locality counters are bumped per run or per batch, never
+// per parcel.
 func (l *Locality) runInlineBatch(d *delivery) int {
 	inl := d.inline
-	start := monoNs()
-	t0 := start
+	var start, t0 int64 // read at the first timed run
 	i := 0
 	for i < len(inl) {
 		aid := inl[i].p.Action
+		est := l.rt.actionSvc[aid].Load()
 		maxRun := 1
-		if est := l.rt.actionSvc[aid].Load(); est > 0 {
+		if est > 0 {
 			maxRun = int(min(inlineRunMax, max(1, inlineHeavyNs/est)))
 		}
 		j := i + 1
 		for j < len(inl) && j-i < maxRun && inl[j].p.Action == aid {
 			j++
 		}
-		l.sched.BeginInline(j - i)
-		l.parcelsExecuted.Add(uint64(j - i)) // before the actions, as on the spawned path
-		for _, t := range inl[i:j] {
+		timed := i > 0 || j < len(inl) || est == 0 || est >= inlineCheapNs || l.inlineTick.Add(1)&1 == 1
+		if i == 0 && timed {
+			start = monoNs()
+			t0 = start
+		}
+		run := inl[i:j]
+		i = j
+		l.sched.BeginInline(len(run))
+		l.parcelsExecuted.Add(uint64(len(run))) // before the actions, as on the spawned path
+		for _, t := range run {
 			t.invoke(false)
 		}
+		if !timed {
+			continue // the whole batch: nothing left to cap
+		}
 		t1 := monoNs()
-		l.observeService(aid, (t1-t0)/int64(j-i))
+		l.observeService(aid, (t1-t0)/int64(len(run)))
 		t0 = t1
-		i = j
 		if i < len(inl) && time.Duration(t1-start) > inlineTimeBudget {
 			rest := d.runs[:0]
 			for _, u := range inl[i:] {

@@ -434,6 +434,11 @@ type Device struct {
 
 	rel *relState // reliability engine; nil when Config.Reliability is off
 
+	// clockNs is the last clock reading a poller took. It only lags true
+	// time, so a head that has arrived by it has truly arrived: Poll decides
+	// against it and reads the clock only when it says "not yet".
+	clockNs atomic.Int64
+
 	injectedPackets  atomic.Uint64
 	injectedBytes    atomic.Uint64
 	deliveredPackets atomic.Uint64
@@ -724,19 +729,29 @@ func (d *Device) markReady(id uint32) {
 // Poll returns one arrived packet destined to this device, or nil if none
 // has arrived yet. It drains the device's ready index — only rails with
 // queued traffic are visited, so an idle or mostly-idle device polls in O(1)
-// regardless of cluster size. Rails whose head has not arrived yet re-park
-// cheaply behind an atomic arrival hint. With reliability on it first runs
-// the time-gated ARQ maintenance (retransmissions, standalone acks) and
-// filters arrivals through the reliability layer — corrupt packets,
-// duplicates and ack-only packets are consumed (and released) here and
-// never surface.
+// regardless of cluster size, and with the ARQ off an empty index returns
+// before anything else. Rails whose head has not arrived yet re-park
+// cheaply behind an atomic arrival hint. Arrival is decided against the
+// device's last clock reading (clockNs); Poll reads the clock at most once,
+// and only when that stale reading says a head has not arrived, so a
+// packet never surfaces before its modelled arrival and a drain of arrived
+// packets costs no clock read. With reliability on it first runs the
+// time-gated ARQ maintenance (retransmissions, standalone acks), whose
+// clock reading serves the pass, and filters arrivals through the
+// reliability layer — corrupt packets, duplicates and ack-only packets are
+// consumed (and released) here and never surface.
 //
 // The returned packet is owned by the caller, who must Release it.
 func (d *Device) Poll() *Packet {
+	var now int64
+	fresh := false
 	if d.rel != nil {
-		d.rel.maintain()
+		now, fresh = d.rel.maintain(), true
+	} else if d.readyIdx.Len() == 0 {
+		return nil
+	} else {
+		now = d.clockNs.Load()
 	}
-	now := d.net.nowNs()
 	// Visit each currently-ready rail at most once per call: re-parked
 	// rails go behind the entries counted here.
 	for budget := d.readyIdx.Len() + 1; budget > 0; budget-- {
@@ -746,12 +761,21 @@ func (d *Device) Poll() *Packet {
 		}
 		r := d.railByID(id)
 		if hint := r.headNs.Load(); hint > now {
-			d.markReady(id) // head not arrived: re-park cheaply
-			continue
+			if !fresh {
+				now, fresh = d.readClock(), true
+			}
+			if hint > now {
+				d.markReady(id) // head not arrived: re-park cheaply
+				continue
+			}
 		}
 		for {
 			p, blocked := r.tryPop(now)
 			if p == nil {
+				if blocked && !fresh {
+					now, fresh = d.readClock(), true
+					continue // the stale reading said "not yet"; ask again
+				}
 				if blocked {
 					d.markReady(id)
 				} else {
@@ -770,6 +794,15 @@ func (d *Device) Poll() *Packet {
 		}
 	}
 	return nil
+}
+
+// readClock reads the network clock and records it as the device's last
+// reading. Concurrent pollers may store out of order; every stored value
+// is still a past reading, which is all Poll relies on.
+func (d *Device) readClock() int64 {
+	now := d.net.nowNs()
+	d.clockNs.Store(now)
+	return now
 }
 
 // Pending reports whether any packet is queued for this device, arrived or

@@ -485,17 +485,18 @@ func (rs *relState) admit(p *Packet) bool {
 // maintain runs the time-gated sender-side duties from Poll: retransmit due
 // packets, declare links down, and send standalone acks for idle links. A
 // CAS on dueNs elects one poller per pass, keeping the hot path at a single
-// atomic load when nothing is due.
-func (rs *relState) maintain() {
+// atomic load when nothing is due. It returns its clock reading, which the
+// calling Poll decides arrivals against.
+func (rs *relState) maintain() int64 {
 	d := rs.dev
 	now := d.net.nowNs()
 	due := rs.dueNs.Load()
 	if now < due {
-		return
+		return now
 	}
 	entry := now + rs.granuleNs
 	if !rs.dueNs.CompareAndSwap(due, entry) {
-		return
+		return now
 	}
 	cfg := &d.net.cfg
 	next := now + int64(1_000_000_000) // idle horizon; lowered by real work
@@ -573,6 +574,7 @@ func (rs *relState) maintain() {
 	} else {
 		rs.lowerDue(next)
 	}
+	return now
 }
 
 // sendAck emits one standalone ack-only packet to dst, subject to the same

@@ -684,3 +684,64 @@ func TestCompQueueOverflowSteadyState(t *testing.T) {
 		t.Fatalf("Len = %d, want %d", q.Len(), 4+depth)
 	}
 }
+
+// TestDeferredAppendedWhileIdleRetriedOnce: control packets deferred by
+// another goroutine while the progress loop spins over an empty deferred
+// list are each injected exactly once. The loop finds the list empty by an
+// atomic length load, without the lock; run under -race this shows that
+// check loses no entry and retries none twice.
+func TestDeferredAppendedWhileIdleRetriedOnce(t *testing.T) {
+	net, err := fabric.NewNetwork(fabric.Config{Nodes: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := NewDevice(net.Device(0), Config{}, nil)
+	peer := net.Device(1) // bare fabric device: counts exactly what landed
+	const k = 500
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				d.Progress()
+			}
+		}
+	}()
+	for i := 0; i < k; i++ {
+		d.deferControl(fabric.Packet{Dst: 1, Op: 0xEE, T0: uint64(i)})
+		if i%16 == 0 {
+			time.Sleep(50 * time.Microsecond) // let the loop go idle between bursts
+		}
+	}
+	seen := make([]int, k)
+	got := 0
+	for deadline := time.Now().Add(5 * time.Second); got < k && time.Now().Before(deadline); {
+		if p := peer.Poll(); p != nil {
+			seen[p.T0]++
+			got++
+			p.Release()
+		}
+	}
+	// Keep the loop spinning a little longer: a twice-retried entry would
+	// land now.
+	time.Sleep(2 * time.Millisecond)
+	close(stop)
+	wg.Wait()
+	for p := peer.Poll(); p != nil; p = peer.Poll() {
+		seen[p.T0]++
+		p.Release()
+	}
+	for i, c := range seen {
+		if c != 1 {
+			t.Fatalf("deferred packet %d injected %d times, want 1", i, c)
+		}
+	}
+	if n := d.def.n.Load(); n != 0 {
+		t.Fatalf("deferred list still counts %d entries", n)
+	}
+}

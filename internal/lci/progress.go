@@ -22,6 +22,15 @@ const chunkWave = 16
 type deferred struct {
 	mu   sync.Mutex
 	pkts []deferredSend
+	n    atomic.Int32 // len(pkts), stored under mu: an idle pass reads it without the lock
+}
+
+// push appends entries under mu.
+func (q *deferred) push(ds ...deferredSend) {
+	q.mu.Lock()
+	q.pkts = append(q.pkts, ds...)
+	q.n.Store(int32(len(q.pkts)))
+	q.mu.Unlock()
 }
 
 // deferKind says what a deferred entry represents and what completes when
@@ -72,17 +81,13 @@ func (d *Device) Progress() bool {
 // payload entries nothing completes when it lands — it just must not be
 // dropped.
 func (d *Device) deferControl(pkt fabric.Packet) {
-	d.def.mu.Lock()
-	d.def.pkts = append(d.def.pkts, deferredSend{pkt: pkt, kind: deferControl})
-	d.def.mu.Unlock()
+	d.def.push(deferredSend{pkt: pkt, kind: deferControl})
 }
 
 // deferChunks parks a paused chunk stream; the next Progress pass resumes
 // it from the send handle's cursor.
 func (d *Device) deferChunks(sendIdx uint32) {
-	d.def.mu.Lock()
-	d.def.pkts = append(d.def.pkts, deferredSend{sendIdx: sendIdx, kind: deferChunks})
-	d.def.mu.Unlock()
+	d.def.push(deferredSend{sendIdx: sendIdx, kind: deferChunks})
 }
 
 // dispatch handles one arrived packet.
@@ -207,9 +212,11 @@ func (d *Device) handleCTS(cts *fabric.Packet) {
 // order, so consecutive wave entries share a rail and InjectBatch amortizes
 // the producer lock), and injects until the payload is fully on the wire or
 // a rail backpressures — in which case the stream parks on the deferred
-// list and resumes here, from h.sent, on a later Progress pass. The fabric
-// copies each chunk on inject, so completion (buffer reusable) fires as
-// soon as the last chunk is accepted.
+// list and resumes here, from h.sent, on a later Progress pass. The chunks
+// travel zero-copy, so the send completes on the receiver's FIN. Once the
+// last chunk is accepted, that FIN may come back and be handled by another
+// Progress caller, releasing the handle, before InjectBatch returns here:
+// the final wave touches h no more.
 func (d *Device) streamChunks(sendIdx uint32) bool {
 	h := d.sendHandles.get(sendIdx)
 	wave := d.getWave()
@@ -235,7 +242,11 @@ func (d *Device) streamChunks(sendIdx uint32) bool {
 			}
 			k++
 		}
+		final := h.sent+k == h.chunks
 		n, err := d.fdev.InjectBatch(wave[:k])
+		if final && n == k {
+			break // every chunk is on the wire; h may already be released
+		}
 		h.sent += n
 		if n > 0 {
 			progressed = true
@@ -275,20 +286,21 @@ func (d *Device) completeLongSend(sendIdx uint32) {
 
 // deferSend queues a backpressured injection for retry on the next Progress.
 func (d *Device) deferSend(pkt fabric.Packet, sendIdx uint32) {
-	d.def.mu.Lock()
-	d.def.pkts = append(d.def.pkts, deferredSend{pkt: pkt, sendIdx: sendIdx})
-	d.def.mu.Unlock()
+	d.def.push(deferredSend{pkt: pkt, sendIdx: sendIdx})
 }
 
-// retryDeferred re-attempts previously backpressured injections.
+// retryDeferred re-attempts previously backpressured injections. An empty
+// list costs one atomic load: the length is stored under the lock, so an
+// entry pushed before this pass's load is seen by it, and one pushed after
+// by the next pass.
 func (d *Device) retryDeferred() bool {
-	d.def.mu.Lock()
-	if len(d.def.pkts) == 0 {
-		d.def.mu.Unlock()
+	if d.def.n.Load() == 0 {
 		return false
 	}
+	d.def.mu.Lock()
 	pending := d.def.pkts
 	d.def.pkts = nil
+	d.def.n.Store(0)
 	d.def.mu.Unlock()
 
 	did := false
@@ -303,9 +315,7 @@ func (d *Device) retryDeferred() bool {
 		}
 		if err := d.fdev.Inject(ds.pkt); err != nil {
 			if errors.Is(err, fabric.ErrBackpressure) {
-				d.def.mu.Lock()
-				d.def.pkts = append(d.def.pkts, pending[i:]...)
-				d.def.mu.Unlock()
+				d.def.push(pending[i:]...)
 				return did
 			}
 			continue

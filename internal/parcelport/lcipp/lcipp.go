@@ -110,9 +110,12 @@ type Parcelport struct {
 	syncMu   sync.Mutex
 	pendSync []*syncEntry
 
-	// retryMu guards connections whose last post hit ErrRetry.
+	// retryMu guards connections whose last post hit ErrRetry; retryLen
+	// is len(retryList), stored under retryMu, so an idle pass finds the
+	// list empty without the lock.
 	retryMu   sync.Mutex
 	retryList []*lconn
+	retryLen  atomic.Int32
 
 	// header receive state for the sendrecv protocol, one per device.
 	hdrMu   sync.Mutex
@@ -409,8 +412,20 @@ const drainChunk = 8
 // drainBatch budget. The rotation cursor advances every pass, so under a
 // sustained hot put stream the op CQ still gets a proportional share of each
 // pass (the historical sequential drain served every put CQ to exhaustion of
-// its own fixed batch before touching operation completions).
+// its own fixed batch before touching operation completions). A pass that
+// finds every queue empty returns before the cursor's atomic add and the
+// chunk buffer: an idle pass pays a length load per queue.
 func (pp *Parcelport) drainCQ() bool {
+	idle := true
+	for _, q := range pp.cqs {
+		if q.Len() > 0 {
+			idle = false
+			break
+		}
+	}
+	if idle {
+		return false
+	}
 	budget := drainBatch
 	nq := len(pp.cqs)
 	start := int(pp.drainCur.Add(1))
@@ -614,18 +629,20 @@ func (pp *Parcelport) addRetry(c *lconn) {
 	pp.stats.retries.Add(1)
 	pp.retryMu.Lock()
 	pp.retryList = append(pp.retryList, c)
+	pp.retryLen.Store(int32(len(pp.retryList)))
 	pp.retryMu.Unlock()
 }
 
-// drainRetries re-drives connections that were backpressured.
+// drainRetries re-drives connections that were backpressured. An empty
+// list costs one atomic load (see retryLen).
 func (pp *Parcelport) drainRetries() bool {
-	pp.retryMu.Lock()
-	if len(pp.retryList) == 0 {
-		pp.retryMu.Unlock()
+	if pp.retryLen.Load() == 0 {
 		return false
 	}
+	pp.retryMu.Lock()
 	conns := pp.retryList
 	pp.retryList = nil
+	pp.retryLen.Store(0)
 	pp.retryMu.Unlock()
 	did := false
 	for _, c := range conns {
