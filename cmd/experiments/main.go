@@ -39,37 +39,23 @@ func provenance(scale string) string {
 		runtime.GOOS, runtime.GOARCH, runtime.GOMAXPROCS(0), runtime.Version(), scale)
 }
 
-// env is what a target runs under.
-type env struct {
-	sc  bench.Scale
-	csv bool
-}
-
-// runFunc runs one target and returns its text.
-type runFunc func(env) (string, error)
+// runFunc runs one target at a scale and returns its text.
+type runFunc func(bench.Scale) (string, error)
 
 // fromFigure adapts a figure generator to a target.
 func fromFigure(f func(bench.Scale) (*stats.Figure, error)) runFunc {
-	return func(e env) (string, error) {
-		fig, err := f(e.sc)
+	return func(sc bench.Scale) (string, error) {
+		fig, err := f(sc)
 		if err != nil {
 			return "", err
-		}
-		if e.csv {
-			return fig.RenderCSV(), nil
 		}
 		return fig.Render(), nil
 	}
 }
 
-// fromText adapts a scale-dependent text report to a target.
-func fromText(f func(bench.Scale) (string, error)) runFunc {
-	return func(e env) (string, error) { return f(e.sc) }
-}
-
 // fromTable adapts a fixed table to a target.
 func fromTable(f func() string) runFunc {
-	return func(env) (string, error) { return f(), nil }
+	return func(bench.Scale) (string, error) { return f(), nil }
 }
 
 // paperTargets are the paper's tables and figures plus the reproduction's
@@ -94,18 +80,18 @@ var paperTargets = []struct {
 	{"fig11", fromFigure(bench.Fig11)},
 	{"ablation-mpi", fromFigure(bench.AblationMPI)},
 	{"ablation-multidev", fromFigure(bench.AblationMultiDevice)},
-	{"profile", fromText(bench.ProfileText)},
-	{"check", fromText(bench.ClaimsText)},
+	{"profile", bench.ProfileText},
+	{"check", bench.ClaimsText},
 	{"latency-tails", fromFigure(bench.LatencyTails)},
-	{"reliability", fromText(bench.ReliabilityText)},
+	{"reliability", bench.ReliabilityText},
 }
 
 // fromArtifact adapts one bench.Artifact to a target: measure, check the
 // claims, emit the table. A claims failure fails the target and prints the
 // rows that broke it.
 func fromArtifact(a *bench.Artifact) runFunc {
-	return func(e env) (string, error) {
-		recs, err := a.Run(e.sc)
+	return func(sc bench.Scale) (string, error) {
+		recs, err := a.Run(sc)
 		if err != nil {
 			if recs != nil {
 				err = fmt.Errorf("%w\n%s", err, a.Text(recs))
@@ -131,11 +117,11 @@ func claimed() []*bench.Artifact {
 // benchClaims runs every claimed artifact's target. Every artifact runs even
 // after one fails, so a failing run reports every broken claim, each with
 // its table.
-func benchClaims(e env) (string, error) {
+func benchClaims(sc bench.Scale) (string, error) {
 	var tables []string
 	var errs []error
 	for _, a := range claimed() {
-		text, err := fromArtifact(a)(e)
+		text, err := fromArtifact(a)(sc)
 		tables = append(tables, text)
 		errs = append(errs, err)
 	}
@@ -181,32 +167,27 @@ func targetNames(allOnly bool) []string {
 
 // usage is the -h text.
 func usage() string {
-	return "usage: experiments [-scale full|quick] [-out dir] [-format text|csv] <target>...\n" +
+	return "usage: experiments [-scale full|quick] [-out dir] <target>...\n" +
 		"targets: " + strings.Join(targetNames(false), " ") + "\n"
 }
 
 func main() {
 	scale := flag.String("scale", "full", "experiment scale: full or quick")
 	out := flag.String("out", "", "also write each target's output to <dir>/<target>.txt")
-	format := flag.String("format", "text", "figure output format: text or csv")
 	flag.Usage = func() { fmt.Fprint(os.Stderr, usage()) }
 	flag.Parse()
 	if flag.NArg() == 0 {
 		flag.Usage()
 		os.Exit(2)
 	}
-	e := env{csv: *format == "csv"}
+	var sc bench.Scale
 	switch *scale {
 	case "full":
-		e.sc = bench.FullScale()
+		sc = bench.FullScale()
 	case "quick":
-		e.sc = bench.QuickScale()
+		sc = bench.QuickScale()
 	default:
 		fmt.Fprintf(os.Stderr, "experiments: unknown scale %q\n", *scale)
-		os.Exit(2)
-	}
-	if *format != "text" && *format != "csv" {
-		fmt.Fprintf(os.Stderr, "experiments: unknown format %q\n", *format)
 		os.Exit(2)
 	}
 
@@ -224,7 +205,7 @@ func main() {
 			fail(fmt.Errorf("%s: unknown target %q", target, target))
 		}
 		start := time.Now()
-		text, err := run(e)
+		text, err := run(sc)
 		if err != nil {
 			fail(fmt.Errorf("%s: %w", target, err))
 		}

@@ -4,9 +4,9 @@
 // Each locality FFTs its local rows, the grid is transposed with the
 // runtime's pairwise AllToAll (the bandwidth-bound step that dominates
 // distributed FFTs), the rows — now columns — are FFTed again, and the
-// spectrum is checked three ways: an AllReduce'd Parseval energy identity,
-// a full comparison against a serial 2-D FFT at the root, and direct-DFT
-// spot checks of individual bins.
+// spectrum is checked three ways: a Parseval energy identity whose spectral
+// sum is a tree Reduce, a full comparison against a serial 2-D FFT at the
+// root, and direct-DFT spot checks of individual bins.
 package main
 
 import (
@@ -226,8 +226,9 @@ func main() {
 	elapsed := time.Since(start)
 
 	// Check 1 — Parseval: sum|X|^2 = N * sum|x|^2 for the unnormalized DFT,
-	// with the spectral sum computed by the recursive-doubling AllReduce.
-	eres, err := rt.AllReduce(timeout, "dfft_energy", wire.SumF64Fold)
+	// with the spectral sum folded up the binomial tree to locality 0, the
+	// only locality that reads it.
+	eres, err := rt.Reduce(0, timeout, "dfft_energy", wire.SumF64Fold)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -5,6 +5,7 @@ import (
 	"runtime"
 	"time"
 
+	"hpxgo/internal/amt"
 	"hpxgo/internal/core"
 	"hpxgo/internal/fabric"
 	"hpxgo/internal/stats"
@@ -12,11 +13,9 @@ import (
 )
 
 // Collectives scaling: flat O(N) fan-out versus tree-structured collectives
-// across simulated cluster sizes. This is the experiment behind the PR that
-// replaced the flat implementations — the flat references are kept alive in
-// core precisely so this comparison stays reproducible — and the source of
-// the collectives artifact (op, impl, nodes, mean ns/op with its stddev over
-// reps, allocs/op, reps).
+// across simulated cluster sizes, the source of the collectives artifact
+// (op, impl, nodes, mean ns/op with its stddev over reps, allocs/op, reps).
+// The flat baseline is flatFanOut below, on the public CallID.
 
 // collOp runs one collective once (the unit the sweep times).
 type collOp struct {
@@ -35,25 +34,44 @@ func collOps() []collOp {
 			return rt.Broadcast(0, timeout, "bench_mark")
 		}},
 		{"broadcast", "flat", func(rt *core.Runtime) error {
-			return rt.BroadcastFlat(0, timeout, "bench_mark")
+			return flatFanOut(rt, timeout, "bench_mark", nil)
 		}},
 		{"reduce", "tree", func(rt *core.Runtime) error {
 			_, err := rt.Reduce(0, timeout, "bench_myid", wire.SumU64Fold)
 			return err
 		}},
 		{"reduce", "flat", func(rt *core.Runtime) error {
-			_, err := rt.ReduceFlat(0, timeout, "bench_myid", wire.SumU64Fold)
-			return err
-		}},
-		{"allreduce", "tree", func(rt *core.Runtime) error {
-			_, err := rt.AllReduce(timeout, "bench_myid", wire.SumU64Fold)
-			return err
-		}},
-		{"allreduce", "flat", func(rt *core.Runtime) error {
-			_, err := rt.AllReduceFlat(timeout, "bench_myid", wire.SumU64Fold)
-			return err
+			return flatFanOut(rt, timeout, "bench_myid", wire.SumU64Fold)
 		}},
 	}
+}
+
+// flatFanOut is the flat baseline: locality 0 calls action on every
+// locality, itself included, and waits for each reply in rank order,
+// folding the replies when fold is set. Every parcel leaves the root, whose
+// injection queue serializes the whole operation.
+func flatFanOut(rt *core.Runtime, timeout time.Duration, action string, fold core.FoldFunc) error {
+	id, ok := rt.ActionID(action)
+	if !ok {
+		return fmt.Errorf("unknown action %q", action)
+	}
+	root := rt.Locality(0)
+	futs := make([]*amt.Future[[][]byte], rt.Localities())
+	for k := range futs {
+		futs[k] = root.CallID(k, id, nil)
+	}
+	var acc [][]byte
+	for k, f := range futs {
+		res, err := f.GetTimeout(timeout)
+		if err != nil {
+			return fmt.Errorf("locality %d: %w", k, err)
+		}
+		if fold != nil && k > 0 {
+			res = fold(acc, res)
+		}
+		acc = res
+	}
+	return nil
 }
 
 // collRuntime assembles a cluster of n localities for the sweep: one worker

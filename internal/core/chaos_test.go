@@ -158,49 +158,6 @@ func pct(p float64) string {
 	return "1pct"
 }
 
-// TestBarrierDeadLink: a Barrier involving a partitioned peer must return
-// false within its timeout instead of hanging, and direct Calls to the dead
-// peer must fail with ErrPeerUnreachable.
-func TestBarrierDeadLink(t *testing.T) {
-	rt, err := NewRuntime(Config{
-		Localities:         3,
-		WorkersPerLocality: 2,
-		Parcelport:         "lci",
-		Fabric:             fabric.Config{LatencyNs: 200, GbitsPerSec: 100, Reliability: true},
-		DeliveryTimeout:    2 * time.Second,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := rt.Start(); err != nil {
-		t.Fatal(err)
-	}
-	defer rt.Shutdown()
-
-	if !rt.Barrier(30 * time.Second) {
-		t.Fatal("healthy barrier failed")
-	}
-
-	rt.Network().SetLinkDown(0, 2)
-	rt.Network().SetLinkDown(2, 0)
-
-	start := time.Now()
-	if rt.Barrier(8 * time.Second) {
-		t.Fatal("barrier succeeded across a dead link")
-	}
-	if took := time.Since(start); took > 6*time.Second {
-		t.Fatalf("barrier took %v to notice the dead peer", took)
-	}
-
-	_, err = rt.Locality(0).Call(2, "__barrier").GetTimeout(10 * time.Second)
-	if !errors.Is(err, ErrPeerUnreachable) {
-		t.Fatalf("call to dead peer: err = %v, want ErrPeerUnreachable", err)
-	}
-	if h := rt.Network().PeerHealth(0, 1); h != fabric.HealthHealthy {
-		t.Fatalf("unrelated peer health = %v", h)
-	}
-}
-
 // TestDeliveryTimeoutOnHealthyLink: a Call whose action never replies, over
 // a link that stays healthy, fails with ErrPeerUnreachable once its
 // DeliveryTimeout has passed — not before it, and not long after (the reaper

@@ -15,7 +15,7 @@ func TestCollBoxFastPathZeroAlloc(t *testing.T) {
 		waiters: make(map[uint32]chan struct{}),
 	}
 	blobs := [][]byte{[]byte("round")}
-	deadline := time.Now().Add(time.Minute).UnixNano()
+	deadline := monoNs() + int64(time.Minute)
 	// Warm the maps.
 	b.put(7, blobs)
 	if _, err := b.wait(7, deadline); err != nil {
@@ -44,7 +44,7 @@ func TestCollBoxParkPathPooled(t *testing.T) {
 		waiters: make(map[uint32]chan struct{}),
 	}
 	blobs := [][]byte{[]byte("round")}
-	deadline := time.Now().Add(time.Minute).UnixNano()
+	deadline := monoNs() + int64(time.Minute)
 
 	// A single long-lived waker: parks are signalled through an unbuffered
 	// channel so each wait really blocks before its put arrives.

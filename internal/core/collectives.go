@@ -13,28 +13,23 @@ import (
 // Tree-structured collectives built from actions and futures, the way HPX
 // composes broadcasts and reductions from plain remote calls.
 //
-// The flat O(N) fan-outs this file used to contain made the root's injection
-// queue the bottleneck at scale — exactly what the paper's stack was built
-// to avoid. They survive as *Flat reference implementations (property tests
-// compare against them byte for byte; the experiments harness measures them
-// against the trees).
+// Every collective is one reserved relay action over the ordinary
+// Call/continuation machinery, so every tree hop is a plain parcel: it rides
+// the sender-side aggregation layer and the zero-alloc datapath like any
+// other traffic, and the fabric's ARQ gives each hop exactly-once delivery.
+// A relay task may block on its children's futures freely — tasks are
+// goroutines, so a blocked relay parks instead of occupying a worker.
 //
-// The tree collectives are expressed as reserved relay actions over the
-// ordinary Call/continuation machinery, so every tree hop is a plain parcel:
-// it rides the sender-side aggregation layer and the zero-alloc datapath
-// like any other traffic, and the fabric's ARQ gives each hop exactly-once
-// delivery. A relay task may block on its children's futures freely — tasks
-// are goroutines, so a blocked relay parks instead of occupying a worker.
-//
-// Topology: Broadcast, Reduce and Gather use the binomial tree in which the
-// parent of root-relative rank r is r with its lowest set bit cleared. The
-// subtree below rank r covers the contiguous rank range [r, r+lowbit(r)),
-// which is what makes a deterministic fold order cheap: every subtree
-// aggregate is a left fold over consecutive ranks. AllReduce uses
-// recursive doubling (with the classic fold-in/fold-out pre- and post-phase
-// for non-power-of-two N); AllToAll is a pairwise exchange in which node i
-// sends to i+1, i+2, ... (mod N) so no destination is hit by every sender at
-// once.
+// Topology: the binomial tree in which the parent of root-relative rank r is
+// r with its lowest set bit cleared. The subtree below rank r covers the
+// contiguous rank range [r, r+lowbit(r)), which is what makes a
+// deterministic fold order cheap: every subtree aggregate is a left fold over
+// consecutive ranks. The relay's kind picks its local step and how it
+// combines its children's replies: broadcast runs the user action and its
+// children only acknowledge; reduce folds; gather appends tagged records;
+// all-to-all runs a pairwise exchange (node i sends to i+1, i+2, ... mod N,
+// so no destination is hit by every sender at once) through the __coll_data
+// inbox and its children only acknowledge.
 //
 // Fold order: every reduction combines partials in ascending root-relative
 // rank order — the root's own partial first, then (root+1) mod N, (root+2)
@@ -47,24 +42,19 @@ import (
 // required.
 type FoldFunc func(acc, partial [][]byte) [][]byte
 
-// Collective kinds (wire header field; one reserved relay action each).
+// Collective kinds (relay header field): the relay's local step and combine.
 const (
 	collKindBcast = iota + 1
 	collKindReduce
 	collKindGather
-	collKindAllReduce
 	collKindAllToAll
 )
 
 // collRuntime is the runtime-wide collective state embedded in Runtime:
 // the reserved action ids, the fold table and the collective-id allocator.
 type collRuntime struct {
-	bcastID     uint32
-	reduceID    uint32
-	gatherID    uint32
-	allReduceID uint32
-	allToAllID  uint32
-	dataID      uint32
+	relayID uint32
+	dataID  uint32
 
 	nextID atomic.Uint64
 
@@ -78,7 +68,7 @@ type collRuntime struct {
 }
 
 // registerCollectiveActions reserves the relay and data-plane actions. Called
-// from NewRuntime after the continuation and barrier actions.
+// from NewRuntime after the continuation action.
 func (rt *Runtime) registerCollectiveActions() {
 	rt.coll.folds = make(map[uint64]FoldFunc)
 	reserve := func(name string, fn ActionFunc) uint32 {
@@ -86,16 +76,12 @@ func (rt *Runtime) registerCollectiveActions() {
 		rt.byID = append(rt.byID, fn)
 		rt.names = append(rt.names, name)
 		rt.byName[name] = id
-		// Relay actions fan out further parcels and fold partials — not the
+		// The relay fans out further parcels and folds partials — not the
 		// small-and-fast shape the inline lane is for.
 		rt.inline = append(rt.inline, false)
 		return id
 	}
-	rt.coll.bcastID = reserve("__coll_bcast", rt.collBcastAction)
-	rt.coll.reduceID = reserve("__coll_reduce", rt.collReduceAction)
-	rt.coll.gatherID = reserve("__coll_gather", rt.collGatherAction)
-	rt.coll.allReduceID = reserve("__coll_allreduce", rt.collAllReduceAction)
-	rt.coll.allToAllID = reserve("__coll_alltoall", rt.collAllToAllAction)
+	rt.coll.relayID = reserve("__coll_relay", rt.collRelayAction)
 	rt.coll.dataID = reserve("__coll_data", rt.collDataAction)
 }
 
@@ -153,10 +139,10 @@ type collHdr struct {
 	kind       byte
 	id         uint64 // unique per collective invocation
 	root       uint32
-	action     uint32 // user action (produce action for allreduce/alltoall)
-	aux        uint32 // consume action (alltoall)
-	fold       uint64 // fold-table id (reduce/allreduce)
-	deadlineNs int64  // unix nanos; bounds every wait in the tree
+	action     uint32 // user action (produce action for all-to-all)
+	aux        uint32 // consume action (all-to-all)
+	fold       uint64 // fold-table id (reduce)
+	deadlineNs int64  // monoNs deadline; bounds every wait in the tree
 }
 
 const collHdrLen = 1 + 8 + 4 + 4 + 4 + 8 + 8
@@ -191,36 +177,17 @@ func splitCollArgs(args [][]byte) (collHdr, [][]byte, error) {
 	return h, args[1:], nil
 }
 
-// collDataHdr is the header of an unsolicited data-plane parcel (all-to-all
-// block or allreduce round partial), routed into the destination's collBox.
-type collDataHdr struct {
-	id         uint64
-	src        uint32
-	key        uint32 // source rank (alltoall) or round tag (allreduce)
-	deadlineNs int64
-}
+// An all-to-all block travels as __coll_data with a header of u64
+// collective id, u32 source rank and i64 monoNs deadline, and is routed
+// into the destination's collBox under its source rank.
+const collDataHdrLen = 8 + 4 + 8
 
-const collDataHdrLen = 8 + 4 + 4 + 8
-
-func encodeCollData(h collDataHdr) []byte {
+func encodeCollData(id uint64, src uint32, deadlineNs int64) []byte {
 	b := make([]byte, collDataHdrLen)
-	binary.LittleEndian.PutUint64(b, h.id)
-	binary.LittleEndian.PutUint32(b[8:], h.src)
-	binary.LittleEndian.PutUint32(b[12:], h.key)
-	binary.LittleEndian.PutUint64(b[16:], uint64(h.deadlineNs))
+	binary.LittleEndian.PutUint64(b, id)
+	binary.LittleEndian.PutUint32(b[8:], src)
+	binary.LittleEndian.PutUint64(b[12:], uint64(deadlineNs))
 	return b
-}
-
-func decodeCollData(b []byte) (collDataHdr, error) {
-	if len(b) != collDataHdrLen {
-		return collDataHdr{}, fmt.Errorf("malformed collective data header")
-	}
-	return collDataHdr{
-		id:         binary.LittleEndian.Uint64(b),
-		src:        binary.LittleEndian.Uint32(b[8:]),
-		key:        binary.LittleEndian.Uint32(b[12:]),
-		deadlineNs: int64(binary.LittleEndian.Uint64(b[16:])),
-	}, nil
 }
 
 // Relay replies: blob 0 is a status byte string (1 = ok; 0 followed by a
@@ -248,17 +215,65 @@ func parseCollReply(res [][]byte, err error) ([][]byte, error) {
 	return res[1:], nil
 }
 
-// untilNs converts an absolute unix-nano deadline to a wait budget.
+// untilNs converts a monoNs deadline to a wait budget. Deadlines are on the
+// monotonic clock, so a wall-clock step neither expires a collective early
+// nor holds it past its timeout.
 func untilNs(deadlineNs int64) time.Duration {
-	return time.Until(time.Unix(0, deadlineNs))
+	return time.Duration(deadlineNs - monoNs())
+}
+
+// encodeGatherRec packs one locality's result blobs:
+// u32 locality, u32 blob count, then (u32 length, bytes) per blob.
+func encodeGatherRec(locID int, blobs [][]byte) []byte {
+	size := 8
+	for _, b := range blobs {
+		size += 4 + len(b)
+	}
+	rec := make([]byte, 8, size)
+	binary.LittleEndian.PutUint32(rec, uint32(locID))
+	binary.LittleEndian.PutUint32(rec[4:], uint32(len(blobs)))
+	for _, b := range blobs {
+		var l [4]byte
+		binary.LittleEndian.PutUint32(l[:], uint32(len(b)))
+		rec = append(rec, l[:]...)
+		rec = append(rec, b...)
+	}
+	return rec
+}
+
+func decodeGatherRec(rec []byte) (int, [][]byte, error) {
+	if len(rec) < 8 {
+		return 0, nil, fmt.Errorf("short gather record")
+	}
+	locID := int(binary.LittleEndian.Uint32(rec))
+	n := int(binary.LittleEndian.Uint32(rec[4:]))
+	// Every blob carries a 4-byte length, so a count the record cannot hold
+	// is corrupt; checking it first keeps it from sizing the allocation.
+	if n > (len(rec)-8)/4 {
+		return 0, nil, fmt.Errorf("gather record claims %d blobs in %d bytes", n, len(rec))
+	}
+	blobs := make([][]byte, 0, n)
+	off := 8
+	for i := 0; i < n; i++ {
+		if off+4 > len(rec) {
+			return 0, nil, fmt.Errorf("truncated gather record")
+		}
+		l := int(binary.LittleEndian.Uint32(rec[off:]))
+		off += 4
+		if l > len(rec)-off {
+			return 0, nil, fmt.Errorf("truncated gather record blob")
+		}
+		blobs = append(blobs, rec[off:off+l])
+		off += l
+	}
+	return locID, blobs, nil
 }
 
 // ---------------------------------------------------------------------------
-// Collective inboxes: per-locality buffers for unsolicited data-plane
-// messages keyed by (collective id, key). A block may arrive before its
-// receiver has even entered the collective (its start relay is still
-// propagating down the tree), so puts get-or-create the box and waits park
-// on a per-key channel.
+// Collective inboxes: per-locality buffers for all-to-all blocks, keyed by
+// (collective id, source rank). A block may arrive before its receiver has
+// even entered the collective (its relay is still propagating down the
+// tree), so puts get-or-create the box and waits park on a per-key channel.
 
 type collBox struct {
 	mu         sync.Mutex
@@ -303,7 +318,7 @@ func wakeWaiter(ch chan struct{}) {
 
 // collbox returns (creating if needed) the inbox of collective id.
 func (l *Locality) collbox(id uint64, deadlineNs int64) *collBox {
-	l.maybeSweepCollBoxes(time.Now().UnixNano())
+	l.maybeSweepCollBoxes(monoNs())
 	l.collMu.Lock()
 	b := l.collBoxes[id]
 	if b == nil {
@@ -327,8 +342,8 @@ func (l *Locality) dropCollbox(id uint64) {
 
 // maybeSweepCollBoxes reaps inboxes of abandoned collectives (driver timed
 // out before this node's participant task consumed them). Rate-gated to one
-// pass per second; boxes get a generous grace period past their deadline so
-// a slow participant never loses live data.
+// pass per second on the monoNs clock; boxes get a generous grace period
+// past their deadline so a slow participant never loses live data.
 func (l *Locality) maybeSweepCollBoxes(nowNs int64) {
 	next := l.collSweepNs.Load()
 	if nowNs < next || !l.collSweepNs.CompareAndSwap(next, nowNs+int64(time.Second)) {
@@ -338,8 +353,7 @@ func (l *Locality) maybeSweepCollBoxes(nowNs int64) {
 	l.collMu.Lock()
 	for id, b := range l.collBoxes {
 		b.mu.Lock()
-		expired := b.deadlineNs > 0 && nowNs > b.deadlineNs+graceNs
-		if expired {
+		if nowNs > b.deadlineNs+graceNs {
 			for k, ch := range b.waiters {
 				delete(b.waiters, k)
 				wakeWaiter(ch)
@@ -415,7 +429,7 @@ func (b *collBox) wait(key uint32, deadlineNs int64) ([][]byte, error) {
 }
 
 // ---------------------------------------------------------------------------
-// Tree relay plumbing shared by the relay actions.
+// The relay.
 
 // childCall is one forwarded subtree, ascending by child rank so reductions
 // fold deterministically.
@@ -424,12 +438,12 @@ type childCall struct {
 	fut *amt.Future[[][]byte]
 }
 
-// forwardTree relays the control args to this node's binomial-tree children
-// under relay action aid. Children are contacted largest-subtree-first (the
-// deepest branch starts earliest) but returned in ascending rank order. The
-// control args are detached before forwarding: a child's parcel may be
-// encoded after this relay task returns on an error path.
-func (l *Locality) forwardTree(root int, aid uint32, args [][]byte) []childCall {
+// forwardTree relays the control args to this node's binomial-tree
+// children. Children are contacted largest-subtree-first (the deepest branch
+// starts earliest) but returned in ascending rank order. The control args
+// are detached before forwarding: a child's parcel may be encoded after this
+// relay task returns on an error path.
+func (l *Locality) forwardTree(root int, args [][]byte) []childCall {
 	n := l.rt.Localities()
 	rel := (l.id - root + n) % n
 	masks := childMasks(rel, n)
@@ -441,331 +455,151 @@ func (l *Locality) forwardTree(root int, aid uint32, args [][]byte) []childCall 
 	for i := len(masks) - 1; i >= 0; i-- {
 		childRel := rel + masks[i]
 		dst := (root + childRel) % n
-		calls[i] = childCall{rel: childRel, fut: l.CallID(dst, aid, fwd)}
+		calls[i] = childCall{rel: childRel, fut: l.CallID(dst, l.rt.coll.relayID, fwd)}
 	}
 	return calls
 }
 
-// awaitAcks waits for every child subtree to acknowledge completion.
-func awaitAcks(calls []childCall, deadlineNs int64) error {
-	for _, c := range calls {
-		if _, err := parseCollReply(c.fut.GetTimeout(untilNs(deadlineNs))); err != nil {
-			return fmt.Errorf("subtree at rank %d: %w", c.rel, err)
+// collRelayAction is every collective's tree hop: it splits the header,
+// forwards to its children, runs the kind's local step and combines its
+// children's replies in ascending rank order. Broadcast and all-to-all
+// children only acknowledge; reduce folds each subtree's aggregate into
+// the local partial; gather appends each subtree's tagged records.
+func (rt *Runtime) collRelayAction(loc *Locality, args [][]byte) [][]byte {
+	h, user, err := splitCollArgs(args)
+	if err != nil {
+		return collErrf("locality %d: %v", loc.id, err)
+	}
+	fn := rt.action(h.action)
+	if fn == nil {
+		return collErrf("locality %d: unknown action id %d", loc.id, h.action)
+	}
+	var fold FoldFunc
+	var consume ActionFunc
+	switch h.kind {
+	case collKindBcast, collKindGather:
+	case collKindReduce:
+		if fold = rt.lookupFold(h.fold); fold == nil {
+			return collErrf("locality %d: reduce fold %d no longer registered", loc.id, h.fold)
+		}
+	case collKindAllToAll:
+		if consume = rt.action(h.aux); consume == nil {
+			return collErrf("locality %d: unknown consume action id %d", loc.id, h.aux)
+		}
+	default:
+		return collErrf("locality %d: unknown collective kind %d", loc.id, h.kind)
+	}
+	calls := loc.forwardTree(int(h.root), args)
+
+	var acc [][]byte
+	switch h.kind {
+	case collKindBcast:
+		fn(loc, user)
+	case collKindReduce:
+		acc = fn(loc, user)
+	case collKindGather:
+		acc = [][]byte{encodeGatherRec(loc.id, fn(loc, user))}
+	case collKindAllToAll:
+		if err := loc.allToAllStep(h, fn, consume, user); err != nil {
+			return collErrf("locality %d: %v", loc.id, err)
 		}
 	}
-	return nil
-}
-
-// ---------------------------------------------------------------------------
-// Relay actions.
-
-// collBcastAction relays a broadcast down the binomial tree, runs the user
-// action locally, and acknowledges once its whole subtree has run it.
-func (rt *Runtime) collBcastAction(loc *Locality, args [][]byte) [][]byte {
-	h, user, err := splitCollArgs(args)
-	if err != nil {
-		return collErrf("locality %d: %v", loc.id, err)
-	}
-	fn := rt.action(h.action)
-	if fn == nil {
-		return collErrf("locality %d: unknown action id %d", loc.id, h.action)
-	}
-	calls := loc.forwardTree(int(h.root), rt.coll.bcastID, args)
-	fn(loc, user)
-	if err := awaitAcks(calls, h.deadlineNs); err != nil {
-		return collErrf("locality %d: %v", loc.id, err)
-	}
-	return collOK(nil)
-}
-
-// collReduceAction computes this subtree's aggregate: the local partial
-// folded with each child subtree's aggregate in ascending rank order.
-func (rt *Runtime) collReduceAction(loc *Locality, args [][]byte) [][]byte {
-	h, user, err := splitCollArgs(args)
-	if err != nil {
-		return collErrf("locality %d: %v", loc.id, err)
-	}
-	fn := rt.action(h.action)
-	if fn == nil {
-		return collErrf("locality %d: unknown action id %d", loc.id, h.action)
-	}
-	fold := rt.lookupFold(h.fold)
-	if fold == nil {
-		return collErrf("locality %d: reduce fold %d no longer registered", loc.id, h.fold)
-	}
-	calls := loc.forwardTree(int(h.root), rt.coll.reduceID, args)
-	acc := fn(loc, user)
 	for _, c := range calls {
 		part, err := parseCollReply(c.fut.GetTimeout(untilNs(h.deadlineNs)))
 		if err != nil {
 			return collErrf("locality %d: subtree at rank %d: %v", loc.id, c.rel, err)
 		}
-		acc = fold(acc, part)
+		switch h.kind {
+		case collKindReduce:
+			acc = fold(acc, part)
+		case collKindGather:
+			acc = append(acc, part...)
+		}
 	}
 	return collOK(acc)
 }
 
-// collGatherAction returns the per-locality results of its whole subtree as
-// a list of encoded (locality, blobs) records.
-func (rt *Runtime) collGatherAction(loc *Locality, args [][]byte) [][]byte {
-	h, user, err := splitCollArgs(args)
-	if err != nil {
-		return collErrf("locality %d: %v", loc.id, err)
-	}
-	fn := rt.action(h.action)
-	if fn == nil {
-		return collErrf("locality %d: unknown action id %d", loc.id, h.action)
-	}
-	calls := loc.forwardTree(int(h.root), rt.coll.gatherID, args)
-	out := collOK([][]byte{encodeGatherRec(loc.id, fn(loc, user))})
-	for _, c := range calls {
-		recs, err := parseCollReply(c.fut.GetTimeout(untilNs(h.deadlineNs)))
-		if err != nil {
-			return collErrf("locality %d: subtree at rank %d: %v", loc.id, c.rel, err)
-		}
-		out = append(out, recs...)
-	}
-	return out
-}
-
-// encodeGatherRec packs one locality's result blobs:
-// u32 locality, u32 blob count, then (u32 length, bytes) per blob.
-func encodeGatherRec(locID int, blobs [][]byte) []byte {
-	size := 8
-	for _, b := range blobs {
-		size += 4 + len(b)
-	}
-	rec := make([]byte, 8, size)
-	binary.LittleEndian.PutUint32(rec, uint32(locID))
-	binary.LittleEndian.PutUint32(rec[4:], uint32(len(blobs)))
-	for _, b := range blobs {
-		var l [4]byte
-		binary.LittleEndian.PutUint32(l[:], uint32(len(b)))
-		rec = append(rec, l[:]...)
-		rec = append(rec, b...)
-	}
-	return rec
-}
-
-func decodeGatherRec(rec []byte) (int, [][]byte, error) {
-	if len(rec) < 8 {
-		return 0, nil, fmt.Errorf("short gather record")
-	}
-	locID := int(binary.LittleEndian.Uint32(rec))
-	n := int(binary.LittleEndian.Uint32(rec[4:]))
-	blobs := make([][]byte, 0, n)
-	off := 8
-	for i := 0; i < n; i++ {
-		if off+4 > len(rec) {
-			return 0, nil, fmt.Errorf("truncated gather record")
-		}
-		l := int(binary.LittleEndian.Uint32(rec[off:]))
-		off += 4
-		if off+l > len(rec) {
-			return 0, nil, fmt.Errorf("truncated gather record blob")
-		}
-		blobs = append(blobs, rec[off:off+l])
-		off += l
-	}
-	return locID, blobs, nil
-}
-
-// Allreduce round tags (collBox keys). Rounds 0..29 use their round index.
-const (
-	arKeyPre  = 1<<30 + 0 // fold-in partial from the odd extra rank
-	arKeyPost = 1<<30 + 1 // final result handed back to the extra rank
-)
-
-// collAllReduceAction runs one node's part of a recursive-doubling
-// allreduce rooted (for start-relay and ack purposes) at locality 0.
-//
-// For N not a power of two, let p2 be the largest power of two <= N and
-// rem = N - p2. Ranks below 2*rem pair up: the odd rank folds its partial
-// into its even neighbour and sits out; the surviving 2*rem/2 + (N - 2*rem)
-// = p2 participants run log2(p2) exchange rounds on re-indexed ranks, each
-// always holding the left fold of a contiguous block of original ranks; the
-// even neighbour finally hands the full result back to the odd one. Every
-// node ends with the complete fold; the root's copy is returned to the
-// driver.
-func (rt *Runtime) collAllReduceAction(loc *Locality, args [][]byte) [][]byte {
-	h, user, err := splitCollArgs(args)
-	if err != nil {
-		return collErrf("locality %d: %v", loc.id, err)
-	}
-	fn := rt.action(h.action)
-	if fn == nil {
-		return collErrf("locality %d: unknown action id %d", loc.id, h.action)
-	}
-	fold := rt.lookupFold(h.fold)
-	if fold == nil {
-		return collErrf("locality %d: allreduce fold %d no longer registered", loc.id, h.fold)
-	}
-	n := rt.Localities()
-	box := loc.collbox(h.id, h.deadlineNs)
-	defer loc.dropCollbox(h.id)
-	calls := loc.forwardTree(int(h.root), rt.coll.allReduceID, args)
-
-	acc := fn(loc, user)
-	p2 := 1
-	for p2*2 <= n {
-		p2 *= 2
-	}
-	rem := n - p2
-	r := loc.id
-	dh := collDataHdr{id: h.id, src: uint32(r), deadlineNs: h.deadlineNs}
-	send := func(dst int, key uint32, blobs [][]byte) error {
-		dh.key = key
-		return loc.ApplyID(dst, rt.coll.dataID,
-			append([][]byte{encodeCollData(dh)}, detachArgs(blobs)...))
-	}
-
-	participant, rp := true, 0
-	switch {
-	case r < 2*rem && r%2 == 1:
-		// Fold-in: hand the partial to the left neighbour, wait for the
-		// final result in the post phase.
-		if err := send(r-1, arKeyPre, acc); err != nil {
-			return collErrf("locality %d: fold-in: %v", loc.id, err)
-		}
-		participant = false
-	case r < 2*rem:
-		pre, err := box.wait(arKeyPre, h.deadlineNs)
-		if err != nil {
-			return collErrf("locality %d: fold-in from %d: %v", loc.id, r+1, err)
-		}
-		acc = fold(acc, pre) // blocks [r, r+1) then [r+1, r+2): rank order
-		rp = r / 2
-	default:
-		rp = r - rem
-	}
-
-	if participant {
-		round := uint32(0)
-		for mask := 1; mask < p2; mask <<= 1 {
-			pp := rp ^ mask
-			partner := pp + rem
-			if pp < rem {
-				partner = 2 * pp
-			}
-			if err := send(partner, round, acc); err != nil {
-				return collErrf("locality %d: round %d: %v", loc.id, round, err)
-			}
-			other, err := box.wait(round, h.deadlineNs)
-			if err != nil {
-				return collErrf("locality %d: round %d from %d: %v", loc.id, round, partner, err)
-			}
-			if pp > rp {
-				acc = fold(acc, other) // partner holds the adjacent upper block
-			} else {
-				acc = fold(other, acc) // partner holds the adjacent lower block
-			}
-			round++
-		}
-		if r < 2*rem {
-			if err := send(r+1, arKeyPost, acc); err != nil {
-				return collErrf("locality %d: fold-out: %v", loc.id, err)
-			}
-		}
-	} else {
-		final, err := box.wait(arKeyPost, h.deadlineNs)
-		if err != nil {
-			return collErrf("locality %d: fold-out from %d: %v", loc.id, r-1, err)
-		}
-		acc = final
-	}
-
-	if err := awaitAcks(calls, h.deadlineNs); err != nil {
-		return collErrf("locality %d: %v", loc.id, err)
-	}
-	return collOK(acc)
-}
-
-// collAllToAllAction runs one node's part of a pairwise-exchange all-to-all:
+// allToAllStep is one node's part of a pairwise-exchange all-to-all:
 // produce the N per-destination blocks, send block d to destination d in the
 // staggered order me+1, me+2, ... (so no destination takes N simultaneous
-// senders), collect the N-1 inbound blocks, and hand them — indexed by
-// source — to the consume action.
-func (rt *Runtime) collAllToAllAction(loc *Locality, args [][]byte) [][]byte {
-	h, user, err := splitCollArgs(args)
-	if err != nil {
-		return collErrf("locality %d: %v", loc.id, err)
-	}
-	produce := rt.action(h.action)
-	consume := rt.action(h.aux)
-	if produce == nil || consume == nil {
-		return collErrf("locality %d: unknown produce/consume action (%d/%d)", loc.id, h.action, h.aux)
-	}
-	n := rt.Localities()
-	box := loc.collbox(h.id, h.deadlineNs)
-	defer loc.dropCollbox(h.id)
-	calls := loc.forwardTree(int(h.root), rt.coll.allToAllID, args)
-
-	blocks := produce(loc, user)
+// senders), collect the N-1 inbound blocks from the inbox, and hand them —
+// indexed by source — to consume. Blocks that beat this step to the node
+// wait in the inbox, which either side creates.
+func (l *Locality) allToAllStep(h collHdr, produce, consume ActionFunc, user [][]byte) error {
+	box := l.collbox(h.id, h.deadlineNs)
+	defer l.dropCollbox(h.id)
+	n := l.rt.Localities()
+	blocks := produce(l, user)
 	if len(blocks) != n {
-		return collErrf("locality %d: alltoall produce returned %d blocks, want %d", loc.id, len(blocks), n)
+		return fmt.Errorf("alltoall produce returned %d blocks, want %d", len(blocks), n)
 	}
-	dh := collDataHdr{id: h.id, src: uint32(loc.id), key: uint32(loc.id), deadlineNs: h.deadlineNs}
-	hdr := encodeCollData(dh)
+	hdr := encodeCollData(h.id, uint32(l.id), h.deadlineNs)
 	for k := 1; k < n; k++ {
-		dst := (loc.id + k) % n
+		dst := (l.id + k) % n
 		blk := detachArgs(blocks[dst : dst+1])
-		if err := loc.ApplyID(dst, rt.coll.dataID, [][]byte{hdr, blk[0]}); err != nil {
-			return collErrf("locality %d: send to %d: %v", loc.id, dst, err)
+		if err := l.ApplyID(dst, l.rt.coll.dataID, [][]byte{hdr, blk[0]}); err != nil {
+			return fmt.Errorf("send to %d: %w", dst, err)
 		}
 	}
 	inputs := make([][]byte, n)
-	inputs[loc.id] = blocks[loc.id]
+	inputs[l.id] = blocks[l.id]
 	for k := 1; k < n; k++ {
-		src := (loc.id - k + n) % n
+		src := (l.id - k + n) % n
 		msg, err := box.wait(uint32(src), h.deadlineNs)
 		if err != nil {
-			return collErrf("locality %d: recv from %d: %v", loc.id, src, err)
+			return fmt.Errorf("recv from %d: %w", src, err)
 		}
 		if len(msg) > 0 {
 			inputs[src] = msg[0]
 		}
 	}
-	consume(loc, inputs)
-	if err := awaitAcks(calls, h.deadlineNs); err != nil {
-		return collErrf("locality %d: %v", loc.id, err)
-	}
-	return collOK(nil)
+	consume(l, inputs)
+	return nil
 }
 
-// collDataAction routes an unsolicited data-plane parcel into the target
-// collective's inbox, creating it if the start relay has not arrived yet.
+// collDataAction routes an all-to-all block into the target collective's
+// inbox, creating it if the relay has not arrived yet.
 func (rt *Runtime) collDataAction(loc *Locality, args [][]byte) [][]byte {
-	if len(args) == 0 {
-		return nil
-	}
-	dh, err := decodeCollData(args[0])
-	if err != nil {
+	if len(args) == 0 || len(args[0]) != collDataHdrLen {
 		loc.decodeErrors.Add(1)
 		return nil
 	}
-	loc.collbox(dh.id, dh.deadlineNs).put(dh.key, detachArgs(args[1:]))
+	h := args[0]
+	id := binary.LittleEndian.Uint64(h)
+	src := binary.LittleEndian.Uint32(h[8:])
+	deadlineNs := int64(binary.LittleEndian.Uint64(h[12:]))
+	loc.collbox(id, deadlineNs).put(src, detachArgs(args[1:]))
 	return nil
 }
 
 // ---------------------------------------------------------------------------
 // Driver API.
 
-// newCollHdr allocates a collective id and stamps the shared header fields.
-func (rt *Runtime) newCollHdr(kind byte, root int, timeout time.Duration) collHdr {
+// newCollHdr checks root and action, allocates a collective id and stamps
+// the deadline on the monoNs clock.
+func (rt *Runtime) newCollHdr(kind byte, root int, timeout time.Duration, action string) (collHdr, error) {
+	if root < 0 || root >= rt.Localities() {
+		return collHdr{}, fmt.Errorf("invalid root %d", root)
+	}
+	id, ok := rt.ActionID(action)
+	if !ok {
+		return collHdr{}, fmt.Errorf("unknown action %q", action)
+	}
 	return collHdr{
 		kind:       kind,
 		id:         rt.coll.nextID.Add(1),
 		root:       uint32(root),
-		deadlineNs: time.Now().Add(timeout).UnixNano(),
-	}
+		action:     id,
+		deadlineNs: monoNs() + int64(timeout),
+	}, nil
 }
 
-// startCollective invokes relay action aid on the root locality and waits
-// for the tree to complete, returning the root relay's payload.
-func (rt *Runtime) startCollective(h collHdr, aid uint32, timeout time.Duration, args [][]byte) ([][]byte, error) {
+// startCollective invokes the relay on the root locality and waits for the
+// tree to complete, returning the root relay's payload.
+func (rt *Runtime) startCollective(h collHdr, timeout time.Duration, args [][]byte) ([][]byte, error) {
 	ctl := append([][]byte{encodeCollHdr(h)}, args...)
 	root := int(h.root)
-	f := rt.locs[root].CallID(root, aid, ctl)
+	f := rt.locs[root].CallID(root, rt.coll.relayID, ctl)
 	return parseCollReply(f.GetTimeout(timeout))
 }
 
@@ -773,16 +607,11 @@ func (rt *Runtime) startCollective(h collHdr, aid uint32, timeout time.Duration,
 // binomial tree rooted at locality `from` (log N injection steps per node
 // instead of N at the root), and waits until the whole tree has run it.
 func (rt *Runtime) Broadcast(from int, timeout time.Duration, action string, args ...[]byte) error {
-	if from < 0 || from >= rt.Localities() {
-		return fmt.Errorf("core: invalid broadcast source %d", from)
+	h, err := rt.newCollHdr(collKindBcast, from, timeout, action)
+	if err == nil {
+		_, err = rt.startCollective(h, timeout, args)
 	}
-	id, ok := rt.ActionID(action)
-	if !ok {
-		return fmt.Errorf("core: unknown action %q", action)
-	}
-	h := rt.newCollHdr(collKindBcast, from, timeout)
-	h.action = id
-	if _, err := rt.startCollective(h, rt.coll.bcastID, timeout, args); err != nil {
+	if err != nil {
 		return fmt.Errorf("core: broadcast of %q: %w", action, err)
 	}
 	return nil
@@ -796,21 +625,16 @@ func (rt *Runtime) Broadcast(from int, timeout time.Duration, action string, arg
 // folded (not raw partials), the fold must be associative.
 func (rt *Runtime) Reduce(root int, timeout time.Duration, action string,
 	fold FoldFunc, args ...[]byte) ([][]byte, error) {
-	if root < 0 || root >= rt.Localities() {
-		return nil, fmt.Errorf("core: invalid reduce root %d", root)
-	}
 	if fold == nil {
 		return nil, fmt.Errorf("core: nil fold function")
 	}
-	id, ok := rt.ActionID(action)
-	if !ok {
-		return nil, fmt.Errorf("core: unknown action %q", action)
+	h, err := rt.newCollHdr(collKindReduce, root, timeout, action)
+	if err != nil {
+		return nil, fmt.Errorf("core: reduce of %q: %w", action, err)
 	}
-	h := rt.newCollHdr(collKindReduce, root, timeout)
-	h.action = id
 	h.fold = rt.registerFold(fold)
 	defer rt.dropFold(h.fold)
-	acc, err := rt.startCollective(h, rt.coll.reduceID, timeout, args)
+	acc, err := rt.startCollective(h, timeout, args)
 	if err != nil {
 		return nil, fmt.Errorf("core: reduce of %q: %w", action, err)
 	}
@@ -821,16 +645,11 @@ func (rt *Runtime) Reduce(root int, timeout time.Duration, action string,
 // results up a binomial tree rooted at `root`, and returns them indexed by
 // locality id.
 func (rt *Runtime) Gather(root int, timeout time.Duration, action string, args ...[]byte) ([][][]byte, error) {
-	if root < 0 || root >= rt.Localities() {
-		return nil, fmt.Errorf("core: invalid gather root %d", root)
+	h, err := rt.newCollHdr(collKindGather, root, timeout, action)
+	var recs [][]byte
+	if err == nil {
+		recs, err = rt.startCollective(h, timeout, args)
 	}
-	id, ok := rt.ActionID(action)
-	if !ok {
-		return nil, fmt.Errorf("core: unknown action %q", action)
-	}
-	h := rt.newCollHdr(collKindGather, root, timeout)
-	h.action = id
-	recs, err := rt.startCollective(h, rt.coll.gatherID, timeout, args)
 	if err != nil {
 		return nil, fmt.Errorf("core: gather of %q: %w", action, err)
 	}
@@ -853,30 +672,6 @@ func (rt *Runtime) Gather(root int, timeout time.Duration, action string, args .
 	return out, nil
 }
 
-// AllReduce invokes a registered action on every locality and folds the
-// results with a recursive-doubling exchange (log N rounds; every locality
-// ends holding the full result), returning the folded result. The fold
-// combines partials in ascending locality order (0, 1, ..., N-1) and must
-// be associative; commutativity is not required.
-func (rt *Runtime) AllReduce(timeout time.Duration, action string, fold FoldFunc, args ...[]byte) ([][]byte, error) {
-	if fold == nil {
-		return nil, fmt.Errorf("core: nil fold function")
-	}
-	id, ok := rt.ActionID(action)
-	if !ok {
-		return nil, fmt.Errorf("core: unknown action %q", action)
-	}
-	h := rt.newCollHdr(collKindAllReduce, 0, timeout)
-	h.action = id
-	h.fold = rt.registerFold(fold)
-	defer rt.dropFold(h.fold)
-	acc, err := rt.startCollective(h, rt.coll.allReduceID, timeout, args)
-	if err != nil {
-		return nil, fmt.Errorf("core: allreduce of %q: %w", action, err)
-	}
-	return acc, nil
-}
-
 // AllToAll redistributes data between all localities with a pairwise
 // exchange. On every locality the `produce` action is invoked with args and
 // must return exactly N blobs — blob d is the block destined for locality d.
@@ -884,128 +679,17 @@ func (rt *Runtime) AllReduce(timeout time.Duration, action string, fold FoldFunc
 // `consume` action is invoked with N args, arg s being the block sent by
 // locality s. AllToAll returns once every locality has consumed.
 func (rt *Runtime) AllToAll(timeout time.Duration, produce, consume string, args ...[]byte) error {
-	pid, ok := rt.ActionID(produce)
-	if !ok {
-		return fmt.Errorf("core: unknown action %q", produce)
-	}
 	cid, ok := rt.ActionID(consume)
 	if !ok {
 		return fmt.Errorf("core: unknown action %q", consume)
 	}
-	h := rt.newCollHdr(collKindAllToAll, 0, timeout)
-	h.action = pid
-	h.aux = cid
-	if _, err := rt.startCollective(h, rt.coll.allToAllID, timeout, args); err != nil {
+	h, err := rt.newCollHdr(collKindAllToAll, 0, timeout, produce)
+	if err == nil {
+		h.aux = cid
+		_, err = rt.startCollective(h, timeout, args)
+	}
+	if err != nil {
 		return fmt.Errorf("core: alltoall %q/%q: %w", produce, consume, err)
 	}
 	return nil
-}
-
-// ---------------------------------------------------------------------------
-// Flat O(N) reference implementations. These are the original fan-out
-// collectives: every parcel originates at the root, whose injection queue
-// serializes the whole operation. They remain as the semantic reference the
-// tree implementations are property-tested against, and as the baseline the
-// experiments harness measures the trees' ~log N scaling against.
-
-// fanOut is the one loop behind the flat collectives: it calls action on
-// every locality from root and waits for each reply under one deadline,
-// returning the results in root-relative order (out[k] is locality
-// (root+k) mod N's). what names the collective in errors.
-func (rt *Runtime) fanOut(what string, root int, timeout time.Duration, action string, args [][]byte) ([][][]byte, error) {
-	id, ok := rt.ActionID(action)
-	if !ok {
-		return nil, fmt.Errorf("core: unknown action %q", action)
-	}
-	n := rt.Localities()
-	rootLoc := rt.Locality(root)
-	futs := make([]*amt.Future[[][]byte], n)
-	for k := range futs {
-		futs[k] = rootLoc.CallID((root+k)%n, id, args)
-	}
-	out := make([][][]byte, n)
-	deadline := time.Now().Add(timeout)
-	for k, f := range futs {
-		remain := time.Until(deadline)
-		if remain <= 0 {
-			return nil, fmt.Errorf("core: %s of %q timed out at locality %d", what, action, (root+k)%n)
-		}
-		res, err := f.GetTimeout(remain)
-		if err != nil {
-			return nil, fmt.Errorf("core: %s of %q at locality %d: %w", what, action, (root+k)%n, err)
-		}
-		out[k] = res
-	}
-	return out, nil
-}
-
-// BroadcastFlat invokes an action on every locality directly from `from`
-// and waits for all of them — the O(N) reference for Broadcast.
-func (rt *Runtime) BroadcastFlat(from int, timeout time.Duration, action string, args ...[]byte) error {
-	if from < 0 || from >= rt.Localities() {
-		return fmt.Errorf("core: invalid broadcast source %d", from)
-	}
-	_, err := rt.fanOut("broadcast", from, timeout, action, args)
-	return err
-}
-
-// ReduceFlat invokes an action on every locality directly from `root` and
-// folds the results there — the O(N) reference for Reduce. The fold is
-// seeded with the root-local result and applied in ascending root-relative
-// rank order, matching Reduce exactly.
-func (rt *Runtime) ReduceFlat(root int, timeout time.Duration, action string,
-	fold FoldFunc, args ...[]byte) ([][]byte, error) {
-	if root < 0 || root >= rt.Localities() {
-		return nil, fmt.Errorf("core: invalid reduce root %d", root)
-	}
-	if fold == nil {
-		return nil, fmt.Errorf("core: nil fold function")
-	}
-	partials, err := rt.fanOut("reduce", root, timeout, action, args)
-	if err != nil {
-		return nil, err
-	}
-	acc := partials[0] // the root's own partial seeds the fold
-	for _, p := range partials[1:] {
-		acc = fold(acc, p)
-	}
-	return acc, nil
-}
-
-// GatherFlat invokes an action on every locality directly from `root` and
-// returns the per-locality results — the O(N) reference for Gather.
-func (rt *Runtime) GatherFlat(root int, timeout time.Duration, action string, args ...[]byte) ([][][]byte, error) {
-	if root < 0 || root >= rt.Localities() {
-		return nil, fmt.Errorf("core: invalid gather root %d", root)
-	}
-	res, err := rt.fanOut("gather", root, timeout, action, args)
-	if err != nil {
-		return nil, err
-	}
-	n := len(res)
-	out := make([][][]byte, n)
-	for k, r := range res {
-		out[(root+k)%n] = r
-	}
-	return out, nil
-}
-
-// AllReduceFlat is the O(N) reference for AllReduce: a flat reduce to
-// locality 0 followed by a flat broadcast of the folded result (to the
-// reserved no-op action, so the traffic shape matches a real flat
-// allreduce: N partials in, N results out, all through one root).
-func (rt *Runtime) AllReduceFlat(timeout time.Duration, action string, fold FoldFunc, args ...[]byte) ([][]byte, error) {
-	deadline := time.Now().Add(timeout)
-	acc, err := rt.ReduceFlat(0, timeout, action, fold, args...)
-	if err != nil {
-		return nil, err
-	}
-	remain := time.Until(deadline)
-	if remain <= 0 {
-		return nil, fmt.Errorf("core: allreduce of %q timed out after reduce phase", action)
-	}
-	if err := rt.BroadcastFlat(0, remain, barrierActionName, acc...); err != nil {
-		return nil, err
-	}
-	return acc, nil
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"reflect"
 	"sync"
@@ -65,9 +66,8 @@ func treeTestRuntime(t *testing.T, localities, workers int) (*Runtime, []atomic.
 // TestReduceSeedsFromRootNonCommutative is the regression test for the
 // root-seeding bug: the old implementation seeded the fold with locality 0's
 // partial regardless of root, which silently reordered results for
-// non-commutative folds whenever root != 0. Both the tree Reduce and the
-// flat reference must seed from the root and fold in ascending
-// root-relative rank order.
+// non-commutative folds whenever root != 0. Reduce must seed from the root
+// and fold in ascending root-relative rank order.
 func TestReduceSeedsFromRootNonCommutative(t *testing.T) {
 	const n = 5
 	rt, _ := treeTestRuntime(t, n, 2)
@@ -80,20 +80,16 @@ func TestReduceSeedsFromRootNonCommutative(t *testing.T) {
 		if string(got[0]) != want {
 			t.Errorf("Reduce(root=%d) = %q, want %q (fold not seeded from root)", root, got[0], want)
 		}
-		flat, err := rt.ReduceFlat(root, 30*time.Second, "label", concatFold)
-		if err != nil {
-			t.Fatalf("flat root %d: %v", root, err)
-		}
-		if string(flat[0]) != want {
-			t.Errorf("ReduceFlat(root=%d) = %q, want %q (fold not seeded from root)", root, flat[0], want)
-		}
 	}
 }
 
 // TestTreeCollectivesMatchFlatEveryRoot is the property test: for every
-// cluster size and every root, each tree collective must produce results
-// byte-identical to its flat O(N) reference (and identical side effects for
-// broadcast). The fold is non-commutative so ordering bugs cannot hide.
+// cluster size and every root, each tree collective must give what a flat
+// O(N) fan-out from the root gives, written here as closed forms. Broadcast
+// runs mark exactly once per locality; Reduce returns wantConcat(root, n),
+// the root's partial first and then ascending root-relative rank; Gather
+// returns out[i] == [label(i)]. The fold is non-commutative so ordering
+// bugs cannot hide.
 func TestTreeCollectivesMatchFlatEveryRoot(t *testing.T) {
 	sizes := []int{1, 2, 3, 5, 8, 64, 256}
 	if testing.Short() || raceEnabled {
@@ -111,91 +107,41 @@ func TestTreeCollectivesMatchFlatEveryRoot(t *testing.T) {
 			}
 			rt, hits := treeTestRuntime(t, n, workers)
 			timeout := 60 * time.Second
-
-			resetHits := func() {
-				for i := range hits {
-					hits[i].Store(0)
-				}
-			}
-			checkHits := func(what string, root int) {
-				t.Helper()
-				for i := range hits {
-					if c := hits[i].Load(); c != 1 {
-						t.Fatalf("n=%d root=%d: %s ran mark %d times on locality %d, want 1", n, root, what, c, i)
-					}
-				}
+			wantGather := make([][][]byte, n)
+			for i := range wantGather {
+				wantGather[i] = [][]byte{[]byte(label(i))}
 			}
 
 			for root := 0; root < n; root++ {
-				// Broadcast: identical side effects (every locality runs the
-				// action exactly once) for tree and flat.
-				resetHits()
+				for i := range hits {
+					hits[i].Store(0)
+				}
 				if err := rt.Broadcast(root, timeout, "mark"); err != nil {
 					t.Fatalf("broadcast root %d: %v", root, err)
 				}
-				checkHits("tree broadcast", root)
-				resetHits()
-				if err := rt.BroadcastFlat(root, timeout, "mark"); err != nil {
-					t.Fatalf("flat broadcast root %d: %v", root, err)
+				for i := range hits {
+					if c := hits[i].Load(); c != 1 {
+						t.Fatalf("n=%d root=%d: broadcast ran mark %d times on locality %d, want 1", n, root, c, i)
+					}
 				}
-				checkHits("flat broadcast", root)
 
-				// Reduce: byte-identical fold result.
-				tree, err := rt.Reduce(root, timeout, "label", concatFold)
+				red, err := rt.Reduce(root, timeout, "label", concatFold)
 				if err != nil {
 					t.Fatalf("reduce root %d: %v", root, err)
 				}
-				flat, err := rt.ReduceFlat(root, timeout, "label", concatFold)
-				if err != nil {
-					t.Fatalf("flat reduce root %d: %v", root, err)
-				}
-				if want := wantConcat(root, n); string(tree[0]) != want || string(flat[0]) != want {
-					t.Fatalf("reduce root %d: tree=%q flat=%q want %q", root, tree[0], flat[0], want)
+				if want := wantConcat(root, n); len(red) != 1 || string(red[0]) != want {
+					t.Fatalf("reduce root %d = %q, want %q", root, red, want)
 				}
 
-				// Gather: identical per-locality results.
-				gTree, err := rt.Gather(root, timeout, "label")
+				gat, err := rt.Gather(root, timeout, "label")
 				if err != nil {
 					t.Fatalf("gather root %d: %v", root, err)
 				}
-				gFlat, err := rt.GatherFlat(root, timeout, "label")
-				if err != nil {
-					t.Fatalf("flat gather root %d: %v", root, err)
+				if !reflect.DeepEqual(gat, wantGather) {
+					t.Fatalf("gather root %d = %q, want %q", root, gat, wantGather)
 				}
-				if !reflect.DeepEqual(gTree, gFlat) {
-					t.Fatalf("gather root %d: tree and flat differ", root)
-				}
-			}
-
-			// AllReduce has no root; once per size. Both implementations must
-			// produce the canonical ascending-locality fold.
-			tree, err := rt.AllReduce(timeout, "label", concatFold)
-			if err != nil {
-				t.Fatalf("allreduce: %v", err)
-			}
-			flat, err := rt.AllReduceFlat(timeout, "label", concatFold)
-			if err != nil {
-				t.Fatalf("flat allreduce: %v", err)
-			}
-			if want := wantConcat(0, n); string(tree[0]) != want || string(flat[0]) != want {
-				t.Fatalf("allreduce: tree=%q flat=%q want %q", tree[0], flat[0], want)
 			}
 		})
-	}
-}
-
-// TestAllReduceEveryLocalityHoldsResult verifies the defining allreduce
-// property at a non-power-of-two size: after the exchange, every locality
-// (not just the root) holds the complete fold.
-func TestAllReduceEveryLocalityHoldsResult(t *testing.T) {
-	const n = 6
-	rt, _ := treeTestRuntime(t, n, 2)
-	res, err := rt.AllReduce(30*time.Second, "label", concatFold)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := wantConcat(0, n); string(res[0]) != want {
-		t.Fatalf("allreduce = %q, want %q", res[0], want)
 	}
 }
 
@@ -277,7 +223,9 @@ func TestAllToAllValidation(t *testing.T) {
 }
 
 // TestTreeBroadcastDeadLink: a tree broadcast crossing a partitioned link
-// must surface an error within its deadline instead of hanging.
+// must surface an error within its deadline instead of hanging; afterwards
+// a Call to the cut-off peer fails with ErrPeerUnreachable, and the peer
+// whose links are intact stays healthy.
 func TestTreeBroadcastDeadLink(t *testing.T) {
 	rt, err := NewRuntime(Config{
 		Localities:         3,
@@ -308,13 +256,21 @@ func TestTreeBroadcastDeadLink(t *testing.T) {
 	if took := time.Since(start); took > 8*time.Second {
 		t.Fatalf("broadcast took %v to surface the dead link: %v", took, err)
 	}
+	_, err = rt.Locality(0).Call(2, "mark").GetTimeout(10 * time.Second)
+	if !errors.Is(err, ErrPeerUnreachable) {
+		t.Fatalf("call to dead peer: err = %v, want ErrPeerUnreachable", err)
+	}
+	if h := rt.Network().PeerHealth(0, 1); h != fabric.HealthHealthy {
+		t.Fatalf("unrelated peer health = %v", h)
+	}
 }
 
 // TestChaosTreeCollectives drives the tree collectives over a lossy,
 // duplicating, corrupting interconnect (with aggregation on, so tree hops
 // ride bundles) and verifies exactly-once semantics: every broadcast runs
-// its action exactly once per locality and every reduce returns the exact
-// canonical bytes, with the ARQ absorbing the faults.
+// its action exactly once per locality, every reduce returns the exact
+// canonical bytes and every gather one label per locality, with the ARQ
+// absorbing the faults.
 func TestChaosTreeCollectives(t *testing.T) {
 	if testing.Short() {
 		t.Skip("chaos soak in -short mode")
@@ -358,12 +314,15 @@ func TestChaosTreeCollectives(t *testing.T) {
 		if want := wantConcat(rroot, n); string(res[0]) != want {
 			t.Fatalf("round %d reduce = %q, want %q", r, res[0], want)
 		}
-		all, err := rt.AllReduce(time.Minute, "label", concatFold)
+		groot := (r*5 + 2) % n
+		gat, err := rt.Gather(groot, time.Minute, "label")
 		if err != nil {
-			t.Fatalf("round %d allreduce: %v", r, err)
+			t.Fatalf("round %d gather: %v", r, err)
 		}
-		if want := wantConcat(0, n); string(all[0]) != want {
-			t.Fatalf("round %d allreduce = %q, want %q", r, all[0], want)
+		for i, res := range gat {
+			if len(res) != 1 || string(res[0]) != label(i) {
+				t.Fatalf("round %d gather[%d] = %q, want [%q]", r, i, res, label(i))
+			}
 		}
 	}
 	for i := range hits {
@@ -393,7 +352,7 @@ func TestCollBoxSweep(t *testing.T) {
 	defer rt.Shutdown()
 
 	loc := rt.Locality(0)
-	past := time.Now().Add(-10 * time.Second).UnixNano()
+	past := monoNs() - int64(10*time.Second)
 	loc.collbox(99, past).put(1, [][]byte{[]byte("stale")})
 	loc.collMu.Lock()
 	if loc.collBoxes[99] == nil {
@@ -404,7 +363,7 @@ func TestCollBoxSweep(t *testing.T) {
 
 	// Force the sweep gate open and trigger a pass via another collbox call.
 	loc.collSweepNs.Store(0)
-	loc.collbox(100, time.Now().Add(time.Minute).UnixNano())
+	loc.collbox(100, monoNs()+int64(time.Minute))
 	loc.collMu.Lock()
 	_, staleAlive := loc.collBoxes[99]
 	_, freshAlive := loc.collBoxes[100]

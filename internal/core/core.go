@@ -179,11 +179,15 @@ type Runtime struct {
 	// escape that keeps a mis-hinted action from stalling the completion
 	// drain. Both lanes feed it (runInlineBatch per run of parcels, the
 	// spawned path while the action is demoted), so the gate corrects
-	// itself in either direction; see observeService.
-	actionSvc []atomic.Int64
+	// itself in either direction; see observeService. Each slot has its own
+	// cache line: different localities' drains update different actions
+	// (the continuation on a caller, a shard action on its owner), and
+	// which ids sit side by side depends only on registration order.
+	actionSvc []svcSlot
 
-	// Collectives subsystem (see collectives.go): reserved relay-action ids,
-	// the per-call fold table, and the collective-id allocator.
+	// Collectives subsystem (see collectives.go): the reserved relay and
+	// data action ids, the per-call fold table, and the collective-id
+	// allocator.
 	coll collRuntime
 
 	started atomic.Bool
@@ -219,11 +223,6 @@ func NewRuntime(cfg Config) (*Runtime, error) {
 	rt.byID = append(rt.byID, rt.runContinuation)
 	rt.names = append(rt.names, "__continuation")
 	rt.byName["__continuation"] = continuationAction
-	rt.inline = append(rt.inline, true)
-	// The no-op used by Barrier (trivially inline-safe).
-	rt.byID = append(rt.byID, func(*Locality, [][]byte) [][]byte { return nil })
-	rt.names = append(rt.names, barrierActionName)
-	rt.byName[barrierActionName] = uint32(len(rt.byID) - 1)
 	rt.inline = append(rt.inline, true)
 	// The tree-collective relay and data-plane actions (collectives.go).
 	rt.registerCollectiveActions()
@@ -444,7 +443,7 @@ func (rt *Runtime) Start() error {
 	tab := append([]ActionFunc(nil), rt.byID...)
 	itab := append([]bool(nil), rt.inline...)
 	rt.regMu.RUnlock()
-	rt.actionSvc = make([]atomic.Int64, len(tab))
+	rt.actionSvc = make([]svcSlot, len(tab))
 	rt.actionTab.Store(&tab)
 	rt.inlineTab.Store(&itab)
 	if rt.wd != nil {
@@ -508,31 +507,6 @@ func (l *Locality) LCIDevice() *lci.Device {
 	return l.lciDevs[0]
 }
 
-// Barrier synchronizes all localities: locality 0 calls a no-op on everyone
-// and waits. Returns false on timeout.
-func (rt *Runtime) Barrier(timeout time.Duration) bool {
-	loc0 := rt.locs[0]
-	barrierID, _ := rt.ActionID(barrierActionName)
-	futs := make([]*amt.Future[[][]byte], 0, len(rt.locs)-1)
-	for i := 1; i < len(rt.locs); i++ {
-		futs = append(futs, loc0.CallID(i, barrierID, nil))
-	}
-	deadline := time.Now().Add(timeout)
-	for _, f := range futs {
-		remain := time.Until(deadline)
-		if remain <= 0 {
-			return false
-		}
-		if _, err := f.GetTimeout(remain); err != nil {
-			return false
-		}
-	}
-	return true
-}
-
-// barrierActionName is the reserved no-op action used by Barrier.
-const barrierActionName = "__barrier"
-
 // runContinuation is the reserved action that fulfils Call futures:
 // args[0] = 8-byte continuation id, args[1:] = results.
 func (rt *Runtime) runContinuation(loc *Locality, args [][]byte) [][]byte {
@@ -581,9 +555,8 @@ type Locality struct {
 	conts    map[uint64]contEntry
 	nextCont atomic.Uint64
 
-	// Collective inboxes buffer unsolicited data-plane messages (all-to-all
-	// blocks, allreduce round partials) that may arrive before this node has
-	// entered the collective. See collectives.go.
+	// Collective inboxes buffer all-to-all blocks that may arrive before
+	// this node has entered the collective. See collectives.go.
 	collMu      sync.Mutex
 	collBoxes   map[uint64]*collBox
 	collSweepNs atomic.Int64
@@ -990,6 +963,12 @@ const (
 	// current (a heavy sample lifts it over this line at once).
 	inlineCheapNs = inlineHeavyNs / 4
 )
+
+// svcSlot is one action's service-time EWMA, padded to a cache line.
+type svcSlot struct {
+	atomic.Int64
+	_ [56]byte
+}
 
 // monoBase anchors monoNs.
 var monoBase = time.Now()

@@ -165,13 +165,6 @@ func TestLocalShortCircuit(t *testing.T) {
 	}
 }
 
-func TestBarrier(t *testing.T) {
-	rt := newRuntime(t, "lci", 4)
-	if !rt.Barrier(20 * time.Second) {
-		t.Fatal("barrier timed out")
-	}
-}
-
 func TestAllToAll(t *testing.T) {
 	for _, name := range []string{"mpi_i", "lci_psr_cq_pin_i"} {
 		name := name

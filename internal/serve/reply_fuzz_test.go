@@ -26,7 +26,7 @@ func FuzzParseReply(f *testing.F) {
 			}
 		}
 		c := &Client{cache: newCache(16)}
-		_, found, err := c.installReply("k", hashKey("k"), rets)
+		_, found, err := c.installReply("k", hashKey("k"), rets, true)
 		wellFormed := len(rets) == 2 && len(header) == 9 && header[0] == statusOK
 		if found != wellFormed || (found && err != nil) {
 			t.Fatalf("installReply(%x, %d buffers) = found %v, err %v", header, len(rets), found, err)

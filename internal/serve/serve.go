@@ -349,13 +349,16 @@ func (s *Service) actDel(loc *core.Locality, args [][]byte) [][]byte {
 }
 
 // flight is one in-flight shard GET that followers piggyback on: the
-// single-flight slot. The leader fills val/ver/err and closes done.
+// single-flight slot. The leader fills val/ver/err and closes done. void
+// (guarded by Client.fmu) is set by a write to the key that completed while
+// the GET was out; see voidFlight.
 type flight struct {
 	done chan struct{}
 	val  []byte
 	ver  uint64
 	ok   bool // found
 	err  error
+	void bool
 }
 
 // ClientStats snapshots a client's counters.
@@ -408,7 +411,11 @@ func (c *Client) Get(key string) (val []byte, found bool, err error) {
 	}
 	if c.cache == nil {
 		// Cache-off baseline: no coalescing either; every miss is a call.
-		return c.fill(key, h, owner)
+		rets, err := c.fetch(key, owner)
+		if err != nil {
+			return nil, false, err
+		}
+		return c.installReply(key, h, rets, false)
 	}
 	// Single-flight: the first misser becomes the leader, everyone else
 	// parks on its flight.
@@ -427,39 +434,59 @@ func (c *Client) Get(key string) (val []byte, found bool, err error) {
 	c.flights[key] = f
 	c.fmu.Unlock()
 
-	// fill installs the result into the cache itself (version-gated), so
-	// followers arriving after the flight closes hit directly.
-	f.val, f.ok, f.err = c.fill(key, h, owner)
+	// The result goes into the cache (version-gated) so followers arriving
+	// after the flight closes hit directly, unless a write voided the flight.
+	// Installing under fmu orders it against voidFlight.
+	rets, err := c.fetch(key, owner)
 	c.fmu.Lock()
-	delete(c.flights, key)
+	if c.flights[key] == f {
+		delete(c.flights, key)
+	}
+	if err != nil {
+		f.err = err
+	} else {
+		f.val, f.ok, f.err = c.installReply(key, h, rets, !f.void)
+	}
 	c.fmu.Unlock()
 	close(f.done)
 	return f.val, f.ok, f.err
 }
 
-// fill issues the remote GET to owner and installs the result into the
-// cache. Admission: fails fast with ErrBackpressure when the destination's
-// outstanding bound is hit, maps a statusShed reply to ErrShed.
-func (c *Client) fill(key string, h uint64, owner int) ([]byte, bool, error) {
+// fetch issues the remote GET to owner. Admission: fails fast with
+// ErrBackpressure when the destination's outstanding bound is hit.
+func (c *Client) fetch(key string, owner int) ([][]byte, error) {
 	g := &c.outstanding[owner]
 	if g.Add(1) > int64(c.svc.cfg.MaxOutstanding) {
 		g.Add(-1)
 		c.shed.Add(1)
-		return nil, false, ErrBackpressure
+		return nil, ErrBackpressure
 	}
 	c.shardCalls.Add(1)
 	fut := c.loc.CallID(owner, c.svc.getID, [][]byte{[]byte(key)})
 	rets, err := fut.GetTimeout(c.svc.cfg.CallTimeout)
 	g.Add(-1)
-	if err != nil {
-		return nil, false, err
-	}
-	return c.installReply(key, h, rets)
+	return rets, err
 }
 
-// installReply interprets a shard's GET reply and installs a found value
-// into the cache; a reply parseHeader cannot name installs nothing.
-func (c *Client) installReply(key string, h uint64, rets [][]byte) ([]byte, bool, error) {
+// voidFlight keeps a GET of key that is out at the shard from caching its
+// reply. A write calls it once the shard has applied the write and before
+// the write updates the cache: the GET may have read the shard before the
+// write, and if the write's own entry were evicted before that reply
+// arrived, installing the reply would serve the overwritten value to the
+// writer. The flight leaves the table, so later Gets fetch anew.
+func (c *Client) voidFlight(key string) {
+	c.fmu.Lock()
+	if f := c.flights[key]; f != nil {
+		f.void = true
+		delete(c.flights, key)
+	}
+	c.fmu.Unlock()
+}
+
+// installReply interprets a shard's GET reply, maps a statusShed reply to
+// ErrShed and, when install is set, installs a found value into the cache;
+// a reply parseHeader cannot name installs nothing.
+func (c *Client) installReply(key string, h uint64, rets [][]byte, install bool) ([]byte, bool, error) {
 	status, ver, err := parseHeader(rets, true)
 	if err != nil {
 		return nil, false, err
@@ -472,7 +499,9 @@ func (c *Client) installReply(key string, h uint64, rets [][]byte) ([]byte, bool
 		return nil, false, nil
 	}
 	val := rets[1]
-	c.cache.install(key, h, val, ver, false)
+	if install {
+		c.cache.install(key, h, val, ver, false)
+	}
 	return val, true, nil
 }
 
@@ -509,6 +538,7 @@ func (c *Client) Put(key string, val []byte) error {
 		return ErrShed
 	}
 	c.puts.Add(1)
+	c.voidFlight(key)
 	// Write-through: install a private copy (the caller may reuse val).
 	cp := make([]byte, len(val))
 	copy(cp, val)
@@ -547,6 +577,7 @@ func (c *Client) Del(key string) error {
 		c.shed.Add(1)
 		return ErrShed
 	case statusOK:
+		c.voidFlight(key)
 		c.cache.invalidate(key, h, ver)
 	case statusNotFound:
 		// Nothing to invalidate past what the cache already holds.

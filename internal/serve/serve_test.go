@@ -340,3 +340,70 @@ func TestServeLoadSmoke(t *testing.T) {
 		t.Fatalf("Hist p99 %.1fµs vs exact %.1fµs outside bucket resolution", res.HistP99Us, res.P99Us)
 	}
 }
+
+// TestServeNoStaleFillAfterEviction: read-your-writes across an eviction.
+// A fill reads the shard before a Put, and its reply is installed only
+// after the Put's write-through entry has been evicted: it must not put the
+// older value back, or the writer's next Get hits it. The shard's GET is
+// held between its read and its reply to force that order.
+func TestServeNoStaleFillAfterEviction(t *testing.T) {
+	rt, err := core.NewRuntime(core.Config{Localities: 3, WorkersPerLocality: 2, Parcelport: "lci"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	svc, err := New(rt, Config{Owners: []int{1, 2}, CacheEntries: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	read, release := make(chan struct{}, 1), make(chan struct{})
+	heldGet := rt.MustRegisterAction("held_get", func(loc *core.Locality, args [][]byte) [][]byte {
+		res := svc.actGet(loc, args)
+		read <- struct{}{}
+		<-release
+		return res
+	})
+	if err := rt.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer rt.Shutdown()
+	c := svc.Client(0)
+	const key = "target"
+	evict := func() {
+		for i := 0; i < 2*cacheWays; i++ {
+			c.cache.install(string(rune('a'+i)), hashKey(string(rune('a'+i))), nil, 1, false)
+		}
+		if _, _, hit := c.cache.lookup(key, hashKey(key)); hit {
+			t.Fatal("key still cached after the set was churned")
+		}
+	}
+	if err := c.Put(key, []byte{1}); err != nil {
+		t.Fatal(err)
+	}
+	evict()
+
+	getID := svc.getID
+	svc.getID = heldGet
+	fillDone := make(chan []byte)
+	go func() {
+		v, _, _ := c.Get(key)
+		fillDone <- v
+	}()
+	<-read // the fill has read {1} at the shard
+	if err := c.Put(key, []byte{2}); err != nil {
+		t.Fatal(err)
+	}
+	evict()
+	close(release)
+	if v := <-fillDone; len(v) != 1 || v[0] != 1 {
+		t.Fatalf("held fill returned %v, want [1]", v)
+	}
+	svc.getID = getID
+
+	v, found, err := c.Get(key)
+	if err != nil || !found || len(v) != 1 {
+		t.Fatalf("Get after Put: %v found=%v err=%v", v, found, err)
+	}
+	if v[0] != 2 {
+		t.Fatalf("stale read after Put: saw %d after writing 2", v[0])
+	}
+}

@@ -146,19 +146,6 @@ func (f *Figure) AddSeries(label string) *Series {
 	return s
 }
 
-// RenderCSV formats the figure as CSV rows (series,x,y,yerr) with a header,
-// ready for spreadsheet or gnuplot import.
-func (f *Figure) RenderCSV() string {
-	var b strings.Builder
-	b.WriteString("series,x,y,yerr\n")
-	for _, s := range f.Series {
-		for _, p := range s.Points {
-			fmt.Fprintf(&b, "%s,%g,%g,%g\n", s.Label, p.X, p.Y, p.Yerr)
-		}
-	}
-	return b.String()
-}
-
 // Render formats the figure as an aligned text table: one block per series,
 // one row per point.
 func (f *Figure) Render() string {

@@ -141,10 +141,11 @@ func TestLifetimeRetainedResult(t *testing.T) {
 // the shape that breaks if a relay hands it bytes it does not own.
 func concatFold(acc, partial [][]byte) [][]byte { return append(acc, partial...) }
 
-// TestLifetimeCollectives: 64 KiB blobs through the binomial-tree relays of
-// five localities (a non-power-of-two, so AllReduce runs its fold-in and
-// hand-back steps). The user action echoes its argument, the worst case: its
-// result aliases the relay's own request.
+// TestLifetimeCollectives: 64 KiB blobs through the binomial-tree relay of
+// five localities (a non-power-of-two, so the trees are uneven), reduced at
+// two roots whose trees give every locality a different place. The user
+// action echoes its argument, the worst case: its result aliases the
+// relay's own request.
 func TestLifetimeCollectives(t *testing.T) {
 	const n, size = 5, 64 << 10
 	blob := pattern(size, 42)
@@ -192,11 +193,11 @@ func TestLifetimeCollectives(t *testing.T) {
 						t.Fatalf("Gather: locality %d's result differs", i)
 					}
 				}
-				all, err := rt.AllReduce(lifetimeTimeout, "echo", concatFold, blob)
+				red0, err := rt.Reduce(0, lifetimeTimeout, "echo", concatFold, blob)
 				if err != nil {
 					t.Fatal(err)
 				}
-				allBlobs("AllReduce", all)
+				allBlobs("Reduce at root 0", red0)
 				allBlobs("Reduce, re-read after the later collectives", red)
 			}
 			checkPoolIntact(t)

@@ -15,35 +15,8 @@ import (
 // each line's -fuzz pattern must select exactly one target of its package
 // (go test refuses a pattern that matches several).
 func TestMakeFuzzListsEveryTarget(t *testing.T) {
-	targets := map[string][]string{} // package dir -> fuzz targets
-	decl := regexp.MustCompile(`(?m)^func (Fuzz\w+)\(`)
-	err := filepath.WalkDir("internal", func(path string, d fs.DirEntry, err error) error {
-		if err != nil || d.IsDir() || !strings.HasSuffix(path, "_test.go") {
-			return err
-		}
-		src, err := os.ReadFile(path)
-		if err != nil {
-			return err
-		}
-		for _, m := range decl.FindAllStringSubmatch(string(src), -1) {
-			dir := filepath.ToSlash(filepath.Dir(path))
-			targets[dir] = append(targets[dir], m[1])
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	mk, err := os.ReadFile("Makefile")
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, recipe, ok := strings.Cut(string(mk), "\nfuzz:\n")
-	if !ok {
-		t.Fatal("Makefile has no fuzz target")
-	}
-	recipe, _, _ = strings.Cut(recipe, "\n\n")
+	targets := testFuncs(t, "Fuzz")
+	recipe := makeRecipe(t, "fuzz")
 	line := regexp.MustCompile(`test \./(\S+?)/? -fuzz '?([^' ]+)'?`)
 	covered := map[string]int{}
 	for _, l := range strings.Split(recipe, "\n") {
@@ -78,4 +51,77 @@ func TestMakeFuzzListsEveryTarget(t *testing.T) {
 		t.Fatal("found no fuzz target under internal/")
 	}
 	t.Logf("make fuzz runs %d of %d fuzz targets", len(covered), n)
+}
+
+// TestMakeAllocGateNamesExist keeps `make alloc-gate` running the gates it
+// names: every alternative of each -run pattern in its recipe must match a
+// `func Test…` of that line's package. A renamed gate test otherwise drops
+// out of the gate silently, since go test passes when -run matches nothing.
+func TestMakeAllocGateNamesExist(t *testing.T) {
+	tests := testFuncs(t, "Test")
+	line := regexp.MustCompile(`test \./(\S+?)/? -run '?([^' ]+)'?`)
+	n := 0
+	for _, l := range strings.Split(makeRecipe(t, "alloc-gate"), "\n") {
+		m := line.FindStringSubmatch(l)
+		if m == nil {
+			t.Errorf("alloc-gate recipe line %q runs no -run pattern", l)
+			continue
+		}
+		for _, alt := range strings.Split(m[2], "|") {
+			n++
+			re := regexp.MustCompile(strings.ReplaceAll(alt, "$$", "$"))
+			hit := false
+			for _, name := range tests[m[1]] {
+				hit = hit || re.MatchString(name)
+			}
+			if !hit {
+				t.Errorf("alloc-gate runs %q in %s, which matches no test there", alt, m[1])
+			}
+		}
+	}
+	if n == 0 {
+		t.Fatal("found no test name in the alloc-gate recipe")
+	}
+}
+
+// testFuncs maps each package directory under internal/ to the names of its
+// `func <prefix>…(` declarations in _test.go files.
+func testFuncs(t *testing.T, prefix string) map[string][]string {
+	t.Helper()
+	funcs := map[string][]string{}
+	decl := regexp.MustCompile(`(?m)^func (` + prefix + `\w*)\(`)
+	err := filepath.WalkDir("internal", func(path string, d fs.DirEntry, err error) error {
+		if err != nil || d.IsDir() || !strings.HasSuffix(path, "_test.go") {
+			return err
+		}
+		src, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		for _, m := range decl.FindAllStringSubmatch(string(src), -1) {
+			dir := filepath.ToSlash(filepath.Dir(path))
+			funcs[dir] = append(funcs[dir], m[1])
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return funcs
+}
+
+// makeRecipe returns the recipe lines of a Makefile target, up to the first
+// blank line.
+func makeRecipe(t *testing.T, target string) string {
+	t.Helper()
+	mk, err := os.ReadFile("Makefile")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, recipe, ok := strings.Cut(string(mk), "\n"+target+":\n")
+	if !ok {
+		t.Fatalf("Makefile has no %s target", target)
+	}
+	recipe, _, _ = strings.Cut(recipe, "\n\n")
+	return recipe
 }
